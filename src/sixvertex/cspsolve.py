@@ -34,6 +34,10 @@ class NotProduct(ValueError):
     pass
 
 
+class GaussSumError(RuntimeError):
+    """The elimination left a quadratic or linear term on a free variable."""
+
+
 @dataclass
 class AffineAggregate:
     """lam * chi_{AX=0} * i^Q over n variables, cross coefficients even."""
@@ -108,7 +112,13 @@ def affine_eval(
     constraints: Sequence[tuple[object, tuple[int, ...]]],
     n_vars: int,
 ) -> Scalar:
-    """Exact sum over {0,1}^n of the product of affine constraints."""
+    """Exact sum over {0,1}^n of the product of affine constraints.
+
+    A constraint is a signature or its AffineWitness; a witness is used as
+    given, so a caller that has already tested each distinct table (as
+    loopspace.evaluate does, once per table within one call) avoids a
+    second is_affine run here.
+    """
     agg = AffineAggregate.empty(n_vars)
     for sig, var_tuple in constraints:
         sig2, var_tuple = _collapse_repeats(sig, var_tuple)
@@ -255,8 +265,10 @@ def _gauss_sum(agg: AffineAggregate) -> Scalar:
             return ZERO
     # remaining alive variables are unconstrained with no Q terms
     free = sum(1 for v in range(n) if alive[v])
-    assert all(agg.lin[v] == 0 for v in range(n) if alive[v])
-    assert not agg.cross and not agg.rows
+    if any(agg.lin[v] for v in range(n) if alive[v]):
+        raise GaussSumError("a free variable kept a linear coefficient")
+    if agg.cross or agg.rows:
+        raise GaussSumError("cross terms or linear rows survived elimination")
     return agg.lam * Scalar.from_rational(2 ** free)
 
 
@@ -267,17 +279,28 @@ def product_eval(
     constraints: Sequence[tuple[object, tuple[int, ...]]],
     n_vars: int,
 ) -> Scalar:
-    """Union-find with parity over =/!= chains, unary weights per component."""
+    """Union-find with parity over =/!= chains, unary weights per component.
+
+    A constraint is a signature or its ProductWitness; a witness is used as
+    given, so a caller that has already tested each distinct table (as
+    loopspace.evaluate does, once per table within one call) avoids a
+    second is_product run here.
+    """
     parent = list(range(n_vars))
     parity = [0] * n_vars  # parity to parent
 
     def find(v: int) -> tuple[int, int]:
-        if parent[v] == v:
-            return v, 0
-        root, par = find(parent[v])
-        parent[v] = root
-        parity[v] ^= par
-        return root, parity[v]
+        """(root, parity of v to root), compressing the path iteratively."""
+        path = []
+        while parent[v] != v:
+            path.append(v)
+            v = parent[v]
+        par = 0
+        for u in reversed(path):  # nearest the root first
+            par ^= parity[u]
+            parity[u] = par
+            parent[u] = v
+        return v, par
 
     def union(u: int, v: int, rel_parity: int) -> bool:
         ru, pu = find(u)

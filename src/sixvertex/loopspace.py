@@ -21,13 +21,15 @@ combinatorial chirality conventions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import reduce
+from operator import mul
+from typing import Callable, Optional, Sequence
 
 from .cspsolve import NotAffine, NotProduct, affine_eval, product_eval
 from .instance import MapError, PlanarInstance, RotationMap
 from .membership import is_affine, is_product
 from .oracle import OracleCapExceeded, csp_brute
-from .scalar import ONE, Scalar
+from .scalar import ZERO, Scalar
 from .signature import BinarySignature, SixVertexSignature, UnarySignature
 
 
@@ -173,6 +175,20 @@ def _vertex_factor(inst: PlanarInstance, dec: CircuitDecomposition, vid: int, bi
     return inst.labels[vid].value(*args)
 
 
+def _factor_product(
+    inst: PlanarInstance, dec: CircuitDecomposition, recs: Sequence[VertexRecord], bits
+) -> Scalar:
+    """Product of the vertex factors at `recs`, as one power per distinct
+    factor value."""
+    counts: dict[Scalar, int] = {}
+    for rec in recs:
+        v = _vertex_factor(inst, dec, rec.vertex, bits)
+        if v.is_zero():
+            return ZERO
+        counts[v] = counts.get(v, 0) + 1
+    return reduce(mul, [v**e for v, e in counts.items()])
+
+
 def induced_csp(
     dec: CircuitDecomposition,
     inst: PlanarInstance,
@@ -181,6 +197,8 @@ def induced_csp(
 ) -> InducedCSP:
     """Build the circuit #CSP, verifying the direct tables against the
     entry/exit exponent profiles when a base signature is available."""
+    check = check_profiles and profile_base is not None
+    form_index = _form_indexer(inst, profile_base) if check else None
     pair_vertices: dict[tuple[int, int], list[VertexRecord]] = {}
     self_vertices: dict[int, list[VertexRecord]] = {}
     for rec in dec.records:
@@ -191,17 +209,15 @@ def induced_csp(
 
     binary = {}
     for (i, j), recs in pair_vertices.items():
-        values = []
-        for b in (0, 1):
-            for bp in (0, 1):
-                bits = {i: b, j: bp}
-                acc = ONE
-                for rec in recs:
-                    acc = acc * _vertex_factor(inst, dec, rec.vertex, bits)
-                values.append(acc)
-        table = BinarySignature(*values)
-        if check_profiles and profile_base is not None:
-            profile = _profile_binary(dec, inst, recs, profile_base)
+        table = BinarySignature(
+            *(
+                _factor_product(inst, dec, recs, {i: b, j: bp})
+                for b in (0, 1)
+                for bp in (0, 1)
+            )
+        )
+        if check:
+            profile = _profile_binary(recs, profile_base, form_index)
             if profile.values() != table.values():
                 raise LoopSpaceError(
                     f"direct and profile tables disagree on pair {(i, j)}"
@@ -210,37 +226,52 @@ def induced_csp(
 
     unary = {}
     for i, recs in self_vertices.items():
-        vals = []
-        for b in (0, 1):
-            bits = {i: b}
-            acc = ONE
-            for rec in recs:
-                acc = acc * _vertex_factor(inst, dec, rec.vertex, bits)
-            vals.append(acc)
-        table = UnarySignature(*vals)
-        if check_profiles and profile_base is not None:
-            profile = _profile_unary(dec, inst, recs, profile_base)
+        table = UnarySignature(*(_factor_product(inst, dec, recs, {i: b}) for b in (0, 1)))
+        if check:
+            profile = _profile_unary(recs, profile_base, form_index)
             if profile.values() != table.values():
                 raise LoopSpaceError(f"direct and profile tables disagree on h_{i}")
         unary[i] = table
     return InducedCSP(dec.k, binary, unary)
 
 
-def _form_index(inst: PlanarInstance, rec: VertexRecord, base: SixVertexSignature) -> int:
-    """Which rotated form of `base` the local x1-labeling sees at the vertex."""
-    local = inst.labels[rec.vertex].rotate(rec.rotation)
-    for r in range(4):
-        if base.rotate(r) == local:
-            return r
-    raise LoopSpaceError("vertex label is not a rotation of the base signature")
+_FormIndex = Callable[[VertexRecord], int]
 
 
-def _profile_binary(dec, inst, recs, base: SixVertexSignature) -> BinarySignature:
+def _form_indexer(inst: PlanarInstance, base: SixVertexSignature) -> _FormIndex:
+    """Which rotated form of `base` the local x1-labeling sees at a vertex,
+    memoised per (label, rotation) for the lifetime of the returned function.
+
+    The memo is keyed by the label's id, which is unique while `inst` keeps
+    every label alive, and cheaper than hashing a label's six scalars."""
+    base_forms = [base.rotate(r) for r in range(4)]
+    memo: dict[tuple[int, int], int] = {}
+
+    def form_index(rec: VertexRecord) -> int:
+        label = inst.labels[rec.vertex]
+        key = (id(label), rec.rotation)
+        r = memo.get(key)
+        if r is None:
+            local = label.rotate(rec.rotation)
+            for r, form in enumerate(base_forms):
+                if form == local:
+                    break
+            else:
+                raise LoopSpaceError("vertex label is not a rotation of the base signature")
+            memo[key] = r
+        return r
+
+    return form_index
+
+
+def _profile_binary(
+    recs: Sequence[VertexRecord], base: SixVertexSignature, form_index: _FormIndex
+) -> BinarySignature:
     """Def-4.3 monomial evaluation from the (k, l) exponent profile."""
     k = [0, 0, 0, 0]
     l = [0, 0, 0, 0]
     for rec in recs:
-        r = _form_index(inst, rec, base)
+        r = form_index(rec)
         if rec.entry:
             k[r] += 1
         else:
@@ -259,10 +290,12 @@ def _profile_binary(dec, inst, recs, base: SixVertexSignature) -> BinarySignatur
     )
 
 
-def _profile_unary(dec, inst, recs, base: SixVertexSignature) -> UnarySignature:
+def _profile_unary(
+    recs: Sequence[VertexRecord], base: SixVertexSignature, form_index: _FormIndex
+) -> UnarySignature:
     m = [0, 0, 0, 0]
     for rec in recs:
-        m[_form_index(inst, rec, base)] += 1
+        m[form_index(rec)] += 1
     a, b, x, y = base.a, base.b, base.x, base.y
     m1, m2, m3, m4 = m
     return UnarySignature(
@@ -314,6 +347,11 @@ def evaluate(
     method: "auto" tries the product-type propagation, then Gauss sums,
     then (for few circuits) brute enumeration; "product", "affine" and
     "brute" force one path.
+
+    Many induced tables repeat, so each distinct table is tested for
+    membership once per call, and the solvers receive the constraints as
+    (witness, variables) pairs instead of re-testing every table.  Nothing
+    is kept between calls.
     """
     dec = decompose(inst)
     audit = entry_exit_audit(dec)
@@ -322,13 +360,15 @@ def evaluate(
     csp = induced_csp(dec, inst, profile_base=profile_base)
     constraints = csp.constraints()
     if method in ("auto", "product"):
-        if all(is_product(sig) is not None for sig, _ in constraints):
-            return product_eval(constraints, csp.n_vars)
+        witnessed = _witnessed(constraints, is_product)
+        if witnessed is not None:
+            return product_eval(witnessed, csp.n_vars)
         if method == "product":
             raise NotProduct("induced tables are not product-type")
     if method in ("auto", "affine"):
-        if all(is_affine(sig) is not None for sig, _ in constraints):
-            return affine_eval(constraints, csp.n_vars)
+        witnessed = _witnessed(constraints, is_affine)
+        if witnessed is not None:
+            return affine_eval(witnessed, csp.n_vars)
         if method == "affine":
             raise NotAffine("induced tables are not affine")
     if method in ("auto", "brute"):
@@ -338,3 +378,23 @@ def evaluate(
             f"{csp.n_vars} circuits: tables are neither product-type nor affine"
         )
     raise ValueError(f"unknown method {method!r}")
+
+
+def _witnessed(
+    constraints: Sequence[tuple[object, tuple[int, ...]]],
+    membership: Callable[[object], Optional[object]],
+) -> Optional[list[tuple[object, tuple[int, ...]]]]:
+    """The constraints as (witness, variables) pairs, running `membership`
+    once per distinct table; None as soon as one table has no witness."""
+    witness_of: dict[tuple[Scalar, ...], Optional[object]] = {}
+    out = []
+    for table, variables in constraints:
+        key = table.values()
+        if key in witness_of:
+            witness = witness_of[key]
+        else:
+            witness = witness_of[key] = membership(table)
+        if witness is None:
+            return None
+        out.append((witness, variables))
+    return out

@@ -357,7 +357,8 @@ def _join_chain(left: PlaneGadget, right: PlaneGadget) -> PlaneGadget:
         ("edge", join_edges[("L", 2)], 1),
         ("edge", join_edges[("R", 1)], 1),
     ]
-    assert all(v is not None for v in externals)
+    if any(v is None for v in externals):
+        raise SynthesisError("chain join left an external slot unassigned")
     g.externals = externals  # type: ignore[assignment]
     return g
 
@@ -789,7 +790,8 @@ def kasteleyn_orient(
                 agree += 1
         # count the parent edge as many times as the face traverses it
         h_occurrences = [hh for hh in face if edge_of[hh] == parent_edge]
-        assert len(h_occurrences) == 1, "non-tree edge must border two faces"
+        if len(h_occurrences) != 1:
+            raise MapError("non-tree edge must border two faces")
         h = h_occurrences[0]
         direction[parent_edge] = 0 if h == parent_edge[0] else 1
         if agree % 2 == 1:

@@ -7,7 +7,8 @@ even-parity signatures is the determinant criterion
 det M_Out(f) = det M_In(f); the odd-parity case reduces to it by composing
 one variable with Disequality (itself a matchgate, so membership is
 preserved exactly).  Every returned witness reconstructs its signature
-entrywise, and the witness constructors assert this.
+entrywise; the witness constructors check this and raise WitnessError
+otherwise.
 """
 
 from __future__ import annotations
@@ -24,6 +25,11 @@ from .signature import (
     UnarySignature,
     hadamard_image,
 )
+
+
+class WitnessError(RuntimeError):
+    """A membership witness (or the GF(2) solution behind one) failed to
+    reproduce the data it was computed from."""
 
 
 def _values_of(sig) -> tuple[tuple[Scalar, ...], int]:
@@ -173,7 +179,8 @@ def _solve_gf2(eqs: list[tuple[int, int]], nvars: int) -> Optional[int]:
         if rhs ^ (bin(rest & solution).count("1") & 1):
             solution |= 1 << pbit
     for mask, rhs in rows:
-        assert (bin(mask & solution).count("1") & 1) == rhs
+        if (bin(mask & solution).count("1") & 1) != rhs:
+            raise WitnessError("GF(2) back-substitution missed an equation")
     return solution
 
 
@@ -262,7 +269,8 @@ def is_product(sig) -> Optional[ProductWitness]:
             full_pars = [(0,) + p for p in pars]
             witness = _try_factor(values, n, blocks, full_pars)
             if witness is not None:
-                assert _product_matches(witness, values, n)
+                if not _product_matches(witness, values, n):
+                    raise WitnessError(f"product witness does not reconstruct {sig!r}")
                 return witness
     return None
 

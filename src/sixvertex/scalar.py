@@ -38,13 +38,15 @@ class Scalar:
             raise ZeroDivisionError("zero denominator")
         if den < 0:
             n0, n1, n2, n3, den = -n0, -n1, -n2, -n3, -den
-        g = _gcd_many((n0, n1, n2, n3, den))
-        if g > 1:
-            n0 //= g
-            n1 //= g
-            n2 //= g
-            n3 //= g
-            den //= g
+        if den != 1:
+            # an integral element (den == 1) is already in reduced form
+            g = _gcd_many((n0, n1, n2, n3, den))
+            if g > 1:
+                n0 //= g
+                n1 //= g
+                n2 //= g
+                n3 //= g
+                den //= g
         object.__setattr__(self, "n0", n0)
         object.__setattr__(self, "n1", n1)
         object.__setattr__(self, "n2", n2)
@@ -164,7 +166,8 @@ class Scalar:
             raise ZeroDivisionError("inverse of zero in Q(zeta_8)")
         t = self.galois(3) * self.galois(5) * self.galois(7)
         norm = self * t
-        assert norm.is_rational() and not norm.is_zero()
+        if not norm.is_rational() or norm.is_zero():
+            raise ArithmeticError(f"field norm of {self!r} is not a nonzero rational")
         r = norm.as_rational()
         return t * Scalar(r.denominator, 0, 0, 0, r.numerator)
 
@@ -183,13 +186,21 @@ class Scalar:
     def __pow__(self, exponent: int) -> "Scalar":
         if exponent < 0:
             return self.inv() ** (-exponent)
-        result = ONE
+        if exponent == 0:
+            return ONE
+        # square up to the lowest set bit, then fold in the higher bits;
+        # the base is never squared past the highest bit
         base = self
         e = exponent
+        while not e & 1:
+            base = base * base
+            e >>= 1
+        result = base
+        e >>= 1
         while e:
+            base = base * base
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
         return result
 

@@ -133,19 +133,11 @@ class GeneralSignature4:
 
     def try_six_vertex(self) -> Optional["SixVertexSignature"]:
         """Downcast when supported on the six weight-2 patterns of M(f)."""
-        six = {
-            (0, 0, 1, 1): "a",
-            (0, 1, 1, 0): "b",
-            (0, 1, 0, 1): "c",
-            (1, 1, 0, 0): "x",
-            (1, 0, 0, 1): "y",
-            (1, 0, 1, 0): "z",
-        }
         vals = {}
         for idx, e in enumerate(self.entries):
             bits = ((idx >> 3) & 1, (idx >> 2) & 1, (idx >> 1) & 1, idx & 1)
-            if bits in six:
-                vals[six[bits]] = e
+            if bits in _PATTERN_FIELD:
+                vals[_PATTERN_FIELD[bits]] = e
             elif not e.is_zero():
                 return None
         return SixVertexSignature(
@@ -171,16 +163,8 @@ class SixVertexSignature:
         return (self.a, self.b, self.c, self.x, self.y, self.z)
 
     def value(self, x1: int, x2: int, x3: int, x4: int) -> Scalar:
-        pattern = (x1, x2, x3, x4)
-        table = {
-            (0, 0, 1, 1): self.a,
-            (0, 1, 1, 0): self.b,
-            (0, 1, 0, 1): self.c,
-            (1, 1, 0, 0): self.x,
-            (1, 0, 0, 1): self.y,
-            (1, 0, 1, 0): self.z,
-        }
-        return table.get(pattern, ZERO)
+        field = _PATTERN_FIELD.get((x1, x2, x3, x4))
+        return ZERO if field is None else getattr(self, field)
 
     def to_general(self) -> GeneralSignature4:
         entries = []
@@ -233,6 +217,10 @@ _SIX_PATTERNS = (
     (1, 0, 0, 1),
     (1, 0, 1, 0),
 )
+
+# input pattern -> the SixVertexSignature field it reads; every other
+# pattern has value zero
+_PATTERN_FIELD = dict(zip(_SIX_PATTERNS, ("a", "b", "c", "x", "y", "z")))
 
 
 # -- named constants ---------------------------------------------------------

@@ -1,0 +1,71 @@
+"""The library's self-checks raise typed errors and survive `python -O`."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from sixvertex import membership
+from sixvertex.membership import WitnessError, is_product
+from sixvertex.signature import BinarySignature
+from sixvertex.scalar import ONE, ZERO
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_no_assert_statements_in_library():
+    offenders = []
+    for path in sorted((SRC / "sixvertex").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assert):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_product_witness_check_raises(monkeypatch):
+    monkeypatch.setattr(membership, "_product_matches", lambda *args: False)
+    with pytest.raises(WitnessError):
+        is_product(BinarySignature(ONE, ZERO, ZERO, ONE))
+
+
+OPTIMIZED_CHECKS = """
+from sixvertex import loopspace, membership
+from sixvertex.instance import grid_patch, uniform_instance
+from sixvertex.membership import WitnessError
+from sixvertex.signature import BinarySignature, SixVertexSignature
+from sixvertex.scalar import ONE, ZERO
+
+raised = []
+real = membership._product_matches
+membership._product_matches = lambda *args: False
+try:
+    membership.is_product(BinarySignature(ONE, ZERO, ZERO, ONE))
+except WitnessError:
+    raised.append("witness")
+membership._product_matches = real
+
+f = SixVertexSignature.from_values(2, 3, 0, 5, 7, 0)
+inst = uniform_instance(grid_patch(2, 2), f)
+loopspace._profile_binary = lambda *args: BinarySignature(ONE, ONE, ONE, ZERO)
+try:
+    loopspace.evaluate(inst, profile_base=f)
+except loopspace.LoopSpaceError:
+    raised.append("profile")
+print(",".join(raised))
+"""
+
+
+def test_checks_survive_optimized_mode():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "witness,profile"

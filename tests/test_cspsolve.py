@@ -196,3 +196,39 @@ class TestNormalForm:
     def test_unary_power(self):
         w = affine_normal_form(UnarySignature(ONE, I ** 3))
         assert w.quad_lin[0] == 3
+
+
+class TestProductLongChain:
+    # (v + 1, v) hangs the old root under each new variable, so the
+    # union-find tree becomes one path as long as the chain
+    @pytest.mark.parametrize(
+        "link", [lambda v: (v, v + 1), lambda v: (v + 1, v)], ids=["forward", "backward"]
+    )
+    def test_equality_chain_beyond_recursion_limit(self, link):
+        n = 3000
+        constraints = [(EQ, link(v)) for v in range(n - 1)]
+        assert product_eval(constraints, n) == rational(2)
+
+    def test_disequality_chain_parity(self):
+        # alternating x_v != x_{v+1}; a weight on both ends sees the parity
+        n = 2001
+        constraints = [(NEQ, (v + 1, v)) for v in range(n - 1)]
+        constraints += [(unary(1, 3), (0,)), (unary(1, 5), (n - 1,))]
+        # n - 1 is even, so x_{n-1} = x_0: 1*1 + 3*5
+        assert product_eval(constraints, n) == rational(16)
+
+
+class TestWitnessConstraints:
+    def test_product_witness_in_place_of_table(self):
+        from sixvertex.membership import is_product
+
+        constraints = [(EQ, (0, 1)), (NEQ, (1, 2)), (unary(2, 3), (2,))]
+        witnessed = [(is_product(sig), vars_) for sig, vars_ in constraints]
+        assert product_eval(witnessed, 3) == product_eval(constraints, 3)
+
+    def test_affine_witness_in_place_of_table(self):
+        rng = random.Random(58)
+        n = 5
+        constraints = [random_affine_constraint(rng, n) for _ in range(6)]
+        witnessed = [(is_affine(sig), vars_) for sig, vars_ in constraints]
+        assert affine_eval(witnessed, n) == affine_eval(constraints, n)

@@ -182,3 +182,150 @@ class TestEvaluate:
     def test_empty_instance(self):
         inst = uniform_instance(RotationMap([], {}), sv(1, 1, 0, 1, 1, 0))
         assert evaluate(inst) == ONE
+
+
+def small_medials(seed, count, max_edges=18):
+    rng = random.Random(seed)
+    out = []
+    trial = 0
+    while len(out) < count:
+        m = medial_of_random_plane_graph(rng.randint(3, 7), seed * 100 + trial)
+        trial += 1
+        if m.edge_count <= max_edges:
+            out.append(m)
+    return out
+
+
+class TestWitnessReuse:
+    """evaluate tests each distinct induced table once and hands the
+    solvers witnesses, so the solvers never re-run membership."""
+
+    def count_calls(self, monkeypatch):
+        from sixvertex import cspsolve, loopspace
+
+        seen = {"product": [], "affine": [], "solver": 0}
+
+        def counted(name, real):
+            def wrapper(sig):
+                seen[name].append(sig.values())
+                return real(sig)
+
+            return wrapper
+
+        def forbidden(sig):
+            seen["solver"] += 1
+            raise AssertionError("the solvers re-ran membership")
+
+        monkeypatch.setattr(loopspace, "is_product", counted("product", loopspace.is_product))
+        monkeypatch.setattr(loopspace, "is_affine", counted("affine", loopspace.is_affine))
+        monkeypatch.setattr(cspsolve, "is_product", forbidden)
+        monkeypatch.setattr(cspsolve, "is_affine", forbidden)
+        return seen
+
+    def test_one_membership_run_per_distinct_table(self, monkeypatch):
+        seen = self.count_calls(monkeypatch)
+        rng = random.Random(66)
+        cases = [(grid_patch(4, 4), sv(1, 2, 0, 2, 1, 0))]
+        cases += [(m, random_c4ii(rng)) for m in small_medials(67, 4)]
+        cases += [(m, random_c4i(rng)) for m in small_medials(68, 4)]
+        for m, f in cases:
+            inst = uniform_instance(m, f)
+            for key in ("product", "affine"):
+                seen[key].clear()
+            evaluate(inst, profile_base=f)
+            csp = induced_csp(decompose(inst), inst, profile_base=f)
+            distinct = {table.values() for table, _ in csp.constraints()}
+            for key in ("product", "affine"):
+                assert len(seen[key]) == len(set(seen[key]))
+                assert set(seen[key]) <= distinct
+        assert seen["solver"] == 0
+
+    def test_repeated_tables_tested_once(self, monkeypatch):
+        seen = self.count_calls(monkeypatch)
+        f = sv(1, 2, 0, 2, 1, 0)
+        inst = uniform_instance(grid_patch(5, 5), f)
+        evaluate(inst, profile_base=f)
+        csp = induced_csp(decompose(inst), inst, profile_base=f)
+        n_tables = len(csp.constraints())
+        n_distinct = len({table.values() for table, _ in csp.constraints()})
+        assert n_distinct < n_tables  # the grid repeats its tables
+        assert len(seen["product"]) == n_distinct
+        assert seen["affine"] == []
+
+    def test_no_state_between_calls(self, monkeypatch):
+        seen = self.count_calls(monkeypatch)
+        f = sv(1, 2, 0, 2, 1, 0)
+        inst = uniform_instance(grid_patch(3, 3), f)
+        evaluate(inst, profile_base=f)
+        first = len(seen["product"])
+        evaluate(inst, profile_base=f)
+        assert len(seen["product"]) == 2 * first
+
+
+class TestInducedTables:
+    def test_tables_equal_plain_factor_products(self):
+        from sixvertex.loopspace import _vertex_factor
+
+        rng = random.Random(69)
+        for trial, m in enumerate(small_medials(70, 10, max_edges=40)):
+            f = random_c4i(rng) if trial % 2 else random_c4ii(rng)
+            inst = uniform_instance(m, f)
+            dec = decompose(inst)
+            csp = induced_csp(dec, inst, profile_base=f)
+            by_pair, by_self = {}, {}
+            for rec in dec.records:
+                if rec.kind == "intersection":
+                    by_pair.setdefault((rec.i, rec.j), []).append(rec.vertex)
+                else:
+                    by_self.setdefault(rec.i, []).append(rec.vertex)
+
+            def plain(vertices, bits):
+                acc = ONE
+                for vid in vertices:
+                    acc = acc * _vertex_factor(inst, dec, vid, bits)
+                return acc
+
+            assert set(csp.binary) == set(by_pair)
+            assert set(csp.unary) == set(by_self)
+            for (i, j), vertices in by_pair.items():
+                expected = tuple(
+                    plain(vertices, {i: b, j: bp}) for b in (0, 1) for bp in (0, 1)
+                )
+                assert csp.binary[(i, j)].values() == expected
+            for i, vertices in by_self.items():
+                expected = tuple(plain(vertices, {i: b}) for b in (0, 1))
+                assert csp.unary[i].values() == expected
+
+    def test_profile_mismatch_still_raises(self, monkeypatch):
+        from sixvertex import loopspace
+        from sixvertex.signature import BinarySignature
+
+        f = sv(2, 3, 0, 5, 7, 0)
+        inst = uniform_instance(grid_patch(2, 2), f)
+        dec = decompose(inst)
+        assert induced_csp(dec, inst, profile_base=f).binary
+        monkeypatch.setattr(
+            loopspace, "_profile_binary", lambda *args: BinarySignature(ONE, ONE, ONE, ZERO)
+        )
+        with pytest.raises(LoopSpaceError):
+            induced_csp(dec, inst, profile_base=f)
+
+
+class TestMethods:
+    def test_forced_methods_match_brute(self):
+        from sixvertex.cspsolve import NotAffine, NotProduct
+
+        rng = random.Random(71)
+        checked = {"product": 0, "affine": 0, "brute": 0}
+        for trial, m in enumerate(small_medials(72, 12)):
+            f = random_c4i(rng) if trial % 2 else random_c4ii(rng)
+            inst = uniform_instance(m, f)
+            expected = holant_brute(inst)
+            for method in checked:
+                try:
+                    value = evaluate(inst, profile_base=f, method=method)
+                except (NotProduct, NotAffine):
+                    continue
+                assert value == expected, (trial, method)
+                checked[method] += 1
+        assert all(checked.values()), checked

@@ -187,3 +187,41 @@ def test_hash_consistency():
 def test_fraction_coefficients_view():
     s = Scalar.from_coefficients((Fraction(1, 2), 0, Fraction(-3, 4), 0))
     assert s.coefficients == (Fraction(1, 2), 0, Fraction(-3, 4), 0)
+
+
+class TestPower:
+    @pytest.mark.parametrize("den", [1, 3])
+    def test_pow_matches_repeated_multiplication(self, den):
+        rng = random.Random(70 + den)
+        for _ in range(6):
+            s = rand_scalar(rng, span=3, den=1)
+            s = Scalar(s.n0, s.n1, s.n2, s.n3, den)
+            if s.is_zero():
+                continue
+            for e in range(-5, 21):
+                expected = ONE
+                for _ in range(abs(e)):
+                    expected = expected * (s if e > 0 else s.inv())
+                assert s ** e == expected
+
+    def test_pow_of_zero(self):
+        assert ZERO ** 0 == ONE
+        assert ZERO ** 5 == ZERO
+
+
+class TestReducedForm:
+    def test_den_one_matches_reduced_form(self):
+        pairs = [
+            (Scalar(6, 0, 0, 0), Scalar(12, 0, 0, 0, 2)),
+            (Scalar(2, 4, -6, 8), Scalar(4, 8, -12, 16, 2)),
+            (Scalar(-3, 0, 1, 0), Scalar(3, 0, -1, 0, -1)),
+            (Scalar(0, 0, 0, 0), Scalar(0, 0, 0, 0, 7)),
+        ]
+        for direct, reduced in pairs:
+            assert direct == reduced
+            assert repr(direct) == repr(reduced)
+            assert hash(direct) == hash(reduced)
+            assert (direct.n0, direct.n1, direct.n2, direct.n3, direct.den) == (
+                reduced.n0, reduced.n1, reduced.n2, reduced.n3, reduced.den
+            )
+            assert direct.den == 1
