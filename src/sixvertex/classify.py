@@ -45,6 +45,17 @@ class Condition(Enum):
     C4II = "C4ii"
 
 
+# every set of conditions, keyed by itself: a verdict takes its witness set
+# from here, so verdicts with equal witnesses share one frozenset
+_WITNESS_SETS = {
+    w: w
+    for w in (
+        frozenset(c for bit, c in enumerate(Condition) if mask >> bit & 1)
+        for mask in range(1 << len(Condition))
+    )
+}
+
+
 @dataclass(frozen=True)
 class Verdict:
     planar_class: PlanarClass
@@ -142,6 +153,6 @@ def classify(f: SixVertexSignature) -> Verdict:
     return Verdict(
         planar_class=planar,
         general_class=GeneralClass.PTIME if general_ok else GeneralClass.SHARP_P_HARD,
-        witnesses=frozenset(witnesses),
+        witnesses=_WITNESS_SETS[frozenset(witnesses)],
         case_tag=case_of(f),
     )

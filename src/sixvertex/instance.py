@@ -159,7 +159,7 @@ class RotationMap:
 Signature = "SixVertexSignature | BinarySignature | GeneralSignature4"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlanarInstance:
     """A rotation map with a signature label on every vertex."""
 

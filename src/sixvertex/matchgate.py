@@ -11,13 +11,19 @@ signature instead.
 
 The gadget weight formulas below are derived from the perfect-matching
 enumeration of small templates and are re-verified against the matching
-oracle on every synthesis, so a formula slip fails loudly.
+oracle whenever a gadget is synthesized, so a formula slip fails loudly.
+An evaluation synthesizes (and so re-verifies) each distinct label once per
+call and shares that gadget among the vertices carrying the label; nothing
+is kept between calls.
 """
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .instance import MapError, PlanarInstance, RotationMap
 from .membership import is_matchgate, is_matchgate_general, is_matchgate_hat
@@ -208,8 +214,8 @@ def _scaled_propto(sig_values: Sequence[Scalar], target: Sequence[Scalar]) -> Op
 
 
 def synthesize(f: SixVertexSignature) -> tuple[PlaneGadget, Scalar]:
-    """A plane gadget whose matching signature equals scale * f (scale != 0
-    unless f = 0).  Raises SynthesisError when f is not a matchgate."""
+    """A plane gadget whose matching signature equals scale * f, scale != 0
+    (scale 1 for f = 0).  Raises SynthesisError when f is not a matchgate."""
     if not is_matchgate(f):
         raise SynthesisError("signature violates the matchgate identity")
     if f.is_zero():
@@ -219,32 +225,31 @@ def synthesize(f: SixVertexSignature) -> tuple[PlaneGadget, Scalar]:
         for p in ports:
             g.add_external(p)
         return g, ONE
-    candidates = []
-    for r in range(4):
-        rotated = f.rotate(r)
-        if not rotated.c.is_zero():
-            candidates.append((r, rotated))
-    if not candidates:
-        # c = z = 0 everywhere in the inner slots
-        if (f.a * f.x).is_zero():
-            for r in range(4):
-                rotated = f.rotate(r)
-                if rotated.x.is_zero() and rotated.y.is_zero() and rotated.z.is_zero():
-                    candidates.append((r, rotated))
-        else:
-            return _chain_synthesis(f)
-    if not candidates:
-        raise SynthesisError(f"no template applies to {f!r}")
-    errors = []
-    for r, rotated in candidates:
+    if f.c.is_zero() and f.z.is_zero() and not (f.a * f.x).is_zero():
+        return _chain_synthesis(f)
+    return _wheel_synthesis(f)
+
+
+def _wheel_synthesis(f: SixVertexSignature) -> tuple[PlaneGadget, Scalar]:
+    """The wheel template on the first rotation of f and cyclic shift of its
+    externals whose matching signature is a nonzero multiple of f.
+
+    The rotations tried are those with c != 0, or, when c = z = 0, those
+    supported on the (a, b) slots.
+    """
+    rotations = [f.rotate(r) for r in range(4)]
+    candidates = [g for g in rotations if not g.c.is_zero()] or [
+        g for g in rotations if g.x.is_zero() and g.y.is_zero() and g.z.is_zero()
+    ]
+    target = f.to_general().entries
+    for rotated in candidates:
         gadget = _wheel_gadget(rotated)
         for shift in range(4):
             shifted = gadget.shifted(shift)
-            scale = _scaled_propto(shifted.signature(), f.to_general().entries)
+            scale = _scaled_propto(shifted.signature(), target)
             if scale is not None and not scale.is_zero():
                 return shifted, scale
-        errors.append(r)
-    raise SynthesisError(f"wheel template failed for rotations {errors} of {f!r}")
+    raise SynthesisError(f"no wheel template applies to {f!r}")
 
 
 def _chain_synthesis(f: SixVertexSignature) -> tuple[PlaneGadget, Scalar]:
@@ -261,28 +266,13 @@ def _chain_synthesis(f: SixVertexSignature) -> tuple[PlaneGadget, Scalar]:
     composed = compose_n(g1, g2).try_six_vertex()
     if composed is None or composed != f:
         raise SynthesisError("chain closed form failed; not in the ax=-by family")
-    left, scale_left = synthesize_simple(g1)
-    right, scale_right = synthesize_simple(g2)
+    left, _ = _wheel_synthesis(g1)
+    right, _ = _wheel_synthesis(g2)
     gadget = _join_chain(left, right)
     scale = _scaled_propto(gadget.signature(), f.to_general().entries)
     if scale is None or scale.is_zero():
         raise SynthesisError("chain synthesis verification failed")
     return gadget, scale
-
-
-def synthesize_simple(f: SixVertexSignature) -> tuple[PlaneGadget, Scalar]:
-    """Wheel synthesis only (no chain recursion); c or z must be nonzero."""
-    for r in range(4):
-        rotated = f.rotate(r)
-        if rotated.c.is_zero():
-            continue
-        gadget = _wheel_gadget(rotated)
-        for shift in range(4):
-            shifted = gadget.shifted(shift)
-            scale = _scaled_propto(shifted.signature(), f.to_general().entries)
-            if scale is not None and not scale.is_zero():
-                return shifted, scale
-    raise SynthesisError(f"wheel synthesis failed for {f!r}")
 
 
 def _join_chain(left: PlaneGadget, right: PlaneGadget) -> PlaneGadget:
@@ -392,6 +382,7 @@ def synthesize_even_image(m: GeneralSignature4) -> tuple[PlaneGadget, Scalar]:
     These have entries (p, q, r, s) on the complement-symmetric even
     patterns with either (r, s) = (-p, -q) or (q, s) = (-p, -r); each shape
     splits into closed-form templates verified against the matching oracle.
+    The gadget's matching signature is scale * m, scale != 0.
     """
     shape = _even_image_entries(m)
     if shape is None:
@@ -583,47 +574,18 @@ def add_flip_pigtail(g: PlaneGadget, external_index: int = 0) -> PlaneGadget:
 # -- Pfaffians --------------------------------------------------------------------
 
 
-def pfaffian_dense(matrix: list[list[Scalar]]) -> Scalar:
-    """Textbook exact Pfaffian by elimination; odd dimension gives 0."""
-    n = len(matrix)
-    for i in range(n):
-        for j in range(n):
-            if matrix[i][j] != -matrix[j][i]:
-                raise ValueError("matrix is not skew-symmetric")
-    if n % 2:
-        return ZERO
-    a = [row[:] for row in matrix]
-    sign = ONE
-    result = ONE
-    idx = 0
-    while idx < n:
-        pivot = None
-        for j in range(idx + 1, n):
-            if not a[idx][j].is_zero():
-                pivot = j
-                break
-        if pivot is None:
-            return ZERO
-        if pivot != idx + 1:
-            a[idx + 1], a[pivot] = a[pivot], a[idx + 1]
-            for row in a:
-                row[idx + 1], row[pivot] = row[pivot], row[idx + 1]
-            sign = -sign
-        piv = a[idx][idx + 1]
-        result = result * piv
-        for i in range(idx + 2, n):
-            for j in range(idx + 2, n):
-                a[i][j] = a[i][j] + (
-                    a[idx][j] * a[idx + 1][i] - a[idx][i] * a[idx + 1][j]
-                ) / piv
-        idx += 2
-    return sign * result
-
-
 def pfaffian_sparse(n: int, entries: dict[tuple[int, int], Scalar]) -> Scalar:
     """Exact Pfaffian of a sparse skew matrix with min-degree pivoting.
 
     `entries` holds A[u][v] for u < v; A[v][u] = -A[u][v] implied.
+
+    Each step eliminates the live vertex i of least (degree, index) together
+    with its neighbour j of least (degree, index): the Pfaffian gains the
+    factor A[i][j] and the sign of moving i, then j, to the front of the live
+    vertices in index order.  A lazy heap of (degree, vertex) finds i (stale
+    entries are dropped on pop), ranks in a sorted list of the live vertices
+    give the sign, and row i is scaled once by 1 / A[i][j], so a pivot costs
+    one inverse and each Schur entry one product.
     """
     if n % 2:
         return ZERO
@@ -636,58 +598,52 @@ def pfaffian_sparse(n: int, entries: dict[tuple[int, int], Scalar]) -> Scalar:
     for i in list(rows):
         for j in [j for j, w in rows[i].items() if w.is_zero()]:
             del rows[i][j]
-    order = list(range(n))
-    position = {v: i for i, v in enumerate(order)}
+    heap = [(len(rows[v]), v) for v in range(n)]
+    heapq.heapify(heap)
+    live = list(range(n))  # sorted, so a vertex's rank is its position
     sign_flips = 0
     result = ONE
-    alive = set(range(n))
-
-    def move_to_front(vertex: int, target: int) -> None:
-        nonlocal sign_flips
-        pos = position[vertex]
-        while pos > target:
-            other = order[pos - 1]
-            order[pos - 1], order[pos] = order[pos], order[pos - 1]
-            position[other], position[vertex] = pos, pos - 1
-            sign_flips += 1
-            pos -= 1
-
-    while alive:
-        i = min(alive, key=lambda v: (len(rows[v]), v))
-        if not rows[i]:
+    while live:
+        degree, i = heapq.heappop(heap)
+        row_i = rows.get(i)
+        if row_i is None or len(row_i) != degree:
+            continue  # i was eliminated or its degree has changed since
+        if not row_i:
             return ZERO
-        j = min(rows[i], key=lambda v: (len(rows[v]), v))
-        move_to_front(i, 0)
-        move_to_front(j, 1)
-        piv = rows[i][j]
+        j = min(row_i, key=lambda v: (len(rows[v]), v))
+        rank_i = bisect_left(live, i)
+        rank_j = bisect_left(live, j)
+        # i moves to the front past rank_i vertices, then j to second place
+        # past the rank_j vertices before it, less i when i preceded it
+        sign_flips += rank_i + rank_j - (rank_i < rank_j)
+        del live[max(rank_i, rank_j)]
+        del live[min(rank_i, rank_j)]
+        piv = row_i[j]
         result = result * piv
-        neighbors_i = [(u, w) for u, w in rows[i].items() if u not in (i, j)]
-        neighbors_j = [(u, w) for u, w in rows[j].items() if u not in (i, j)]
+        inv_piv = piv.inv()
+        neighbors_i = [(u, w * inv_piv) for u, w in row_i.items() if u != j]
+        neighbors_j = [(u, w) for u, w in rows[j].items() if u != i]
         # Schur update: A'[u][v] += (A[i][v] A[j][u] - A[i][u] A[j][v]) / piv
         for u, wju in neighbors_j:
+            row_u = rows[u]
             for v, wiv in neighbors_i:
                 if u == v:
                     continue
-                delta = wiv * wju / piv
-                cur = rows[u].get(v, ZERO) + delta
+                old = row_u.get(v)
+                cur = wiv * wju if old is None else old + wiv * wju
                 if cur.is_zero():
-                    rows[u].pop(v, None)
-                    rows[v].pop(u, None)
+                    del row_u[v]
+                    del rows[v][u]
                 else:
-                    rows[u][v] = cur
+                    row_u[v] = cur
                     rows[v][u] = -cur
         for u, _ in neighbors_i:
             rows[u].pop(i, None)
         for u, _ in neighbors_j:
             rows[u].pop(j, None)
         del rows[i], rows[j]
-        alive.discard(i)
-        alive.discard(j)
-        # drop the two front positions from the order bookkeeping
-        order.pop(0)
-        order.pop(0)
-        for pos, vtx in enumerate(order):
-            position[vtx] = pos
+        for u in {u for u, _ in neighbors_i} | {u for u, _ in neighbors_j}:
+            heapq.heappush(heap, (len(rows[u]), u))
     return -result if sign_flips % 2 else result
 
 
@@ -752,9 +708,9 @@ def kasteleyn_orient(
             continue
         comp = [start]
         face_seen[start] = True
-        queue = [start]
+        queue = deque([start])
         while queue:
-            fa = queue.pop(0)
+            fa = queue.popleft()
             for fb, _ in dual[fa]:
                 if not face_seen[fb]:
                     face_seen[fb] = True
@@ -767,9 +723,9 @@ def kasteleyn_orient(
         parents: dict[int, tuple[int, int]] = {}
         order = [outer]
         visited = {outer}
-        queue = [outer]
+        queue = deque([outer])
         while queue:
-            fa = queue.pop(0)
+            fa = queue.popleft()
             for fb, e in dual[fa]:
                 if fb not in visited:
                     visited.add(fb)
@@ -946,25 +902,61 @@ def _pfaffian_value(assembled: AssembledGraph, outer_choice: int = 0) -> Scalar:
     return sigma * pf_weighted
 
 
+def _label_gadgets(
+    inst: PlanarInstance,
+    build: Callable[[SixVertexSignature], tuple[PlaneGadget, Scalar]],
+    caller: str,
+) -> tuple[list[PlaneGadget], list[Scalar]]:
+    """The (gadget, scale) of every vertex, built once per distinct label.
+
+    The table lives for this call only; the assembly reads a shared gadget
+    and never mutates it.
+    """
+    built: dict[SixVertexSignature, tuple[PlaneGadget, Scalar]] = {}
+    gadgets = []
+    scales = []
+    for label in inst.labels:
+        if not isinstance(label, SixVertexSignature):
+            raise SynthesisError(f"{caller} needs six-vertex labels")
+        entry = built.get(label)
+        if entry is None:
+            entry = built[label] = build(label)
+        gadgets.append(entry[0])
+        scales.append(entry[1])
+    return gadgets, scales
+
+
 def fkt_eval(
     inst: PlanarInstance, orientation_seed: int = 0
 ) -> Scalar:
     """Exact Holant value through matchgate synthesis and the Pfaffian.
 
-    Every vertex label must be a matchgate six-vertex signature."""
-    gadgets = []
-    scales = []
-    for label in inst.labels:
-        if not isinstance(label, SixVertexSignature):
-            raise SynthesisError("fkt_eval needs six-vertex labels")
-        gadget, scale = synthesize(label)
-        if scale.is_zero():
-            return ZERO
-        gadgets.append(gadget)
-        scales.append(scale)
+    Every vertex label must be a matchgate six-vertex signature.  Each
+    distinct label is synthesized, and its gadget re-verified against the
+    matching oracle, once per call."""
+    gadgets, scales = _label_gadgets(inst, synthesize, "fkt_eval")
     assembled = _assemble(inst, gadgets, scales, "diseq")
     value = _pfaffian_value(assembled, orientation_seed)
     return value / assembled.scale
+
+
+def _hat_gadget(label: SixVertexSignature) -> tuple[PlaneGadget, Scalar]:
+    """A gadget for the Hadamard image H f of an M-hat label f.
+
+    Even images are synthesized directly; odd images flip variable 1 and
+    get a Disequality pigtail on that external."""
+    if not is_matchgate_hat(label):
+        raise SynthesisError("label is not in M-hat")
+    image = hadamard_image(label)
+    odd = any(
+        not image.entries[idx].is_zero()
+        for idx in range(16)
+        if bin(idx).count("1") & 1
+    )
+    if not odd:
+        return synthesize_even_image(image)
+    gadget, scale = synthesize_even_image(image.flip_variable(1))
+    return add_flip_pigtail(gadget, 0), scale
 
 
 def fkt_eval_hat(inst: PlanarInstance) -> Scalar:
@@ -972,30 +964,10 @@ def fkt_eval_hat(inst: PlanarInstance) -> Scalar:
 
     Holant(!= | f) = 2^{-|E|} Holant([1,0,0,-1]-equality | H f), where the
     signed equality is one direct edge of weight -1 and H f is synthesized
-    per parity (odd images flip variable 1 with a pigtail)."""
-    gadgets = []
-    scales = []
-    for label in inst.labels:
-        if not isinstance(label, SixVertexSignature):
-            raise SynthesisError("fkt_eval_hat needs six-vertex labels")
-        if not is_matchgate_hat(label):
-            raise SynthesisError("label is not in M-hat")
-        image = hadamard_image(label)
-        odd = any(
-            not image.entries[idx].is_zero()
-            for idx in range(16)
-            if bin(idx).count("1") & 1
-        )
-        if odd:
-            flipped = image.flip_variable(1)
-            gadget, scale = synthesize_even_image(flipped)
-            gadget = add_flip_pigtail(gadget, 0)
-        else:
-            gadget, scale = synthesize_even_image(image)
-        if scale.is_zero():
-            return ZERO
-        gadgets.append(gadget)
-        scales.append(scale)
+    per parity (odd images flip variable 1 with a pigtail).  Each distinct
+    label is tested, transformed, synthesized and re-verified once per
+    call."""
+    gadgets, scales = _label_gadgets(inst, _hat_gadget, "fkt_eval_hat")
     assembled = _assemble(inst, gadgets, scales, "minus-eq")
     value = _pfaffian_value(assembled)
     half = Scalar.from_rational(1) / Scalar.from_rational(2 ** inst.map.edge_count)

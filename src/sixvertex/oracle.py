@@ -50,7 +50,7 @@ def holant_brute(
 
     `fixed` optionally pins chosen half-edges to values (the paired half-edge
     is forced through the implicit Disequality), which supports splitting
-    the search across workers and evaluating gadget signatures.
+    the search across workers.
     """
     m = inst.map
     _check_cap(m.edge_count, cap)
@@ -142,27 +142,6 @@ def holant_brute(
     result = run(0, pre_factor)
     unplace(pre_touched)
     return result
-
-
-def gadget_signature(
-    inst: PlanarInstance,
-    ports: Sequence[int],
-    cap: Optional[int] = None,
-) -> list[Scalar]:
-    """Signature of a gadget whose external variables are the given half-edges.
-
-    Each port half-edge must belong to the instance map (its partner is
-    forced through the implicit Disequality as usual).  Entry S of the
-    result pins port t to bit S_t; entries are lexicographic in the ports.
-    """
-    k = len(ports)
-    out = []
-    for mask in range(2 ** k):
-        fixed = {
-            ports[t]: (mask >> (k - 1 - t)) & 1 for t in range(k)
-        }
-        out.append(holant_brute(inst, cap=cap, fixed=fixed))
-    return out
 
 
 # -- Eulerian statistics -----------------------------------------------------------

@@ -145,7 +145,7 @@ class GeneralSignature4:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SixVertexSignature:
     a: Scalar
     b: Scalar
@@ -185,7 +185,10 @@ class SixVertexSignature:
         return self.to_general().matrix(view)
 
     def scale(self, factor: Scalar) -> "SixVertexSignature":
-        return SixVertexSignature(*(factor * v for v in self.tuple()))
+        """factor * f; zero entries stay the shared ZERO."""
+        return SixVertexSignature(
+            *(ZERO if v.is_zero() else factor * v for v in self.tuple())
+        )
 
     def scale_on(self, variable: int, t: Scalar) -> "SixVertexSignature":
         """Multiply by t exactly the entries with the chosen variable = 1."""

@@ -1,4 +1,8 @@
-"""The library's self-checks raise typed errors and survive `python -O`."""
+"""The library's self-checks raise typed errors and survive `python -O`.
+
+Under `-O` the synthesis re-verification still runs once per distinct
+label of an FKT call: with `_scaled_propto` forced to fail, both FKT routes
+raise `SynthesisError`."""
 
 import ast
 import os
@@ -33,7 +37,7 @@ def test_product_witness_check_raises(monkeypatch):
 
 
 OPTIMIZED_CHECKS = """
-from sixvertex import loopspace, membership
+from sixvertex import loopspace, matchgate, membership
 from sixvertex.instance import grid_patch, uniform_instance
 from sixvertex.membership import WitnessError
 from sixvertex.signature import BinarySignature, SixVertexSignature
@@ -55,6 +59,16 @@ try:
     loopspace.evaluate(inst, profile_base=f)
 except loopspace.LoopSpaceError:
     raised.append("profile")
+
+matchgate._scaled_propto = lambda *args: None
+for name, evaluate, label in [
+    ("fkt", matchgate.fkt_eval, SixVertexSignature.from_values(1, 1, 2, 1, 1, 1)),
+    ("fkt_hat", matchgate.fkt_eval_hat, SixVertexSignature.from_values(0, 1, 2, 0, 1, 2)),
+]:
+    try:
+        evaluate(uniform_instance(grid_patch(2, 2), label))
+    except matchgate.SynthesisError:
+        raised.append(name)
 print(",".join(raised))
 """
 
@@ -68,4 +82,4 @@ def test_checks_survive_optimized_mode():
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "witness,profile"
+    assert out.stdout.strip() == "witness,profile,fkt,fkt_hat"

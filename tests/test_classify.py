@@ -118,3 +118,15 @@ class TestInvariance:
                 assert is_matchgate(f)
             found += 1
         assert found == 200
+
+
+class TestWitnessSets:
+    def test_equal_witness_sets_are_shared(self):
+        rng = random.Random(35)
+        by_set = {}
+        for _ in range(80):
+            v = classify(rand_six(rng))
+            assert by_set.setdefault(v.witnesses, v.witnesses) is v.witnesses
+        f = sv(1, 1, 1, 2, 1, 3)
+        assert classify(f).witnesses is classify(f.scale(rational(2))).witnesses
+        assert classify(f).witnesses == frozenset({Condition.C3_M})

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from sixvertex.instance import (
@@ -143,3 +145,20 @@ class TestInstances:
     def test_parse_rejects_bad_header(self):
         with pytest.raises(MapError):
             parse_instance("nonsense\n")
+
+
+class TestPlanarInstanceSlots:
+    def test_frozen_without_instance_dict(self):
+        inst = uniform_instance(cycle_medial(3), ICE)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            inst.labels = ()
+        assert not hasattr(inst, "__dict__")
+
+    def test_hash_and_equality(self):
+        m = cycle_medial(3)
+        inst = uniform_instance(m, ICE)
+        ice = SixVertexSignature.from_values(1, 1, 1, 1, 1, 1)
+        same = PlanarInstance(m, (ice, ice, ice))
+        assert inst == same
+        assert hash(inst) == hash(same) == hash((m, inst.labels))
+        assert inst != uniform_instance(m, SixVertexSignature.from_values(1, 1, 1, 1, 1, 2))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from sixvertex import loopspace, matchgate
 from sixvertex.instance import (
     RotationMap,
     cycle_medial,
@@ -16,7 +17,6 @@ from sixvertex.matchgate import (
     fkt_eval,
     fkt_eval_hat,
     kasteleyn_orient,
-    pfaffian_dense,
     pfaffian_sparse,
     synthesize,
     synthesize_even_image,
@@ -72,6 +72,44 @@ def dense_from_sparse(n, entries):
     return m
 
 
+def pfaffian_dense(matrix):
+    """Textbook exact Pfaffian by elimination; odd dimension gives 0.  The
+    reference for pfaffian_sparse."""
+    n = len(matrix)
+    for i in range(n):
+        for j in range(n):
+            if matrix[i][j] != -matrix[j][i]:
+                raise ValueError("matrix is not skew-symmetric")
+    if n % 2:
+        return ZERO
+    a = [row[:] for row in matrix]
+    sign = ONE
+    result = ONE
+    idx = 0
+    while idx < n:
+        pivot = None
+        for j in range(idx + 1, n):
+            if not a[idx][j].is_zero():
+                pivot = j
+                break
+        if pivot is None:
+            return ZERO
+        if pivot != idx + 1:
+            a[idx + 1], a[pivot] = a[pivot], a[idx + 1]
+            for row in a:
+                row[idx + 1], row[pivot] = row[pivot], row[idx + 1]
+            sign = -sign
+        piv = a[idx][idx + 1]
+        result = result * piv
+        for i in range(idx + 2, n):
+            for j in range(idx + 2, n):
+                a[i][j] = a[i][j] + (
+                    a[idx][j] * a[idx + 1][i] - a[idx][i] * a[idx + 1][j]
+                ) / piv
+        idx += 2
+    return sign * result
+
+
 def det_exact(matrix):
     n = len(matrix)
     a = [row[:] for row in matrix]
@@ -96,6 +134,75 @@ def det_exact(matrix):
             for c in range(col, n):
                 a[r][c] = a[r][c] - factor * a[col][c]
     return det
+
+
+def rand_field(rng):
+    """A random element of Q(zeta_8) with small coefficients."""
+    return Scalar(*(rng.randint(-2, 2) for _ in range(4)), rng.choice([1, 1, 2, 3]))
+
+
+def congruent_entries(k, m):
+    """The upper entries of M^T K M for a skew K and a square or wide M.
+
+    Every entry of the product is a sum of many terms, so eliminating it
+    cancels fill-in to exact zero: when M is 2m x n with 2m < n the matrix
+    has rank at most 2m and the last Schur complement vanishes entirely."""
+    rows, n = len(m), len(m[0])
+    entries = {}
+    for u in range(n):
+        for v in range(u + 1, n):
+            total = ZERO
+            for a in range(rows):
+                if m[a][u].is_zero():
+                    continue
+                for b in range(rows):
+                    if not m[b][v].is_zero() and not k[a][b].is_zero():
+                        total = total + m[a][u] * k[a][b] * m[b][v]
+            if not total.is_zero():
+                entries[(u, v)] = total
+    return entries
+
+
+def min_degree_pivots(n, entries):
+    """The pivots A[i][j] of min-degree elimination, found the plain way:
+    i is the live vertex of least (degree, index), j its neighbour of least
+    (degree, index).  The reference for pfaffian_sparse's pivot order."""
+    rows = {v: {} for v in range(n)}
+    for (u, v), w in entries.items():
+        if not w.is_zero():
+            rows[u][v], rows[v][u] = w, -w
+    pivots = []
+    while rows:
+        i = min(rows, key=lambda v: (len(rows[v]), v))
+        if not rows[i]:
+            break
+        j = min(rows[i], key=lambda v: (len(rows[v]), v))
+        piv = rows[i][j]
+        pivots.append(piv)
+        row_i, row_j = rows.pop(i), rows.pop(j)
+        for row in rows.values():
+            row.pop(i, None)
+            row.pop(j, None)
+        for u, wju in row_j.items():
+            for v, wiv in row_i.items():
+                if u in (i, j) or v in (i, j) or u == v:
+                    continue
+                cur = rows[u].get(v, ZERO) + wiv * wju / piv
+                if cur.is_zero():
+                    rows[u].pop(v, None)
+                    rows[v].pop(u, None)
+                else:
+                    rows[u][v], rows[v][u] = cur, -cur
+    return pivots
+
+
+def random_skew(rng, n, density):
+    entries = {}
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < density:
+                entries[(u, v)] = rand_field(rng)
+    return entries
 
 
 class TestPfaffian:
@@ -133,6 +240,87 @@ class TestPfaffian:
             pf_s = pfaffian_sparse(n, entries)
             assert pf_d == pf_s
             assert pf_d * pf_d == det_exact(m)
+        # Q(zeta_8) entries, up to n = 24 (det only up to 16: it is slow)
+        rng = random.Random(76)
+        for _ in range(40):
+            n = rng.choice([2, 4, 6, 8, 10, 12, 16, 20, 24])
+            entries = random_skew(rng, n, rng.choice([0.1, 0.25, 0.5, 0.9]))
+            m = dense_from_sparse(n, entries)
+            pf = pfaffian_sparse(n, entries)
+            assert pf == pfaffian_dense(m)
+            if n <= 16:
+                assert pf * pf == det_exact(m)
+
+    def test_unimodular_congruence_cancels(self):
+        """Pf(M^T K M) = det(M) Pf(K) = Pf(K) for unit upper triangular M;
+        the congruence makes Schur updates cancel to exact zero."""
+        rng = random.Random(77)
+        nonzero = 0
+        for n, density in [(8, 0.3), (12, 0.25), (16, 0.2), (24, 0.2), (24, 0.3)]:
+            k_entries = random_skew(rng, n, density)
+            k = dense_from_sparse(n, k_entries)
+            m = [
+                [
+                    ONE if a == u
+                    else rational(rng.choice([-1, 1])) if a < u and rng.random() < density
+                    else ZERO
+                    for u in range(n)
+                ]
+                for a in range(n)
+            ]
+            entries = congruent_entries(k, m)
+            pf = pfaffian_sparse(n, entries)
+            assert pf == pfaffian_sparse(n, k_entries)
+            assert pf == pfaffian_dense(dense_from_sparse(n, entries))
+            nonzero += not pf.is_zero()
+        assert nonzero >= 1
+
+    def test_low_rank_is_singular(self):
+        """A complete skew matrix of rank 2m < n: every entry left after m
+        pivots must cancel to exact zero, and the Pfaffian is 0."""
+        rng = random.Random(78)
+        for n, half_rank in [(6, 2), (12, 3), (20, 6), (24, 11)]:
+            k = dense_from_sparse(2 * half_rank, random_skew(rng, 2 * half_rank, 1.0))
+            m = [
+                [rational(rng.choice([-3, -2, -1, 1, 2, 3])) for _ in range(n)]
+                for _ in range(2 * half_rank)
+            ]
+            entries = congruent_entries(k, m)
+            assert len(entries) == n * (n - 1) // 2
+            assert pfaffian_sparse(n, entries) == ZERO
+            assert pfaffian_dense(dense_from_sparse(n, entries)) == ZERO
+
+    def test_one_inverse_per_min_degree_pivot(self, monkeypatch):
+        """Scalar.inv runs once per pivot (at most n/2 times), on the pivots
+        plain min-degree elimination picks, in its order, so the heap leaves
+        pivot order and fill-in unchanged."""
+        inverted = []
+        real_inv = Scalar.inv
+
+        def recording_inv(self):
+            inverted.append(self)
+            return real_inv(self)
+
+        rng = random.Random(80)
+        cases = [
+            (n, random_skew(rng, n, d))
+            for n, d in [(12, 0.3), (16, 0.3), (24, 0.2), (24, 0.4)]
+        ]
+        # a ladder: many degree ties, and degrees change as rungs fill in
+        ladder = {}
+        for t in range(11):
+            ladder[(2 * t, 2 * t + 1)] = ONE
+            ladder[(2 * t, 2 * t + 2)] = ONE
+            ladder[(2 * t + 1, 2 * t + 3)] = -ONE
+        cases.append((24, ladder))
+        for n, entries in cases:
+            want = min_degree_pivots(n, entries)
+            inverted.clear()
+            monkeypatch.setattr(Scalar, "inv", recording_inv)
+            pfaffian_sparse(n, entries)
+            monkeypatch.setattr(Scalar, "inv", real_inv)
+            assert 0 < len(inverted) <= n // 2
+            assert inverted == want
 
 
 class TestKasteleyn:
@@ -205,6 +393,28 @@ class TestSynthesize:
                 assert flipped.signature() == [scale * v for v in image.entries]
 
 
+def count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call's first
+    argument; the wrapper is what callers in the module look up."""
+    seen = []
+    real = getattr(module, name)
+
+    def counting(arg, *args, **kwargs):
+        seen.append(arg)
+        return real(arg, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return seen
+
+
+def two_label_instance(map_, f, g, seed):
+    """map_ with each vertex labelled f or g at random, both used."""
+    rng = random.Random(seed)
+    labels = [rng.choice([f, g]) for _ in range(map_.vertex_count)]
+    labels[0], labels[-1] = f, g
+    return uniform_instance(map_, f).relabel(labels)
+
+
 class TestFkt:
     def test_doubled_triangle(self):
         f = sv(1, 1, 2, 1, 1, 1)
@@ -235,6 +445,42 @@ class TestFkt:
             inst, orientation_seed=1
         )
 
+    def test_two_labels_against_brute(self):
+        pairs = [
+            (sv(1, 1, 2, 1, 1, 1), sv(1, 1, 1, 2, 1, 3)),
+            (sv(1, 1, 0, 2, -2, 0), sv(1, 1, 2, 1, 1, 1)),  # chain + wheel
+            (sv(1, 1, 2, 1, 1, 1), sv(2, 2, 4, 2, 2, 2)),  # equal up to scale
+        ]
+        for trial, (f, g) in enumerate(pairs):
+            for m in (cycle_medial(3), grid_patch(2, 3)):
+                inst = two_label_instance(m, f, g, trial)
+                assert fkt_eval(inst) == holant_brute(inst)
+
+    def test_one_synthesis_per_distinct_label(self, monkeypatch):
+        seen = count_calls(monkeypatch, matchgate, "synthesize")
+        f, g = sv(1, 1, 2, 1, 1, 1), sv(1, 1, 1, 2, 1, 3)
+        inst = two_label_instance(grid_patch(2, 3), f, g, 0)
+        first = fkt_eval(inst)
+        assert sorted(map(repr, seen)) == sorted(map(repr, [f, g]))
+        assert fkt_eval(inst) == first
+        assert len(seen) == 4  # nothing is kept between calls
+
+    def test_grid_agrees_with_loop_space(self):
+        f = sv(1, 1, 0, 1, -1, 0)  # chain synthesis; also C4i
+        inst = uniform_instance(grid_patch(6, 6), f)
+        by_loops = loopspace.evaluate(inst, profile_base=f)
+        for seed in (0, 1):
+            assert fkt_eval(inst, orientation_seed=seed) == by_loops
+
+    def test_assembly_leaves_shared_gadget_intact(self):
+        f = sv(1, 1, 2, 1, 1, 1)
+        gadget, scale = synthesize(f)
+        before = [list(r) for r in gadget.rotations], list(gadget.edges), list(gadget.externals)
+        inst = uniform_instance(grid_patch(2, 2), f)
+        count = inst.map.vertex_count
+        _assemble(inst, [gadget] * count, [scale] * count, "diseq")
+        assert (gadget.rotations, gadget.edges, gadget.externals) == before
+
 
 class TestFktHat:
     def test_two_loop_instance(self):
@@ -242,6 +488,28 @@ class TestFktHat:
         for f in [sv(0, 1, 2, 0, 1, 2), sv(0, 1, -2, 0, -1, 2)]:
             inst = uniform_instance(m, f)
             assert fkt_eval_hat(inst) == holant_brute(inst)
+
+    def test_two_labels_against_brute(self):
+        pairs = [
+            (sv(0, 1, 2, 0, 1, 2), sv(0, 1, -2, 0, -1, 2)),
+            (sv(1, 0, 2, 1, 0, 2), sv(0, 1, 1, 0, 1, 1)),
+        ]
+        for trial, (f, g) in enumerate(pairs):
+            for seed in range(3):
+                inst = two_label_instance(
+                    medial_of_random_plane_graph(5, 3100 + seed), f, g, trial
+                )
+                assert fkt_eval_hat(inst) == holant_brute(inst)
+
+    def test_one_synthesis_per_distinct_label(self, monkeypatch):
+        tested = count_calls(monkeypatch, matchgate, "is_matchgate_hat")
+        synthesized = count_calls(monkeypatch, matchgate, "synthesize_even_image")
+        f, g = sv(0, 1, 2, 0, 1, 2), sv(0, 1, -2, 0, -1, 2)
+        inst = two_label_instance(medial_of_random_plane_graph(5, 3100), f, g, 0)
+        first = fkt_eval_hat(inst)
+        assert (len(tested), len(synthesized)) == (2, 2)
+        assert fkt_eval_hat(inst) == first
+        assert (len(tested), len(synthesized)) == (4, 4)
 
     def test_rejected_outside_class(self):
         inst = uniform_instance(cycle_medial(3), sv(1, 1, 1, 1, 1, 1))

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -242,3 +243,23 @@ class TestLiterals:
     def test_bad_arity(self):
         with pytest.raises(ValueError):
             parse_signature("1,2,3")
+
+
+class TestSlots:
+    def test_frozen_without_instance_dict(self):
+        f = sv(1, 2, 3, 4, 5, 6)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.a = ONE
+        assert not hasattr(f, "__dict__")
+
+    def test_hash_and_equality(self):
+        f, g = sv(1, 2, 3, 4, 5, 6), sv(1, 2, 3, 4, 5, 6)
+        assert f == g and f is not g
+        assert hash(f) == hash(g) == hash(f.tuple())
+        assert f != sv(1, 2, 3, 4, 5, 7)
+        assert len({f, g, f.rotate(4)}) == 1
+
+    def test_scale_keeps_zero_shared(self):
+        f = sv(1, 0, 2, 0, 3, 0).scale(W)
+        assert f == SixVertexSignature(W, ZERO, rational(2) * W, ZERO, rational(3) * W, ZERO)
+        assert f.b is ZERO and f.x is ZERO and f.z is ZERO
