@@ -19,11 +19,12 @@ value 0, which is a legitimate partition-function value, not an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from .membership import AffineWitness, ProductWitness, is_affine, is_product
 from .scalar import I, ONE, SQRT2, W, ZERO, Scalar
+from .signature import BinarySignature, UnarySignature
 
 
 class NotAffine(ValueError):
@@ -130,11 +131,14 @@ def affine_eval(
 
 
 def _collapse_repeats(sig, var_tuple):
-    """Replace repeated variables by the diagonal of the constraint."""
+    """Replace repeated variables by the diagonal of the constraint, read
+    from a witness through its evaluate and from a signature by value."""
     if len(set(var_tuple)) == len(var_tuple):
         return sig, tuple(var_tuple)
-    from .signature import BinarySignature, UnarySignature  # local to avoid cycle
-
+    if isinstance(sig, (AffineWitness, ProductWitness)):
+        read = sig.evaluate
+    else:
+        read = lambda args: sig.value(*args)
     distinct = sorted(set(var_tuple), key=lambda v: var_tuple.index(v))
     values = []
     n = len(distinct)
@@ -143,7 +147,7 @@ def _collapse_repeats(sig, var_tuple):
             v: (mask >> (n - 1 - t)) & 1 for t, v in enumerate(distinct)
         }
         args = tuple(assign[v] for v in var_tuple)
-        values.append(sig.value(*args))
+        values.append(read(args))
     if n == 1:
         return UnarySignature(*values), tuple(distinct)
     if n == 2:
@@ -348,14 +352,3 @@ def product_eval(
                 acc1 = acc1 * hi
         total = total * (acc0 + acc1)
     return total
-
-
-# -- explicit affine fragments for small signatures -------------------------------
-
-
-def affine_normal_form(sig) -> AffineWitness:
-    """The affine witness of a unary or binary signature, or raise."""
-    witness = is_affine(sig)
-    if witness is None:
-        raise NotAffine(f"not affine: {sig!r}")
-    return witness

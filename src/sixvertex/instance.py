@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .signature import (
     BinarySignature,
@@ -145,18 +145,8 @@ class RotationMap:
                     f"component is not planar: V={v} E={e} F={f}, V-E+F={v - e + f}"
                 )
 
-    def is_planar(self) -> bool:
-        try:
-            self.validate_planar()
-            return True
-        except MapError:
-            return False
-
     def degrees(self) -> list[int]:
         return [len(rot) for rot in self.vertices]
-
-
-Signature = "SixVertexSignature | BinarySignature | GeneralSignature4"
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,15 +170,6 @@ class PlanarInstance:
         self.map.validate_planar()
 
     def relabel(self, labels: Sequence) -> "PlanarInstance":
-        return PlanarInstance(self.map, tuple(labels))
-
-    def with_uniform_label(self, f) -> "PlanarInstance":
-        labels = []
-        for rot in self.map.vertices:
-            if len(rot) == _arity(f):
-                labels.append(f)
-            else:
-                raise MapError("uniform label arity mismatch")
         return PlanarInstance(self.map, tuple(labels))
 
 

@@ -26,9 +26,9 @@ from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .cspsolve import NotAffine, NotProduct, affine_eval, product_eval
-from .instance import MapError, PlanarInstance, RotationMap
+from .instance import PlanarInstance
 from .membership import is_affine, is_product
-from .oracle import OracleCapExceeded, csp_brute
+from .oracle import csp_brute
 from .scalar import ZERO, Scalar
 from .signature import BinarySignature, SixVertexSignature, UnarySignature
 
@@ -193,11 +193,10 @@ def induced_csp(
     dec: CircuitDecomposition,
     inst: PlanarInstance,
     profile_base: Optional[SixVertexSignature] = None,
-    check_profiles: bool = True,
 ) -> InducedCSP:
     """Build the circuit #CSP, verifying the direct tables against the
     entry/exit exponent profiles when a base signature is available."""
-    check = check_profiles and profile_base is not None
+    check = profile_base is not None
     form_index = _form_indexer(inst, profile_base) if check else None
     pair_vertices: dict[tuple[int, int], list[VertexRecord]] = {}
     self_vertices: dict[int, list[VertexRecord]] = {}
@@ -340,13 +339,12 @@ def evaluate(
     inst: PlanarInstance,
     profile_base: Optional[SixVertexSignature] = None,
     method: str = "auto",
-    brute_cap: int = 20,
 ) -> Scalar:
     """Evaluate the instance through its circuit #CSP.
 
     method: "auto" tries the product-type propagation, then Gauss sums,
-    then (for few circuits) brute enumeration; "product", "affine" and
-    "brute" force one path.
+    then brute enumeration, which raises OracleCapExceeded past csp_brute's
+    cap; "product", "affine" and "brute" force one path.
 
     Many induced tables repeat, so each distinct table is tested for
     membership once per call, and the solvers receive the constraints as
@@ -372,11 +370,7 @@ def evaluate(
         if method == "affine":
             raise NotAffine("induced tables are not affine")
     if method in ("auto", "brute"):
-        if csp.n_vars <= brute_cap:
-            return csp_brute(csp.n_vars, constraints, cap=brute_cap)
-        raise OracleCapExceeded(
-            f"{csp.n_vars} circuits: tables are neither product-type nor affine"
-        )
+        return csp_brute(csp.n_vars, constraints)
     raise ValueError(f"unknown method {method!r}")
 
 

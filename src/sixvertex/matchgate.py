@@ -26,13 +26,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .instance import MapError, PlanarInstance, RotationMap
-from .membership import is_matchgate, is_matchgate_general, is_matchgate_hat
+from .membership import is_matchgate, is_matchgate_hat
 from .oracle import WeightedGraph, matching_signature
 from .scalar import ONE, ZERO, Scalar, rational
 from .signature import (
     GeneralSignature4,
     SixVertexSignature,
-    chain_n,
     compose_n,
     hadamard_image,
 )

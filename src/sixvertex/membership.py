@@ -370,31 +370,3 @@ def is_matchgate_general(g: GeneralSignature4) -> bool:
 def is_matchgate_hat(f: SixVertexSignature) -> bool:
     """Membership in M-hat = H2 * M, tested on the Hadamard image."""
     return is_matchgate_general(hadamard_image(f))
-
-
-# -- non-singular redundant ------------------------------------------------------
-
-
-def is_nonsingular_redundant(sig) -> bool:
-    """Some rotation view has identical middle rows and columns and a
-    nonzero 3x3 determinant on rows/columns {1,2,4}."""
-    if isinstance(sig, SixVertexSignature):
-        g = sig.to_general()
-    else:
-        g = sig
-    for view in range(4):
-        m = g.matrix(view)
-        if m[1] != m[2]:
-            continue
-        if any(m[r][1] != m[r][2] for r in range(4)):
-            continue
-        keep = (0, 1, 3)
-        sub = [[m[r][c] for c in keep] for r in keep]
-        det = (
-            sub[0][0] * (sub[1][1] * sub[2][2] - sub[1][2] * sub[2][1])
-            - sub[0][1] * (sub[1][0] * sub[2][2] - sub[1][2] * sub[2][0])
-            + sub[0][2] * (sub[1][0] * sub[2][1] - sub[1][1] * sub[2][0])
-        )
-        if not det.is_zero():
-            return True
-    return False

@@ -3,15 +3,13 @@ Tutte polynomial, #CSP enumeration, perfect-matching signatures.
 
 Everything here is exponential-time and capped; the point is exactness.
 The backtracking over edge orientations orders edges along a search tree
-so the six-pattern support prunes early, and the cap can be raised with
-the SIXV_ORACLE_CAP environment variable.
+so the six-pattern support prunes early.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .instance import MapError, PlainGraph, PlanarInstance, RotationMap
 from .scalar import ONE, ZERO, Scalar
@@ -27,31 +25,16 @@ class OracleCapExceeded(RuntimeError):
     pass
 
 
-def oracle_cap(default: int = 24) -> int:
-    value = os.environ.get("SIXV_ORACLE_CAP")
-    return int(value) if value else default
-
-
-def _check_cap(edges: int, cap: Optional[int]) -> None:
-    limit = cap if cap is not None else oracle_cap()
-    if edges > limit:
-        raise OracleCapExceeded(f"{edges} edges exceeds the brute-force cap {limit}")
+def _check_cap(edges: int, cap: int) -> None:
+    if edges > cap:
+        raise OracleCapExceeded(f"{edges} edges exceeds the brute-force cap {cap}")
 
 
 # -- Holant ---------------------------------------------------------------------
 
 
-def holant_brute(
-    inst: PlanarInstance,
-    cap: Optional[int] = None,
-    fixed: Optional[dict[int, int]] = None,
-) -> Scalar:
-    """Exact Holant value by backtracking over edge orientations.
-
-    `fixed` optionally pins chosen half-edges to values (the paired half-edge
-    is forced through the implicit Disequality), which supports splitting
-    the search across workers.
-    """
+def holant_brute(inst: PlanarInstance, cap: int = 24) -> Scalar:
+    """Exact Holant value by backtracking over edge orientations."""
     m = inst.map
     _check_cap(m.edge_count, cap)
     values: list[Optional[int]] = [None] * m.half_edge_count
@@ -87,23 +70,7 @@ def holant_brute(
             filled[v] -= 1
             values[h] = None
 
-    pre_factor = ONE
-    pre_touched: list[int] = []
-    if fixed:
-        for h, bit in fixed.items():
-            for hh, b in ((h, bit), (m.involution[h], 1 - bit)):
-                if values[hh] is not None:
-                    if values[hh] != b:
-                        unplace(pre_touched)
-                        return ZERO
-                    continue
-                f = place(hh, b, pre_touched)
-                if f is None:
-                    unplace(pre_touched)
-                    return ZERO
-                pre_factor = pre_factor * f
-
-    # order the free edges along a vertex DFS for early support pruning
+    # order the edges along a vertex DFS for early support pruning
     order: list[int] = []
     seen_edges: set[int] = set()
     seen_vertices: set[int] = set()
@@ -115,7 +82,7 @@ def holant_brute(
         seen_vertices.add(v)
         for h in m.vertices[v]:
             e = min(h, m.involution[h])
-            if e not in seen_edges and values[e] is None:
+            if e not in seen_edges:
                 seen_edges.add(e)
                 order.append(e)
             stack.append(m.vertex_of[m.involution[h]])
@@ -139,9 +106,7 @@ def holant_brute(
             unplace(touched)
         return total
 
-    result = run(0, pre_factor)
-    unplace(pre_touched)
-    return result
+    return run(0, ONE)
 
 
 # -- Eulerian statistics -----------------------------------------------------------
@@ -156,7 +121,7 @@ class OrientationStats:
         return sum(mult * base ** beta for beta, mult in self.saddle_histogram.items())
 
 
-def eulerian_stats(map_: RotationMap, cap: Optional[int] = None) -> OrientationStats:
+def eulerian_stats(map_: RotationMap, cap: int = 24) -> OrientationStats:
     """Exhaustive Eulerian-orientation census with saddle counts.
 
     Saddle vertices have their half-edge values alternating in the
@@ -280,20 +245,17 @@ def csp_brute(
     """
     if n_vars > cap:
         raise OracleCapExceeded(f"{n_vars} variables exceeds the #CSP cap {cap}")
+    for sig, _ in constraints:
+        if not isinstance(
+            sig, (UnarySignature, BinarySignature, SixVertexSignature, GeneralSignature4)
+        ):
+            raise TypeError(f"unsupported constraint {sig!r}")
     total = ZERO
     for mask in range(2 ** n_vars):
         assign = [(mask >> (n_vars - 1 - t)) & 1 for t in range(n_vars)]
         term = ONE
         for sig, var_tuple in constraints:
-            args = tuple(assign[v] for v in var_tuple)
-            if isinstance(sig, UnarySignature):
-                val = sig.value(*args)
-            elif isinstance(sig, BinarySignature):
-                val = sig.value(*args)
-            elif isinstance(sig, (SixVertexSignature, GeneralSignature4)):
-                val = sig.value(*args)
-            else:
-                raise TypeError(f"unsupported constraint {sig!r}")
+            val = sig.value(*(assign[v] for v in var_tuple))
             if val.is_zero():
                 term = ZERO
                 break

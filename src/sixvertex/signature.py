@@ -52,13 +52,6 @@ class BinarySignature:
     def values(self) -> tuple[Scalar, Scalar, Scalar, Scalar]:
         return (self.g00, self.g01, self.g10, self.g11)
 
-    def matrix(self) -> list[list[Scalar]]:
-        return [[self.g00, self.g01], [self.g10, self.g11]]
-
-    def swapped(self) -> "BinarySignature":
-        """The same function with its two arguments exchanged."""
-        return BinarySignature(self.g00, self.g10, self.g01, self.g11)
-
 
 class GeneralSignature4:
     """Arity-4 signature as 16 values indexed by (x1,x2,x3,x4) lexicographic."""
@@ -84,13 +77,6 @@ class GeneralSignature4:
 
     def __repr__(self):
         return "GeneralSignature4([" + ", ".join(format_scalar(e) for e in self.entries) + "])"
-
-    def support(self) -> list[tuple[int, int, int, int]]:
-        out = []
-        for idx, e in enumerate(self.entries):
-            if not e.is_zero():
-                out.append(((idx >> 3) & 1, (idx >> 2) & 1, (idx >> 1) & 1, idx & 1))
-        return out
 
     def matrix(self, view: int = 0) -> list[list[Scalar]]:
         """The 4x4 matrix M_{x_i x_j, x_l x_k} for the cyclic view (i,j,k,l)."""
@@ -181,23 +167,11 @@ class SixVertexSignature:
             f = SixVertexSignature(f.y, f.a, f.z, f.b, f.x, f.c)
         return f
 
-    def matrix(self, view: int = 0) -> list[list[Scalar]]:
-        return self.to_general().matrix(view)
-
     def scale(self, factor: Scalar) -> "SixVertexSignature":
         """factor * f; zero entries stay the shared ZERO."""
         return SixVertexSignature(
             *(ZERO if v.is_zero() else factor * v for v in self.tuple())
         )
-
-    def scale_on(self, variable: int, t: Scalar) -> "SixVertexSignature":
-        """Multiply by t exactly the entries with the chosen variable = 1."""
-        if variable not in (1, 2, 3, 4):
-            raise ValueError("variable must be 1..4")
-        vals = []
-        for pattern, v in zip(_SIX_PATTERNS, self.tuple()):
-            vals.append(t * v if pattern[variable - 1] else v)
-        return SixVertexSignature(*vals)
 
     def inner_outer_dets(self) -> tuple[Scalar, Scalar]:
         """(det M_In, det M_Out) = (by - cz, -ax)."""
@@ -207,9 +181,6 @@ class SixVertexSignature:
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.tuple())
-
-    def nonzero_count(self) -> int:
-        return sum(0 if v.is_zero() else 1 for v in self.tuple())
 
 
 _SIX_PATTERNS = (
@@ -229,11 +200,6 @@ _PATTERN_FIELD = dict(zip(_SIX_PATTERNS, ("a", "b", "c", "x", "y", "z")))
 # -- named constants ---------------------------------------------------------
 
 DISEQ = BinarySignature(ZERO, ONE, ONE, ZERO)
-EQ2 = BinarySignature(ONE, ZERO, ZERO, ONE)
-
-# chi_1 and chi_2: the auxiliary interpolation targets with unit entries
-CHI1 = SixVertexSignature.from_values(1, 1, 0, 1, 1, 0)
-CHI2 = SixVertexSignature.from_values(1, 1, 0, -1, 1, 0)
 
 N_MATRIX = [
     [ONE if r + c == 3 else ZERO for c in range(4)] for r in range(4)
@@ -269,50 +235,16 @@ def general_from_matrix(m: list[list[Scalar]]) -> GeneralSignature4:
 def compose_n(
     f1: SixVertexSignature | GeneralSignature4,
     f2: SixVertexSignature | GeneralSignature4,
-    view1: int = 0,
-    view2: int = 0,
 ) -> GeneralSignature4:
     """Join two arity-4 signatures through the double Disequality N.
 
-    The result has matrix M_view1(f1) * N * M_view2(f2); its own variables
-    are the two row variables of the first view followed by the two free
-    column variables of the second, which stays planar and counterclockwise.
+    The result has matrix M(f1) * N * M(f2); its own variables are the two
+    row variables of f1 followed by the two free column variables of f2,
+    which stays planar and counterclockwise.
     """
-    m1 = _as_general(f1).matrix(view1)
-    m2 = _as_general(f2).matrix(view2)
+    m1 = _as_general(f1).matrix()
+    m2 = _as_general(f2).matrix()
     return general_from_matrix(mat_mul(mat_mul(m1, N_MATRIX), m2))
-
-
-def chain_n(f: SixVertexSignature | GeneralSignature4, copies: int) -> GeneralSignature4:
-    """A chain of `copies` signatures linked by N: M(f) (N M(f))^{copies-1}."""
-    if copies < 1:
-        raise ValueError("need at least one copy")
-    result = _as_general(f)
-    for _ in range(copies - 1):
-        result = compose_n(result, f)
-    return result
-
-
-def attach_binary(
-    f: SixVertexSignature | GeneralSignature4,
-    g: BinarySignature,
-    view: int = 0,
-) -> BinarySignature:
-    """Contract the column pair of M_view(f) with g through N.
-
-    Returns the binary signature on the two row variables of the view:
-    the vector M_view(f) * N * (g00,g01,g10,g11)^T.
-    """
-    m = _as_general(f).matrix(view)
-    vec = list(g.values())
-    nvec = list(reversed(vec))  # N * g
-    out = []
-    for r in range(4):
-        acc = ZERO
-        for k in range(4):
-            acc = acc + m[r][k] * nvec[k]
-        out.append(acc)
-    return BinarySignature(*out)
 
 
 def hadamard_image(f: GeneralSignature4 | SixVertexSignature) -> GeneralSignature4:
@@ -342,14 +274,6 @@ def _as_general(f) -> GeneralSignature4:
 
 
 # -- literals ----------------------------------------------------------------
-
-
-def parse_six_vertex(text: str) -> SixVertexSignature:
-    """Comma list "a,b,c,x,y,z" of scalar literals."""
-    parts = text.split(",")
-    if len(parts) != 6:
-        raise ValueError("six-vertex literal needs 6 comma-separated scalars")
-    return SixVertexSignature(*(parse_scalar(p) for p in parts))
 
 
 def parse_signature(text: str):

@@ -1,10 +1,13 @@
-"""The library's self-checks raise typed errors and survive `python -O`.
+"""Checks on the library as a whole.
 
-Under `-O` the synthesis re-verification still runs once per distinct
-label of an FKT call: with `_scaled_propto` forced to fail, both FKT routes
-raise `SynthesisError`."""
+The self-checks raise typed errors and survive `python -O`: under `-O` the
+synthesis re-verification still runs once per distinct label of an FKT
+call, and with `_scaled_propto` forced to fail both FKT routes raise
+`SynthesisError`.  The library has no unused imports, and every console
+script that `pyproject.toml` declares resolves to a callable."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -17,7 +20,8 @@ from sixvertex.membership import WitnessError, is_product
 from sixvertex.signature import BinarySignature
 from sixvertex.scalar import ONE, ZERO
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def test_no_assert_statements_in_library():
@@ -28,6 +32,56 @@ def test_no_assert_statements_in_library():
             if isinstance(node, ast.Assert):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def _unused_imports(tree):
+    """(line, name) of each import that no name in the module reads; the
+    names listed in `__all__` count as read."""
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {e.value for e in node.value.elts}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports_in_library():
+    offenders = []
+    for path in sorted((SRC / "sixvertex").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offenders += [f"{path.name}:{line} {name}" for line, name in _unused_imports(tree)]
+    assert offenders == []
+
+
+def test_unused_import_scan():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from typing import Optional, Sequence\n"
+        "from .a import A, B as C\n"
+        "__all__ = ['A']\n"
+        "def f(x) -> Optional[int]:\n"
+        "    return os.path.join(x)\n"
+    )
+    assert _unused_imports(tree) == [(3, "Sequence"), (4, "C")]
+
+
+def test_console_scripts_resolve():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    for name, target in project.get("scripts", {}).items():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr)), name
 
 
 def test_product_witness_check_raises(monkeypatch):

@@ -6,12 +6,11 @@ from sixvertex.cspsolve import (
     NotAffine,
     NotProduct,
     affine_eval,
-    affine_normal_form,
     product_eval,
 )
-from sixvertex.membership import is_affine
+from sixvertex.membership import is_affine, is_product
 from sixvertex.oracle import csp_brute
-from sixvertex.scalar import I, MU8, ONE, W, ZERO, Scalar, rational
+from sixvertex.scalar import I, MU8, ONE, ZERO, Scalar, rational
 from sixvertex.signature import BinarySignature, UnarySignature
 
 
@@ -182,19 +181,19 @@ class TestProductAgainstBrute:
 class TestNormalForm:
     def test_binary_with_cross(self):
         g = BinarySignature(ONE, I, I, ONE)
-        w = affine_normal_form(g)
+        w = is_affine(g)
         # d + a - b - c = -2, so one cross bit; reconstruct entrywise
         for x1 in range(2):
             for x2 in range(2):
                 assert w.evaluate((x1, x2)) == g.value(x1, x2)
 
     def test_diseq(self):
-        w = affine_normal_form(NEQ)
+        w = is_affine(NEQ)
         assert any(row[-1] == 1 for row in w.rows)  # x1 xor x2 = 1
         assert all(bit == 0 for (_, _, bit) in w.quad_cross)
 
     def test_unary_power(self):
-        w = affine_normal_form(UnarySignature(ONE, I ** 3))
+        w = is_affine(UnarySignature(ONE, I ** 3))
         assert w.quad_lin[0] == 3
 
 
@@ -220,8 +219,6 @@ class TestProductLongChain:
 
 class TestWitnessConstraints:
     def test_product_witness_in_place_of_table(self):
-        from sixvertex.membership import is_product
-
         constraints = [(EQ, (0, 1)), (NEQ, (1, 2)), (unary(2, 3), (2,))]
         witnessed = [(is_product(sig), vars_) for sig, vars_ in constraints]
         assert product_eval(witnessed, 3) == product_eval(constraints, 3)
@@ -232,3 +229,23 @@ class TestWitnessConstraints:
         constraints = [random_affine_constraint(rng, n) for _ in range(6)]
         witnessed = [(is_affine(sig), vars_) for sig, vars_ in constraints]
         assert affine_eval(witnessed, n) == affine_eval(constraints, n)
+
+    @pytest.mark.parametrize(
+        "solve, membership",
+        [(product_eval, is_product), (affine_eval, is_affine)],
+        ids=["product", "affine"],
+    )
+    def test_witness_with_repeated_variables(self, solve, membership):
+        # every table is both product-type and affine; a table read on a
+        # repeated variable contributes only its diagonal
+        constraints = [
+            (EQ, (0, 0)),
+            (BinarySignature(ONE, ZERO, ZERO, I), (0, 0)),
+            (BinarySignature(ONE, I, I, -ONE), (1, 1)),
+            (NEQ, (0, 2)),
+            (EQ, (1, 2)),
+        ]
+        witnessed = [(membership(sig), vars_) for sig, vars_ in constraints]
+        expected = csp_brute(3, constraints)
+        assert expected == I - ONE
+        assert solve(witnessed, 3) == solve(constraints, 3) == expected

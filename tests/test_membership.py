@@ -1,24 +1,18 @@
 import random
-from itertools import product
 
-import pytest
-
-from sixvertex.scalar import I, MU8, ONE, W, ZERO, Scalar, rational
+from sixvertex.scalar import I, MU8, ONE, ZERO, rational
 from sixvertex.membership import (
     is_affine,
     is_matchgate,
     is_matchgate_general,
     is_matchgate_hat,
-    is_nonsingular_redundant,
     is_product,
 )
 from sixvertex.signature import (
-    CHI1,
     BinarySignature,
     GeneralSignature4,
     SixVertexSignature,
     UnarySignature,
-    general_from_matrix,
     hadamard_image,
 )
 
@@ -33,7 +27,7 @@ def bits(idx, n=4):
 
 class TestAffine:
     def test_chi1_is_affine(self):
-        w = is_affine(CHI1)
+        w = is_affine(sv(1, 1, 0, 1, 1, 0))
         assert w is not None
         # support is the coset x1 xor x3 = 1, x2 xor x4 = 1; all values 1
         assert all(b == 0 for b in [bit for (_, _, bit) in w.quad_cross])
@@ -202,32 +196,3 @@ class TestMatchgate:
                 f.to_general()
             )
 
-
-class TestNonsingularRedundant:
-    def test_paper_witness(self):
-        m = [
-            [ZERO, ZERO, ZERO, ONE],
-            [ZERO, rational(2), rational(2), ZERO],
-            [ZERO, rational(2), rational(2), ZERO],
-            [ONE, ZERO, ZERO, ZERO],
-        ]
-        assert is_nonsingular_redundant(general_from_matrix(m))
-
-    def test_ice_point_is_redundant(self):
-        # middle rows/cols of M(ice) coincide and the 3x3 determinant is -1,
-        # hence non-singular redundant (consistent with ice being #P-hard)
-        assert is_nonsingular_redundant(sv(1, 1, 1, 1, 1, 1))
-
-    def test_all_zero(self):
-        assert not is_nonsingular_redundant(sv(0, 0, 0, 0, 0, 0))
-
-    def test_singular_case(self):
-        m = [
-            [ONE, ZERO, ZERO, ONE],
-            [ZERO, ONE, ONE, ZERO],
-            [ZERO, ONE, ONE, ZERO],
-            [ONE, ZERO, ZERO, ONE],
-        ]
-        # middle rows/cols equal but the 3x3 minor is singular
-        g = general_from_matrix(m)
-        assert not is_nonsingular_redundant(g)

@@ -1,7 +1,6 @@
 import pytest
 
 from sixvertex.instance import (
-    PlanarInstance,
     RotationMap,
     cycle_graph,
     cycle_medial,
@@ -21,7 +20,8 @@ from sixvertex.oracle import (
     perfect_matching_sum,
     tutte,
 )
-from sixvertex.scalar import ONE, ZERO, Scalar, rational
+from sixvertex.membership import is_product
+from sixvertex.scalar import ONE, ZERO, rational
 from sixvertex.signature import (
     BinarySignature,
     SixVertexSignature,
@@ -69,10 +69,16 @@ class TestHolantBrute:
         assert holant_brute(a) == holant_brute(b)
 
     def test_fixed_split_sums_to_total(self):
+        # fixing x1 of vertex 0 to 0 keeps (a,b,c) there, to 1 keeps (x,y,z);
+        # the two parts sum to the whole Holant
         inst = uniform_instance(cycle_medial(3), TUTTE_WEIGHTS)
         total = holant_brute(inst)
-        parts = holant_brute(inst, fixed={0: 0}) + holant_brute(inst, fixed={0: 1})
-        assert parts == total
+        f = TUTTE_WEIGHTS
+        rest = inst.labels[1:]
+        zero_part = holant_brute(inst.relabel((sv(f.a, f.b, f.c, 0, 0, 0),) + rest))
+        one_part = holant_brute(inst.relabel((sv(0, 0, 0, f.x, f.y, f.z),) + rest))
+        assert not zero_part.is_zero() and not one_part.is_zero()
+        assert zero_part + one_part == total
 
     def test_cap(self):
         inst = uniform_instance(cycle_medial(3), ICE)
@@ -139,6 +145,12 @@ class TestCspBrute:
         a, b, y, x = rational(2), rational(3), rational(5), rational(7)
         g = BinarySignature(a * a, b * y, b * y, x * x)
         assert csp_brute(2, [(g, (0, 1))]) == a * a + b * y + b * y + x * x
+
+    def test_rejects_unsupported_constraint(self):
+        # a membership witness is not a signature table
+        witness = is_product(UnarySignature(ONE, ONE))
+        with pytest.raises(TypeError):
+            csp_brute(1, [(UnarySignature(ONE, ONE), (0,)), (witness, (0,))])
 
 
 class TestMatchings:
