@@ -16,6 +16,7 @@ Eulerian orientations.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -111,35 +112,39 @@ class RotationMap:
             out.append(cycle)
         return out
 
-    def components(self) -> list[set[int]]:
-        """Connected components as sets of vertex ids."""
-        seen: set[int] = set()
-        comps = []
+    def component_ids(self) -> tuple[list[int], int]:
+        """A connected-component id per vertex, and the number of components;
+        ids are assigned in order of each component's least vertex."""
+        comp_of = [-1] * self.vertex_count
+        count = 0
         for v0 in range(self.vertex_count):
-            if v0 in seen:
+            if comp_of[v0] >= 0:
                 continue
-            comp = {v0}
+            comp_of[v0] = count
             stack = [v0]
-            seen.add(v0)
             while stack:
                 v = stack.pop()
                 for h in self.vertices[v]:
                     u = self.vertex_of[self.involution[h]]
-                    if u not in seen:
-                        seen.add(u)
-                        comp.add(u)
+                    if comp_of[u] < 0:
+                        comp_of[u] = count
                         stack.append(u)
-            comps.append(comp)
-        return comps
+            count += 1
+        return comp_of, count
 
     def validate_planar(self) -> None:
         """Euler check V - E + F = 2 per connected component."""
-        faces = self.faces()
-        for comp in self.components():
-            v = len(comp)
-            halves = {h for vid in comp for h in self.vertices[vid]}
-            e = len(halves) // 2
-            f = sum(1 for cycle in faces if cycle and self.vertex_of[cycle[0]] in comp)
+        comp_of, count = self.component_ids()
+        v_count = [0] * count
+        half_count = [0] * count
+        f_count = [0] * count
+        for vid, rot in enumerate(self.vertices):
+            v_count[comp_of[vid]] += 1
+            half_count[comp_of[vid]] += len(rot)
+        for cycle in self.faces():
+            f_count[comp_of[self.vertex_of[cycle[0]]]] += 1
+        for c in range(count):
+            v, e, f = v_count[c], half_count[c] // 2, f_count[c]
             if v - e + f != 2:
                 raise MapError(
                     f"component is not planar: V={v} E={e} F={f}, V-E+F={v - e + f}"
@@ -226,7 +231,7 @@ def medial(graph: PlainGraph) -> RotationMap:
         (prev h, h), (h', next h'), (prev h', h'), (h, next h).
     """
     gm = graph.map
-    if len(gm.components()) != 1:
+    if gm.component_ids()[1] != 1:
         raise MapError("medial construction needs a connected graph")
     gm.validate_planar()
     # A corner (g, sigma g) of the input joins the medial vertices of
@@ -343,61 +348,84 @@ def grid_patch(rows: int, cols: int) -> RotationMap:
 
 
 def random_plane_graph(n_edges: int, seed: int) -> PlainGraph:
-    """A random connected plane multigraph grown edge by edge.
+    """A random connected plane multigraph with n_edges edges, grown edge by edge.
 
-    Each step either subdivides nothing: it adds an edge from a random
-    vertex into a random face corner, or doubles an existing edge, or adds
-    a loop, all by splicing into rotations so the embedding stays planar.
+    It starts from a single loop.  Each step draws a face and then adds one
+    edge inside it: a pendant edge to a new vertex at one of the face's
+    corners, a chord between two of its corners, or a loop at one corner.
+    Every new half-edge is spliced into its rotation just before a corner's
+    half-edge, so the embedding stays planar.  Edge k is the half-edge pair
+    (2k, 2k + 1).
+
+    The draws index the face list in the order `RotationMap.faces` gives:
+    faces by their least half-edge, each cycle starting at its least
+    half-edge.  A step changes only the face it drew, so the generator keeps
+    that list up to date one face at a time instead of rebuilding it.  The
+    graphs, rotation lists included, are exactly those of the earlier
+    generator that rebuilt every face at each step, which the tests keep as
+    the reference.
     """
     rng = random.Random(seed)
-    # start from a single loop
+    # start from a single loop, whose inside and outside are one-corner faces
     vertices: list[list[int]] = [[0, 1]]
-    involution = {0: 1, 1: 0}
+    vertex_of = [0, 0]
+    rot_next = [1, 0]
+    faces = [[0], [1]]
+    minima = [0, 1]
 
-    while len(involution) // 2 < n_edges:
-        m = RotationMap([list(v) for v in vertices], dict(involution))
+    def insert_before(x: int, y: int) -> None:
+        rot = vertices[vertex_of[y]]
+        slot = rot.index(y)
+        rot_next[rot[slot - 1]] = x
+        rot_next[x] = y
+        rot.insert(slot, x)
+        vertex_of[x] = vertex_of[y]
+
+    def add_face(start: int) -> list[int]:
+        cycle = [start]
+        h = rot_next[start ^ 1]
+        while h != start:
+            cycle.append(h)
+            h = rot_next[h ^ 1]
+        low = min(cycle)
+        k = cycle.index(low)
+        i = bisect_left(minima, low)
+        minima.insert(i, low)
+        faces.insert(i, cycle[k:] + cycle[:k])
+        return cycle
+
+    while len(vertex_of) // 2 < n_edges:
         choice = rng.random()
-        faces = m.faces()
         face = rng.choice(faces)
+        h1 = len(vertex_of)
+        h2 = h1 + 1
+        vertex_of += (0, 0)
+        rot_next += (0, 0)
         if choice < 0.45:
             # new vertex hanging off a face corner
-            h = rng.choice(face)
-            v = m.vertex_of[h]
-            pos = m.slot_of[h]
-            new_vid = len(vertices)
-            h1 = len(involution)
-            h2 = h1 + 1
-            involution[h1] = h2
-            involution[h2] = h1
-            vertices[v].insert(pos, h1)
+            insert_before(h1, rng.choice(face))
+            vertex_of[h2] = len(vertices)
+            rot_next[h2] = h2
             vertices.append([h2])
         elif choice < 0.9 and len(face) >= 2:
-            # chord across one face between two of its corners
+            # chord across one face between two of its corners; at a single
+            # vertex, h1 goes before the corner that comes first in rotation
             h_a, h_b = rng.sample(face, 2)
-            va, pa = m.vertex_of[h_a], m.slot_of[h_a]
-            vb, pb = m.vertex_of[h_b], m.slot_of[h_b]
-            h1 = len(involution)
-            h2 = h1 + 1
-            involution[h1] = h2
-            involution[h2] = h1
-            if va == vb:
-                first, second = sorted([pa, pb])
-                vertices[va].insert(second, h2)
-                vertices[va].insert(first, h1)
-            else:
-                vertices[va].insert(pa, h1)
-                vertices[vb].insert(pb, h2)
+            if vertex_of[h_a] == vertex_of[h_b]:
+                rot = vertices[vertex_of[h_a]]
+                if rot.index(h_a) > rot.index(h_b):
+                    h_a, h_b = h_b, h_a
+            insert_before(h1, h_a)
+            insert_before(h2, h_b)
         else:
             # loop at a face corner
-            h = rng.choice(face)
-            v, pos = m.vertex_of[h], m.slot_of[h]
-            h1 = len(involution)
-            h2 = h1 + 1
-            involution[h1] = h2
-            involution[h2] = h1
-            vertices[v].insert(pos, h1)
-            vertices[v].insert(pos, h2)
-    graph = PlainGraph(vertices, involution)
+            insert_before(h1, rng.choice(face))
+            insert_before(h2, h1)
+        i = bisect_left(minima, face[0])
+        del faces[i], minima[i]
+        if h2 not in add_face(h1):
+            add_face(h2)
+    graph = PlainGraph(vertices, {h: h ^ 1 for h in range(len(vertex_of))})
     graph.map.validate_planar()
     return graph
 

@@ -47,11 +47,11 @@ class Scalar:
                 n2 //= g
                 n3 //= g
                 den //= g
-        object.__setattr__(self, "n0", n0)
-        object.__setattr__(self, "n1", n1)
-        object.__setattr__(self, "n2", n2)
-        object.__setattr__(self, "n3", n3)
-        object.__setattr__(self, "den", den)
+        _SET_N0(self, n0)
+        _SET_N1(self, n1)
+        _SET_N2(self, n2)
+        _SET_N3(self, n3)
+        _SET_DEN(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -127,19 +127,26 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.n0, -self.n1, -self.n2, -self.n3, self.den)
+        return _reduced(-self.n0, -self.n1, -self.n2, -self.n3, self.den)
 
     def __sub__(self, other) -> "Scalar":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        a, b = self, other
+        return Scalar(
+            a.n0 * b.den - b.n0 * a.den,
+            a.n1 * b.den - b.n1 * a.den,
+            a.n2 * b.den - b.n2 * a.den,
+            a.n3 * b.den - b.n3 * a.den,
+            a.den * b.den,
+        )
 
     def __rsub__(self, other) -> "Scalar":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other) -> "Scalar":
         other = _coerce(other)
@@ -212,11 +219,11 @@ class Scalar:
         if k == 1:
             return self
         if k == 3:
-            return Scalar(self.n0, self.n3, -self.n2, self.n1, self.den)
+            return _reduced(self.n0, self.n3, -self.n2, self.n1, self.den)
         if k == 5:
-            return Scalar(self.n0, -self.n1, self.n2, -self.n3, self.den)
+            return _reduced(self.n0, -self.n1, self.n2, -self.n3, self.den)
         if k == 7:
-            return Scalar(self.n0, -self.n3, -self.n2, -self.n1, self.den)
+            return _reduced(self.n0, -self.n3, -self.n2, -self.n1, self.den)
         raise ValueError("galois automorphisms need k odd")
 
     def conjugate(self) -> "Scalar":
@@ -290,6 +297,27 @@ class Scalar:
             float(c0) + root * (float(c1) - float(c3)),
             float(c2) + root * (float(c1) + float(c3)),
         )
+
+
+# the slot setters bypass Scalar.__setattr__, which refuses every write
+_SET_N0 = Scalar.n0.__set__
+_SET_N1 = Scalar.n1.__set__
+_SET_N2 = Scalar.n2.__set__
+_SET_N3 = Scalar.n3.__set__
+_SET_DEN = Scalar.den.__set__
+
+
+def _reduced(n0: int, n1: int, n2: int, n3: int, den: int) -> Scalar:
+    """A Scalar from numerators and a positive denominator that are already
+    in reduced form, such as a signed permutation of a Scalar's own; skips
+    the constructor's gcd."""
+    out = object.__new__(Scalar)
+    _SET_N0(out, n0)
+    _SET_N1(out, n1)
+    _SET_N2(out, n2)
+    _SET_N3(out, n3)
+    _SET_DEN(out, den)
+    return out
 
 
 def _coerce(value) -> "Scalar":

@@ -3,7 +3,7 @@
 The self-checks raise typed errors and survive `python -O`: under `-O` the
 synthesis re-verification still runs once per distinct label of an FKT
 call, and with `_scaled_propto` forced to fail both FKT routes raise
-`SynthesisError`.  The library has no unused imports, and every console
+`SynthesisError`.  The library and its tests have no unused imports, and every console
 script that `pyproject.toml` declares resolves to a callable."""
 
 import ast
@@ -55,12 +55,20 @@ def _unused_imports(tree):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-def test_no_unused_imports_in_library():
+def _unused_imports_in(directory):
     offenders = []
-    for path in sorted((SRC / "sixvertex").glob("*.py")):
+    for path in sorted(directory.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         offenders += [f"{path.name}:{line} {name}" for line, name in _unused_imports(tree)]
-    assert offenders == []
+    return offenders
+
+
+def test_no_unused_imports_in_library():
+    assert _unused_imports_in(SRC / "sixvertex") == []
+
+
+def test_no_unused_imports_in_tests():
+    assert _unused_imports_in(ROOT / "tests") == []
 
 
 def test_unused_import_scan():

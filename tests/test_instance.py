@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 
@@ -91,6 +92,52 @@ class TestMedial:
             m.validate_planar()
 
 
+def rebuilding_random_plane_graph(n_edges, seed):
+    """The reference for `random_plane_graph`: the same draws, with a fresh
+    RotationMap and every face rebuilt at each step (quadratic)."""
+    rng = random.Random(seed)
+    vertices = [[0, 1]]
+    involution = {0: 1, 1: 0}
+    while len(involution) // 2 < n_edges:
+        m = RotationMap([list(v) for v in vertices], dict(involution))
+        choice = rng.random()
+        face = rng.choice(m.faces())
+        h1 = len(involution)
+        h2 = h1 + 1
+        involution[h1] = h2
+        involution[h2] = h1
+        if choice < 0.45:
+            h = rng.choice(face)
+            vertices[m.vertex_of[h]].insert(m.slot_of[h], h1)
+            vertices.append([h2])
+        elif choice < 0.9 and len(face) >= 2:
+            h_a, h_b = rng.sample(face, 2)
+            va, pa = m.vertex_of[h_a], m.slot_of[h_a]
+            vb, pb = m.vertex_of[h_b], m.slot_of[h_b]
+            if va == vb:
+                first, second = sorted([pa, pb])
+                vertices[va].insert(second, h2)
+                vertices[va].insert(first, h1)
+            else:
+                vertices[va].insert(pa, h1)
+                vertices[vb].insert(pb, h2)
+        else:
+            h = rng.choice(face)
+            v, pos = m.vertex_of[h], m.slot_of[h]
+            vertices[v].insert(pos, h1)
+            vertices[v].insert(pos, h2)
+    graph = PlainGraph(vertices, involution)
+    graph.map.validate_planar()
+    return graph
+
+
+def figure_eights(count):
+    """count disjoint one-vertex maps, each two nested loops (V-E+F = 2)."""
+    vertices = [[4 * c, 4 * c + 1, 4 * c + 2, 4 * c + 3] for c in range(count)]
+    involution = {h: h ^ 1 for h in range(4 * count)}
+    return vertices, involution
+
+
 class TestGenerators:
     def test_seed_stability(self):
         a = random_plane_graph(8, 42)
@@ -103,6 +150,83 @@ class TestGenerators:
             m = medial_of_random_plane_graph(6, seed)
             m.validate_planar()
             assert all(d == 4 for d in m.degrees())
+
+    @pytest.mark.parametrize(
+        "sizes, seeds",
+        [(range(1, 41), range(5)), ([300], range(3)), ([1200], range(3))],
+        ids=["1-40", "300", "1200"],
+    )
+    def test_matches_rebuilding_reference(self, sizes, seeds):
+        for n in sizes:
+            for seed in seeds:
+                got = random_plane_graph(n, seed).map
+                want = rebuilding_random_plane_graph(n, seed).map
+                assert got.vertices == want.vertices, (n, seed)
+                assert got.involution == want.involution, (n, seed)
+
+    def test_one_map_and_one_face_walk(self, monkeypatch):
+        """The generator builds its RotationMap once, at the end, and walks
+        the faces only inside that map's planarity check."""
+        inits = []
+        walks = []
+        in_check = []
+        real_init = RotationMap.__init__
+        real_faces = RotationMap.faces
+        real_check = RotationMap.validate_planar
+
+        def init(self, *args):
+            inits.append(1)
+            real_init(self, *args)
+
+        def faces(self):
+            walks.append(bool(in_check))
+            return real_faces(self)
+
+        def check(self):
+            in_check.append(1)
+            try:
+                real_check(self)
+            finally:
+                in_check.pop()
+
+        monkeypatch.setattr(RotationMap, "__init__", init)
+        monkeypatch.setattr(RotationMap, "faces", faces)
+        monkeypatch.setattr(RotationMap, "validate_planar", check)
+        graph = random_plane_graph(60, 5)
+        assert graph.edge_count == 60
+        assert len(inits) == 1
+        assert walks == [True]
+
+
+class TestValidatePlanar:
+    def test_many_components_scan_the_faces_once(self, monkeypatch):
+        iterations = []
+
+        class CountingList(list):
+            def __iter__(self):
+                iterations.append(1)
+                return super().__iter__()
+
+        real_faces = RotationMap.faces
+        monkeypatch.setattr(RotationMap, "faces", lambda self: CountingList(real_faces(self)))
+        m = RotationMap(*figure_eights(500))
+        assert m.component_ids()[1] == 500
+        m.validate_planar()
+        assert len(iterations) == 1
+
+    def test_non_planar_component_among_planar_ones(self):
+        vertices, involution = figure_eights(3)
+        # the middle vertex gets two crossing loops: V=1 E=2 F=1
+        involution.update({4: 6, 6: 4, 5: 7, 7: 5})
+        m = RotationMap(vertices, involution)
+        with pytest.raises(MapError, match=r"^component is not planar: V=1 E=2 F=1, V-E\+F=0$"):
+            m.validate_planar()
+
+    def test_component_ids_in_order_of_least_vertex(self):
+        # vertices 0 and 2 share an edge; 1 is a figure-eight of its own
+        m = RotationMap([[0], [2, 3, 4, 5], [1]], {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4})
+        assert m.component_ids() == ([0, 1, 0], 2)
+        m.validate_planar()
 
 
 class TestInstances:

@@ -17,7 +17,7 @@ from sixvertex.loopspace import (
     induced_csp,
 )
 from sixvertex.oracle import holant_brute
-from sixvertex.scalar import MU8, ONE, W, ZERO, Scalar, rational
+from sixvertex.scalar import MU8, ONE, W, ZERO, rational
 from sixvertex.signature import SixVertexSignature
 
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from sixvertex import loopspace, matchgate
+from sixvertex.cspsolve import NotAffine
 from sixvertex.instance import (
     RotationMap,
     cycle_medial,
@@ -22,7 +23,7 @@ from sixvertex.matchgate import (
     synthesize_even_image,
 )
 from sixvertex.membership import is_matchgate, is_matchgate_hat
-from sixvertex.oracle import holant_brute, matching_signature
+from sixvertex.oracle import holant_brute
 from sixvertex.scalar import ONE, ZERO, Scalar, rational
 from sixvertex.signature import SixVertexSignature, hadamard_image
 
@@ -471,6 +472,28 @@ class TestFkt:
         by_loops = loopspace.evaluate(inst, profile_base=f)
         for seed in (0, 1):
             assert fkt_eval(inst, orientation_seed=seed) == by_loops
+
+    @pytest.mark.parametrize("n_edges, seed", [(100, 0), (120, 1), (150, 2)])
+    def test_random_medials_agree_with_loop_space(self, n_edges, seed):
+        """Past the brute-force cap (200-300 vertices), FKT, loop space with
+        its own solver choice, and each forced #CSP solver that accepts the
+        induced tables give one value.  Under (1,1,0,1,-1,0) (C3_M, C4i and
+        C4ii) both solvers accept, so the Gauss sum is reached; its Holant
+        is 0 on these medials, so (1,2,0,2,-1,0) (C3_M and C4i, tables not
+        affine) checks nonzero values."""
+        m = medial_of_random_plane_graph(n_edges, seed)
+        for f, solvers in (
+            (sv(1, 1, 0, 1, -1, 0), ("product", "affine")),
+            (sv(1, 2, 0, 2, -1, 0), ("product",)),
+        ):
+            inst = uniform_instance(m, f)
+            value = fkt_eval(inst)
+            assert loopspace.evaluate(inst, profile_base=f) == value
+            for method in solvers:
+                assert loopspace.evaluate(inst, profile_base=f, method=method) == value
+        assert not value.is_zero()
+        with pytest.raises(NotAffine):
+            loopspace.evaluate(inst, profile_base=f, method="affine")
 
     def test_assembly_leaves_shared_gadget_intact(self):
         f = sv(1, 1, 2, 1, 1, 1)

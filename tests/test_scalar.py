@@ -225,3 +225,39 @@ class TestReducedForm:
                 reduced.n0, reduced.n1, reduced.n2, reduced.n3, reduced.den
             )
             assert direct.den == 1
+
+    def test_skipped_gcd_gives_the_constructor_form(self):
+        """Negation and the Galois maps copy reduced numerators without a gcd,
+        and subtraction is one constructor call; each result has the fields
+        and hash of the value built through the full constructor."""
+
+        def fields(s):
+            return (s.n0, s.n1, s.n2, s.n3, s.den)
+
+        rng = random.Random(2024)
+        checked = 0
+        for _ in range(500):
+            s = rand_scalar(rng, span=30, den=12)
+            t = rand_scalar(rng, span=30, den=12)
+            if s.den == 1 or t.den == 1:
+                continue
+            checked += 1
+            neg_t = Scalar(-t.n0, -t.n1, -t.n2, -t.n3, t.den)
+            neg_s = Scalar(-s.n0, -s.n1, -s.n2, -s.n3, s.den)
+            pairs = [
+                (-t, neg_t),
+                (s - t, s + neg_t),
+                (3 - s, Scalar(3) + neg_s),
+                (s - Fraction(1, 3), s + Scalar(-1, 0, 0, 0, 3)),
+                (s.galois(3), Scalar(s.n0, s.n3, -s.n2, s.n1, s.den)),
+                (s.galois(5), Scalar(s.n0, -s.n1, s.n2, -s.n3, s.den)),
+                (s.galois(7), Scalar(s.n0, -s.n3, -s.n2, -s.n1, s.den)),
+            ]
+            for fast, slow in pairs:
+                assert type(fast) is Scalar
+                assert fields(fast) == fields(slow)
+                assert hash(fast) == hash(slow)
+                assert fast == slow
+        assert checked >= 300
+        with pytest.raises(AttributeError):
+            (-s).n0 = 0
