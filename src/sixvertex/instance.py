@@ -133,7 +133,8 @@ class RotationMap:
         return comp_of, count
 
     def validate_planar(self) -> None:
-        """Euler check V - E + F = 2 per connected component."""
+        """Euler check V - E + F = 2 per connected component.  An isolated
+        vertex traces no face cycle but lies in one face of its sphere."""
         comp_of, count = self.component_ids()
         v_count = [0] * count
         half_count = [0] * count
@@ -144,7 +145,7 @@ class RotationMap:
         for cycle in self.faces():
             f_count[comp_of[self.vertex_of[cycle[0]]]] += 1
         for c in range(count):
-            v, e, f = v_count[c], half_count[c] // 2, f_count[c]
+            v, e, f = v_count[c], half_count[c] // 2, f_count[c] or 1
             if v - e + f != 2:
                 raise MapError(
                     f"component is not planar: V={v} E={e} F={f}, V-E+F={v - e + f}"

@@ -4,7 +4,10 @@ Every vertex of an instance is replaced by a weighted planar gadget whose
 perfect-matching signature equals the vertex signature (up to a tracked
 scalar), every instance edge by a path with one interior vertex (the
 Disequality join), and the resulting planar graph is evaluated exactly
-with a Pfaffian under a Kasteleyn orientation.  The Hadamard-transformed
+with one Pfaffian under a Kasteleyn orientation.  Every perfect matching
+has the same term sign sigma under that orientation, so sigma is read off
+one reference perfect matching, found by Edmonds' blossom algorithm and
+checked to be a perfect matching of the graph.  The Hadamard-transformed
 path replaces the edge function by a single edge of weight -1 (an equality
 join with a sign) and synthesizes gadgets for the transformed vertex
 signature instead.
@@ -178,7 +181,6 @@ def _fix_rotations_ccw(g: PlaneGadget, orders: dict[int, list]) -> None:
                 ports.append(("open", item[1]))
                 continue
             u, v = item
-            endpoint = vertex
             other = v if u == vertex else u
             key = (vertex, other)
             occurrence = used.get(key, 0)
@@ -279,13 +281,11 @@ def _join_chain(left: PlaneGadget, right: PlaneGadget) -> PlaneGadget:
     double Disequality), yielding externals (left.x1, left.x2, right.x3,
     right.x4) in ccw order."""
     g = PlaneGadget()
-    offset_left = 0
-    for rot in left.rotations:
+    for _ in left.rotations:
         g.add_vertex()
     offset_right = g.n
-    for rot in right.rotations:
+    for _ in right.rotations:
         g.add_vertex()
-    edge_offset_left = 0
     for u, v, w in left.edges:
         g.edges.append((u, v, w))
     edge_offset_right = len(g.edges)
@@ -335,7 +335,7 @@ def _join_chain(left: PlaneGadget, right: PlaneGadget) -> PlaneGadget:
                     ports.append(("open", new_external_index[key]))
                     externals[new_external_index[key]] = vid + offset_right
             else:
-                port_kind, eidx, end = port
+                _, eidx, end = port
                 ports.append(("edge", eidx + edge_offset_right, end))
         g.rotations[vid + offset_right] = ports
     g.rotations[m_top] = [
@@ -646,6 +646,102 @@ def pfaffian_sparse(n: int, entries: dict[tuple[int, int], Scalar]) -> Scalar:
     return -result if sign_flips % 2 else result
 
 
+# -- perfect matchings ----------------------------------------------------------------
+
+
+def perfect_matching(n: int, adjacency: Sequence[Sequence[int]]) -> Optional[list[int]]:
+    """A perfect matching of a general graph as a mate list, or None if the
+    graph has none.
+
+    A greedy pass matches what it can; then Edmonds' blossom algorithm grows
+    an alternating tree from each vertex left free.  When a tree finds no
+    augmenting path, its root is free in every maximum matching reached from
+    here, so the graph has no perfect matching.
+    """
+    mate = [-1] * n
+    for v in range(n):
+        if mate[v] == -1:
+            for u in adjacency[v]:
+                if mate[u] == -1 and u != v:
+                    mate[u], mate[v] = v, u
+                    break
+    for root in range(n):
+        if mate[root] == -1 and not _augment_from(root, adjacency, mate):
+            return None
+    return mate
+
+
+def _augment_from(root: int, adjacency: Sequence[Sequence[int]], mate: list[int]) -> bool:
+    """Grow an alternating tree from the free vertex root, shrinking blossoms
+    into their bases (a union-find), and flip the first augmenting path it
+    finds.  Only the vertices the tree reaches are touched."""
+    outer = {root}  # even vertices, and odd ones absorbed into a blossom
+    parent: dict[int, int] = {}  # into each odd vertex; across a blossom from its even ones
+    link: dict[int, int] = {}  # union-find towards each blossom's base
+
+    def base(v: int) -> int:
+        top = v
+        while top in link:
+            top = link[top]
+        while v != top:
+            link[v], v = top, link[v]
+        return top
+
+    def common_base(a: int, b: int) -> int:
+        seen = set()
+        while True:
+            a = base(a)
+            seen.add(a)
+            if mate[a] == -1:
+                break
+            a = parent[mate[a]]
+        while True:
+            b = base(b)
+            if b in seen:
+                return b
+            b = parent[mate[b]]
+
+    def shrink_path(v: int, top: int, child: int, merged: set[int]) -> None:
+        # walk from v up to the blossom base, pointing each even vertex's
+        # parent across the new blossom so augmenting paths can pass through
+        while base(v) != top:
+            merged.add(base(v))
+            merged.add(base(mate[v]))
+            parent[v] = child
+            child = mate[v]
+            if child not in outer:
+                outer.add(child)
+                queue.append(child)
+            v = parent[child]
+
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for u in adjacency[v]:
+            if u == mate[v] or base(u) == base(v):
+                continue
+            if u in outer:
+                top = common_base(v, u)
+                merged: set[int] = set()
+                shrink_path(v, top, u, merged)
+                shrink_path(u, top, v, merged)
+                for b in merged:
+                    if b != top:
+                        link[b] = top
+            elif u not in parent:
+                parent[u] = v
+                if mate[u] == -1:
+                    while u != -1:
+                        v = parent[u]
+                        after = mate[v]
+                        mate[u], mate[v] = v, u
+                        u = after
+                    return True
+                outer.add(mate[u])
+                queue.append(mate[u])
+    return False
+
+
 # -- Kasteleyn orientation -----------------------------------------------------------
 
 
@@ -870,17 +966,36 @@ def _assemble(
 def _pfaffian_value(assembled: AssembledGraph, outer_choice: int = 0) -> Scalar:
     """Signed perfect-matching sum through a Kasteleyn orientation.
 
-    The per-term sign under a valid orientation is uniform; it is fixed by
-    comparing against the all-ones specialization, whose Pfaffian is +-
-    the (positive) matching count.
+    Under a valid orientation every perfect matching's Pfaffian term carries
+    the same sign sigma, so the weighted Pfaffian is sigma times the
+    matching sum.  A nonzero Pfaffian means a perfect matching exists, and
+    sigma is read off one such reference matching: the sign of its
+    permutation times the orientation signs of its pairs.  A matcher that
+    finds none, or returns pairs that are not edges or do not cover every
+    vertex, raises SynthesisError.
     """
-    amap = assembled.map
-    n = amap.vertex_count
+    n = assembled.map.vertex_count
     if n == 0:
         return ONE
+    entries, forward, adjacency = _kasteleyn_matrix(assembled, outer_choice)
+    pf = pfaffian_sparse(n, entries)
+    if pf.is_zero():
+        return ZERO
+    sigma = _matching_sign(n, forward, perfect_matching(n, adjacency))
+    return pf if sigma > 0 else -pf
+
+
+def _kasteleyn_matrix(
+    assembled: AssembledGraph, outer_choice: int = 0
+) -> tuple[dict[tuple[int, int], Scalar], dict[tuple[int, int], bool], list[list[int]]]:
+    """The weighted skew matrix of a Kasteleyn orientation as upper entries
+    A[u][v], u < v; whether each pair is oriented from u to v; and the
+    adjacency lists of the graph."""
+    amap = assembled.map
     direction = kasteleyn_orient(amap, outer_choice)
     entries: dict[tuple[int, int], Scalar] = {}
-    ones: dict[tuple[int, int], Scalar] = {}
+    forward: dict[tuple[int, int], bool] = {}
+    adjacency: list[list[int]] = [[] for _ in range(amap.vertex_count)]
     for h, hp in amap.edges():
         u, v = amap.vertex_of[h], amap.vertex_of[hp]
         if u == v:
@@ -891,14 +1006,42 @@ def _pfaffian_value(assembled: AssembledGraph, outer_choice: int = 0) -> Scalar:
         key = (min(u, v), max(u, v))
         if key in entries:
             raise SynthesisError("assembled graphs must have no parallel edges")
-        entries[key] = w if tail == key[0] else -w
-        ones[key] = ONE if tail == key[0] else -ONE
-    pf_ones = pfaffian_sparse(n, ones)
-    if pf_ones.is_zero():
-        return ZERO  # no perfect matchings at all
-    sigma = ONE if pf_ones.as_rational() > 0 else -ONE
-    pf_weighted = pfaffian_sparse(n, entries)
-    return sigma * pf_weighted
+        forward[key] = tail == key[0]
+        entries[key] = w if forward[key] else -w
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    return entries, forward, adjacency
+
+
+def _matching_sign(
+    n: int, forward: dict[tuple[int, int], bool], mate: Optional[list[int]]
+) -> int:
+    """The sign sigma of the perfect matching `mate` in the Pfaffian of the
+    orientation: the sign of the permutation (u1 v1 u2 v2 ...), ui < vi,
+    times -1 for each pair oriented from vi to ui."""
+    if mate is None:
+        raise SynthesisError("no perfect matching behind a nonzero Pfaffian")
+    if len(mate) != n:
+        raise SynthesisError("the reference matching is not a perfect matching")
+    order = []
+    negative = 0
+    for u, v in enumerate(mate):
+        if not 0 <= v < n or mate[v] != u or (min(u, v), max(u, v)) not in forward:
+            raise SynthesisError("the reference matching is not a perfect matching")
+        if u < v:
+            order += (u, v)
+            negative += not forward[(u, v)]
+    # a permutation of n points with c cycles has sign (-1)^(n - c)
+    cycles = 0
+    seen = [False] * n
+    for start in range(n):
+        if not seen[start]:
+            cycles += 1
+            k = start
+            while not seen[k]:
+                seen[k] = True
+                k = order[k]
+    return -1 if (negative + n - cycles) % 2 else 1
 
 
 def _label_gadgets(
@@ -969,5 +1112,4 @@ def fkt_eval_hat(inst: PlanarInstance) -> Scalar:
     gadgets, scales = _label_gadgets(inst, _hat_gadget, "fkt_eval_hat")
     assembled = _assemble(inst, gadgets, scales, "minus-eq")
     value = _pfaffian_value(assembled)
-    half = Scalar.from_rational(1) / Scalar.from_rational(2 ** inst.map.edge_count)
-    return value / assembled.scale * half
+    return value / assembled.scale * rational(1, 2 ** inst.map.edge_count)

@@ -6,8 +6,7 @@ equality and hashing are structural.  This field contains i = w^2,
 sqrt(i) = w and sqrt(2) = w - w^3, which covers every constant appearing in
 the six-vertex classification, in Pfaffians and in quadratic Gauss sums.
 
-No floating point is used anywhere; ``to_complex`` exists only as a display
-helper.
+No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -65,17 +64,6 @@ class Scalar:
         f = Fraction(value)
         return cls(f.numerator, 0, 0, 0, f.denominator)
 
-    @classmethod
-    def from_coefficients(cls, coeffs: Iterable[_RatLike]) -> "Scalar":
-        fs = [Fraction(c) for c in coeffs]
-        if len(fs) != 4:
-            raise ValueError("need exactly 4 coefficients")
-        den = 1
-        for f in fs:
-            den = den * f.denominator // gcd(den, f.denominator)
-        ns = [int(f * den) for f in fs]
-        return cls(ns[0], ns[1], ns[2], ns[3], den)
-
     # -- views ---------------------------------------------------------
 
     @property
@@ -98,16 +86,6 @@ class Scalar:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
         return Fraction(self.n0, self.den)
-
-    def is_real(self) -> bool:
-        """True iff the value lies in the real subfield Q(sqrt(2))."""
-        return self.n2 == 0 and self.n1 == -self.n3
-
-    def real_parts(self) -> tuple[Fraction, Fraction]:
-        """Return (p, q) with value = p + q*sqrt(2); requires a real value."""
-        if not self.is_real():
-            raise ValueError(f"{self!r} is not in the real subfield")
-        return Fraction(self.n0, self.den), Fraction(self.n1, self.den)
 
     # -- field operations ----------------------------------------------
 
@@ -211,7 +189,7 @@ class Scalar:
             e >>= 1
         return result
 
-    # -- conjugation and norms -------------------------------------------
+    # -- Galois automorphisms -----------------------------------------------
 
     def galois(self, k: int) -> "Scalar":
         """Apply the automorphism w -> w^k (k odd mod 8)."""
@@ -226,14 +204,6 @@ class Scalar:
             return _reduced(self.n0, -self.n3, -self.n2, -self.n1, self.den)
         raise ValueError("galois automorphisms need k odd")
 
-    def conjugate(self) -> "Scalar":
-        """Complex conjugation: w -> w^7 = -w^3 extended linearly."""
-        return self.galois(7)
-
-    def abs_squared(self) -> "Scalar":
-        """|self|^2 = self * conjugate(self); lies in the real subfield."""
-        return self * self.conjugate()
-
     # -- structure tests ---------------------------------------------------
 
     def is_root_of_unity(self) -> Optional[int]:
@@ -246,22 +216,6 @@ class Scalar:
             if self == W ** k:
                 return 1 if k == 0 else 8 // gcd(k, 8)
         return None
-
-    def real_sign(self) -> int:
-        """Exact sign (-1, 0, +1) for a value p + q*sqrt(2) in the real subfield."""
-        p, q = self.real_parts()
-        if q == 0:
-            return 0 if p == 0 else (1 if p > 0 else -1)
-        if p == 0:
-            return 1 if q > 0 else -1
-        if p > 0 and q > 0:
-            return 1
-        if p < 0 and q < 0:
-            return -1
-        # opposite signs: compare p^2 with 2 q^2 (sqrt(2) irrational, never equal)
-        if p * p > 2 * q * q:
-            return 1 if p > 0 else -1
-        return 1 if q > 0 else -1
 
     # -- hashing / comparison / display -----------------------------------
 
@@ -288,15 +242,6 @@ class Scalar:
 
     def __str__(self) -> str:
         return format_scalar(self)
-
-    def to_complex(self) -> complex:
-        """Approximate complex value, for human-facing display only."""
-        root = 0.7071067811865476
-        c0, c1, c2, c3 = self.coefficients
-        return complex(
-            float(c0) + root * (float(c1) - float(c3)),
-            float(c2) + root * (float(c1) + float(c3)),
-        )
 
 
 # the slot setters bypass Scalar.__setattr__, which refuses every write

@@ -199,8 +199,6 @@ _PATTERN_FIELD = dict(zip(_SIX_PATTERNS, ("a", "b", "c", "x", "y", "z")))
 
 # -- named constants ---------------------------------------------------------
 
-DISEQ = BinarySignature(ZERO, ONE, ONE, ZERO)
-
 N_MATRIX = [
     [ONE if r + c == 3 else ZERO for c in range(4)] for r in range(4)
 ]  # double Disequality (x1 != x4) and (x2 != x3), the 4x4 reversal

@@ -2,9 +2,11 @@
 
 The self-checks raise typed errors and survive `python -O`: under `-O` the
 synthesis re-verification still runs once per distinct label of an FKT
-call, and with `_scaled_propto` forced to fail both FKT routes raise
-`SynthesisError`.  The library and its tests have no unused imports, and every console
-script that `pyproject.toml` declares resolves to a callable."""
+call, with `_scaled_propto` forced to fail both FKT routes raise
+`SynthesisError`, and so does `fkt_eval` when the matcher behind the
+Pfaffian's sign finds no perfect matching.  The library and its tests have
+no unused imports, and every console script that `pyproject.toml` declares
+resolves to a callable."""
 
 import ast
 import importlib
@@ -122,6 +124,7 @@ try:
 except loopspace.LoopSpaceError:
     raised.append("profile")
 
+real_propto = matchgate._scaled_propto
 matchgate._scaled_propto = lambda *args: None
 for name, evaluate, label in [
     ("fkt", matchgate.fkt_eval, SixVertexSignature.from_values(1, 1, 2, 1, 1, 1)),
@@ -131,6 +134,13 @@ for name, evaluate, label in [
         evaluate(uniform_instance(grid_patch(2, 2), label))
     except matchgate.SynthesisError:
         raised.append(name)
+matchgate._scaled_propto = real_propto
+
+matchgate.perfect_matching = lambda *args: None
+try:
+    matchgate.fkt_eval(uniform_instance(grid_patch(2, 2), SixVertexSignature.from_values(1, 1, 2, 1, 1, 1)))
+except matchgate.SynthesisError:
+    raised.append("sign")
 print(",".join(raised))
 """
 
@@ -144,4 +154,4 @@ def test_checks_survive_optimized_mode():
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "witness,profile,fkt,fkt_hat"
+    assert out.stdout.strip() == "witness,profile,fkt,fkt_hat,sign"

@@ -228,6 +228,14 @@ class TestValidatePlanar:
         assert m.component_ids() == ([0, 1, 0], 2)
         m.validate_planar()
 
+    def test_isolated_vertex_is_planar(self):
+        """An isolated vertex traces no face cycle, yet its sphere has one
+        face: V - E + F = 1 - 0 + 1."""
+        RotationMap([[]], {}).validate_planar()
+        m = RotationMap([[0], [], [1]], {0: 1, 1: 0})
+        assert m.component_ids() == ([0, 1, 0], 2)
+        m.validate_planar()
+
 
 class TestInstances:
     def test_arity_validation(self):

@@ -14,10 +14,15 @@ from sixvertex.instance import (
 from sixvertex.matchgate import (
     SynthesisError,
     _assemble,
+    _hat_gadget,
+    _kasteleyn_matrix,
+    _label_gadgets,
+    _matching_sign,
     add_flip_pigtail,
     fkt_eval,
     fkt_eval_hat,
     kasteleyn_orient,
+    perfect_matching,
     pfaffian_sparse,
     synthesize,
     synthesize_even_image,
@@ -553,3 +558,186 @@ class TestFktHat:
             assert fkt_eval_hat(inst) == holant_brute(inst)
             checked += 1
         assert checked >= 15
+
+
+def assembled_graph(inst, joiner):
+    """The graph fkt_eval ("diseq") or fkt_eval_hat ("minus-eq") assembles."""
+    build = synthesize if joiner == "diseq" else _hat_gadget
+    gadgets, scales = _label_gadgets(inst, build, "test")
+    return _assemble(inst, gadgets, scales, joiner)
+
+
+def ones_pfaffian(assembled, outer_choice):
+    """The Pfaffian of the orientation with every weight 1: sigma times the
+    number of perfect matchings.  The reference for the matching sign."""
+    _, forward, _ = _kasteleyn_matrix(assembled, outer_choice)
+    ones = {key: ONE if fwd else -ONE for key, fwd in forward.items()}
+    return pfaffian_sparse(assembled.map.vertex_count, ones)
+
+
+def assert_sign_is_reference(assembled):
+    """The reference matching's sign is the all-ones Pfaffian's, under the
+    orientations of seeds 0 and 1."""
+    n = assembled.map.vertex_count
+    for seed in (0, 1):
+        ref = ones_pfaffian(assembled, seed).as_rational()
+        assert ref != 0
+        _, forward, adjacency = _kasteleyn_matrix(assembled, seed)
+        sign = _matching_sign(n, forward, perfect_matching(n, adjacency))
+        assert sign == (1 if ref > 0 else -1)
+
+
+JOINER_LABELS = {
+    "diseq": (sv(1, 1, 1, 2, 1, 3), sv(1, 1, 0, 1, -1, 0)),  # wheel, chain
+    "minus-eq": (sv(0, 1, 2, 0, 1, 2), sv(1, 0, 2, 1, 0, 2)),
+}
+
+
+class TestMatchingSign:
+    @pytest.mark.parametrize("joiner", ["diseq", "minus-eq"])
+    def test_equals_all_ones_pfaffian_on_grids(self, joiner):
+        for k in range(2, 9):
+            for label in JOINER_LABELS[joiner]:
+                inst = uniform_instance(grid_patch(k, k), label)
+                assert_sign_is_reference(assembled_graph(inst, joiner))
+
+    @pytest.mark.parametrize("joiner", ["diseq", "minus-eq"])
+    def test_equals_all_ones_pfaffian_on_random_medials(self, joiner):
+        rng = random.Random(81)
+        edges = []
+        for trial in range(12):
+            m = medial_of_random_plane_graph(rng.randint(3, 30), 4000 + trial)
+            edges.append(m.edge_count)
+            f, g = JOINER_LABELS[joiner]
+            assert_sign_is_reference(assembled_graph(two_label_instance(m, f, g, trial), joiner))
+        assert max(edges) >= 50
+
+    @pytest.mark.parametrize(
+        "joiner, evaluate", [("diseq", fkt_eval), ("minus-eq", fkt_eval_hat)]
+    )
+    def test_no_matching_gives_zero(self, monkeypatch, joiner, evaluate):
+        """The f = 0 gadget has an isolated vertex, so the assembled graph has
+        no perfect matching: the value is 0 and the matcher is not asked."""
+        inst = uniform_instance(grid_patch(2, 2), sv(0, 0, 0, 0, 0, 0))
+        assembled = assembled_graph(inst, joiner)
+        n = assembled.map.vertex_count
+        _, _, adjacency = _kasteleyn_matrix(assembled)
+        assert perfect_matching(n, adjacency) is None
+        assert ones_pfaffian(assembled, 0) == ZERO
+        matched = count_calls(monkeypatch, matchgate, "perfect_matching")
+        assert evaluate(inst) == ZERO
+        assert matched == []
+
+    @pytest.mark.parametrize(
+        "evaluate, label",
+        [(fkt_eval, sv(1, 1, 2, 1, 1, 1)), (fkt_eval_hat, sv(0, 1, 2, 0, 1, 2))],
+    )
+    def test_one_pfaffian_per_evaluation(self, monkeypatch, evaluate, label):
+        inst = uniform_instance(grid_patch(2, 3), label)
+        eliminated = count_calls(monkeypatch, matchgate, "pfaffian_sparse")
+        first = evaluate(inst)
+        assert len(eliminated) == 1
+        assert evaluate(inst) == first == holant_brute(inst)
+        assert len(eliminated) == 2
+
+    @pytest.mark.parametrize(
+        "evaluate, label",
+        [(fkt_eval, sv(1, 1, 2, 1, 1, 1)), (fkt_eval_hat, sv(0, 1, 2, 0, 1, 2))],
+    )
+    def test_bad_reference_matching_raises(self, monkeypatch, evaluate, label):
+        """A nonzero Pfaffian with no matching, or with a mate list that is
+        not a perfect matching of the graph, is a typed error."""
+        inst = uniform_instance(grid_patch(2, 2), label)
+        real = matchgate.perfect_matching
+
+        def rewired(n, adjacency):
+            # pairs (a, b), (c, d) become (a, c), (b, d) with a-c not an edge
+            mate = real(n, adjacency)
+            a = 0
+            c = next(c for c in range(n) if c != a and c != mate[a] and c not in adjacency[a])
+            b, d = mate[a], mate[c]
+            mate[a], mate[c], mate[b], mate[d] = c, a, d, b
+            return mate
+
+        for fake in (
+            lambda n, adjacency: None,
+            lambda n, adjacency: real(n, adjacency)[:-1],
+            lambda n, adjacency: [-1] + real(n, adjacency)[1:],
+            lambda n, adjacency: list(range(n)),
+            rewired,
+        ):
+            monkeypatch.setattr(matchgate, "perfect_matching", fake)
+            with pytest.raises(SynthesisError):
+                evaluate(inst)
+
+
+def random_odd_cycle_graph(rng, n):
+    """A graph on n vertices made of random odd cycles (so blossoms form)
+    and a few random chords, as shuffled adjacency lists."""
+    edges = set()
+    for _ in range(rng.randint(1, n)):
+        cycle = rng.sample(range(n), min(n, rng.choice([3, 5, 7])))
+        if len(cycle) % 2 == 0:
+            cycle.pop()
+        for t, u in enumerate(cycle):
+            v = cycle[(t + 1) % len(cycle)]
+            if u != v:
+                edges.add((min(u, v), max(u, v)))
+    for _ in range(rng.randint(0, n)):
+        u, v = rng.sample(range(n), 2)
+        edges.add((min(u, v), max(u, v)))
+    adjacency = [[] for _ in range(n)]
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    for row in adjacency:
+        rng.shuffle(row)
+    return sorted(edges), adjacency
+
+
+def assert_perfect(mate, edges):
+    n = len(mate)
+    edge_set = set(edges)
+    for u, v in enumerate(mate):
+        assert 0 <= v < n and v != u and mate[v] == u
+        assert (min(u, v), max(u, v)) in edge_set
+
+
+class TestPerfectMatching:
+    def test_agrees_with_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(82)
+        found = absent = 0
+        for _ in range(400):
+            n = rng.choice([2, 4, 6, 8, 10, 12, 16, 20, 30, 40])
+            edges, adjacency = random_odd_cycle_graph(rng, n)
+            g = nx.Graph()
+            g.add_nodes_from(range(n))
+            g.add_edges_from(edges)
+            exists = 2 * len(nx.max_weight_matching(g, maxcardinality=True)) == n
+            mate = perfect_matching(n, adjacency)
+            assert (mate is not None) == exists
+            if mate is not None:
+                assert_perfect(mate, edges)
+                found += 1
+            else:
+                absent += 1
+        assert found >= 100 and absent >= 100
+
+    def test_augments_through_a_blossom(self):
+        """A 5-cycle 0-1-2-3-4 with a pendant vertex 5 on 0.  The greedy pass
+        matches 0-1 and 2-3 and leaves 4 and 5 free; the one augmenting path
+        4-3-2-1-0-5 runs through the blossom the cycle forms."""
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5)]
+        adjacency = [[1, 4, 5], [0, 2], [1, 3], [2, 4], [3, 0], [0]]
+        mate = perfect_matching(6, adjacency)
+        assert mate == [5, 2, 1, 4, 3, 0]
+        assert_perfect(mate, edges)
+
+    def test_no_perfect_matching(self):
+        two_triangles = [[1, 2], [0, 2], [0, 1], [4, 5], [3, 5], [3, 4]]
+        star = [[1, 2, 3], [0], [0], [0]]
+        assert perfect_matching(6, two_triangles) is None
+        assert perfect_matching(4, star) is None
+        assert perfect_matching(3, [[1], [0, 2], [1]]) is None
+        assert perfect_matching(0, []) == []

@@ -5,7 +5,6 @@ import pytest
 
 from sixvertex.scalar import ONE, W, ZERO, rational
 from sixvertex.signature import (
-    DISEQ,
     N_MATRIX,
     BinarySignature,
     SixVertexSignature,
@@ -84,6 +83,9 @@ def scale_on(f, var, t):
     m = f.to_general().matrix(0)
     m = mat_mul(diag, m) if var <= 2 else mat_mul(m, diag)
     return general_from_matrix(m).try_six_vertex()
+
+
+DISEQ = BinarySignature(ZERO, ONE, ONE, ZERO)
 
 
 def attach_binary(f, g, view=0):
