@@ -63,15 +63,6 @@ class Verdict:
     witnesses: frozenset[Condition]
     case_tag: str  # "I".."IV"
 
-    def lines(self) -> list[str]:
-        """Machine-readable key=value lines."""
-        return [
-            f"planar_class={self.planar_class.value}",
-            f"general_class={self.general_class.value}",
-            "witnesses=" + ",".join(sorted(w.value for w in self.witnesses)),
-            f"case={self.case_tag}",
-        ]
-
 
 def _zero_in_each_pair(f: SixVertexSignature) -> bool:
     return (

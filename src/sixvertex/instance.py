@@ -200,8 +200,7 @@ class PlainGraph:
     """A connected plane multigraph given by vertex rotations over edge-end ids.
 
     Edge-end ids follow the same half-edge discipline as RotationMap but no
-    labels are attached; used as input to medial construction and the Tutte
-    oracle.
+    labels are attached; used as input to medial construction.
     """
 
     def __init__(self, vertices: Sequence[Sequence[int]], involution: Mapping[int, int]):
@@ -214,13 +213,6 @@ class PlainGraph:
     @property
     def edge_count(self):
         return self.map.edge_count
-
-    def edge_list(self) -> list[tuple[int, int]]:
-        """Edges as (vertex, vertex) pairs, loops included."""
-        out = []
-        for h, k in self.map.edges():
-            out.append((self.map.vertex_of[h], self.map.vertex_of[k]))
-        return out
 
 
 def medial(graph: PlainGraph) -> RotationMap:

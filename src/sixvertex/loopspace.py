@@ -303,36 +303,15 @@ def _profile_unary(
     )
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    balanced: bool
-    pair_counts: dict[tuple[int, int], tuple[int, int]]  # (entries, exits)
-    self_counts: dict[int, int]
-
-    def lines(self) -> list[str]:
-        out = [f"balanced={'yes' if self.balanced else 'no'}"]
-        for (i, j), (ent, exi) in sorted(self.pair_counts.items()):
-            out.append(f"pair={i},{j} entries={ent} exits={exi}")
-        for i, count in sorted(self.self_counts.items()):
-            out.append(f"self={i} count={count}")
-        return out
-
-
-def entry_exit_audit(dec: CircuitDecomposition) -> AuditReport:
-    pair_counts: dict[tuple[int, int], list[int]] = {}
-    self_counts: dict[int, int] = {}
+def entry_exit_audit(dec: CircuitDecomposition) -> bool:
+    """Whether every pair of circuits has as many entries as exits; a
+    plane circuit leaves another as often as it enters it."""
+    balance: dict[tuple[int, int], int] = {}
     for rec in dec.records:
         if rec.kind == "intersection":
-            counts = pair_counts.setdefault((rec.i, rec.j), [0, 0])
-            counts[0 if rec.entry else 1] += 1
-        else:
-            self_counts[rec.i] = self_counts.get(rec.i, 0) + 1
-    balanced = all(ent == exi for ent, exi in pair_counts.values())
-    return AuditReport(
-        balanced,
-        {key: (ent, exi) for key, (ent, exi) in pair_counts.items()},
-        self_counts,
-    )
+            key = (rec.i, rec.j)
+            balance[key] = balance.get(key, 0) + (1 if rec.entry else -1)
+    return not any(balance.values())
 
 
 def evaluate(
@@ -352,8 +331,7 @@ def evaluate(
     is kept between calls.
     """
     dec = decompose(inst)
-    audit = entry_exit_audit(dec)
-    if not audit.balanced:
+    if not entry_exit_audit(dec):
         raise LoopSpaceError("entry/exit balance violated (planarity bug)")
     csp = induced_csp(dec, inst, profile_base=profile_base)
     constraints = csp.constraints()

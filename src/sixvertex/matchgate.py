@@ -2,15 +2,20 @@
 
 Every vertex of an instance is replaced by a weighted planar gadget whose
 perfect-matching signature equals the vertex signature (up to a tracked
-scalar), every instance edge by a path with one interior vertex (the
-Disequality join), and the resulting planar graph is evaluated exactly
-with one Pfaffian under a Kasteleyn orientation.  Every perfect matching
-has the same term sign sigma under that orientation, so sigma is read off
-one reference perfect matching, found by Edmonds' blossom algorithm and
-checked to be a perfect matching of the graph.  The Hadamard-transformed
-path replaces the edge function by a single edge of weight -1 (an equality
-join with a sign) and synthesizes gadgets for the transformed vertex
-signature instead.
+scalar), every instance edge by a weighted path, and the resulting planar
+graph is evaluated exactly with one Pfaffian under a Kasteleyn
+orientation.  Every perfect matching has the same term sign sigma under
+that orientation, so sigma is read off one reference perfect matching,
+found by Edmonds' blossom algorithm and checked to be a perfect matching
+of the graph.  fkt_eval joins gadgets by the Disequality path (1, 1); the
+Hadamard-transformed evaluation joins them by the signed equality
+(-1, 1, 1) and synthesizes gadgets for the transformed vertex signature
+instead.  _assemble is the one place where gadgets are joined.
+
+Every gadget of fkt_eval is one template, the wheel.  The chain family
+c = z = 0, ax = -by != 0 has no wheel, so fkt_eval splits each such vertex
+of the instance into two vertices joined by two edges, labelled by two
+signatures that do have one and whose composition is the original.
 
 The gadget weight formulas below are derived from the perfect-matching
 enumeration of small templates and are re-verified against the matching
@@ -90,11 +95,9 @@ class PlaneGadget:
     def n(self) -> int:
         return len(self.rotations)
 
-    def weighted_graph(self) -> WeightedGraph:
-        return WeightedGraph(self.n, list(self.edges))
-
     def signature(self, cap: int = 16) -> list[Scalar]:
-        return matching_signature(self.weighted_graph(), self.externals, cap)
+        graph = WeightedGraph(self.n, list(self.edges))
+        return matching_signature(graph, self.externals, cap)
 
     def shifted(self, shift: int) -> "PlaneGadget":
         """Cyclically relabel the externals (a rotation of the signature)."""
@@ -214,30 +217,32 @@ def _scaled_propto(sig_values: Sequence[Scalar], target: Sequence[Scalar]) -> Op
     return scale
 
 
+def _zero_gadget() -> PlaneGadget:
+    """Four ports and an isolated vertex, which kills every matching: the
+    gadget of a zero signature, with scale 1."""
+    g = PlaneGadget()
+    ports = [g.add_vertex() for _ in range(4)]
+    g.add_vertex()
+    for p in ports:
+        g.add_external(p)
+    return g
+
+
 def synthesize(f: SixVertexSignature) -> tuple[PlaneGadget, Scalar]:
     """A plane gadget whose matching signature equals scale * f, scale != 0
-    (scale 1 for f = 0).  Raises SynthesisError when f is not a matchgate."""
+    (scale 1 for f = 0).  Raises SynthesisError when f is not a matchgate.
+
+    Every gadget is the wheel template, on the first rotation of f and
+    cyclic shift of its externals whose matching signature is a nonzero
+    multiple of f.  The rotations tried are those with c != 0, or, when
+    c = z = 0, those supported on the (a, b) slots.  No wheel realizes the
+    chain family c = z = 0, ax = -by != 0, so fkt_eval splits those
+    vertices in the instance (_split_chain_vertices) and never asks here.
+    """
     if not is_matchgate(f):
         raise SynthesisError("signature violates the matchgate identity")
     if f.is_zero():
-        g = PlaneGadget()
-        ports = [g.add_vertex() for _ in range(4)]
-        g.add_vertex()  # isolated vertex kills every matching
-        for p in ports:
-            g.add_external(p)
-        return g, ONE
-    if f.c.is_zero() and f.z.is_zero() and not (f.a * f.x).is_zero():
-        return _chain_synthesis(f)
-    return _wheel_synthesis(f)
-
-
-def _wheel_synthesis(f: SixVertexSignature) -> tuple[PlaneGadget, Scalar]:
-    """The wheel template on the first rotation of f and cyclic shift of its
-    externals whose matching signature is a nonzero multiple of f.
-
-    The rotations tried are those with c != 0, or, when c = z = 0, those
-    supported on the (a, b) slots.
-    """
+        return _zero_gadget(), ONE
     rotations = [f.rotate(r) for r in range(4)]
     candidates = [g for g in rotations if not g.c.is_zero()] or [
         g for g in rotations if g.x.is_zero() and g.y.is_zero() and g.z.is_zero()
@@ -251,105 +256,6 @@ def _wheel_synthesis(f: SixVertexSignature) -> tuple[PlaneGadget, Scalar]:
             if scale is not None and not scale.is_zero():
                 return shifted, scale
     raise SynthesisError(f"no wheel template applies to {f!r}")
-
-
-def _chain_synthesis(f: SixVertexSignature) -> tuple[PlaneGadget, Scalar]:
-    """The c = z = 0, ax = -by != 0 family as a chain of two wheel gadgets.
-
-    With g1 = (1,1,1,1,1,2) and g2 = (a, 2b, -y, x, y, -b), both matchgates
-    with nonzero inner entries, the double-Disequality chain g1 * N * g2
-    reproduces f exactly.
-    """
-    g1 = SixVertexSignature.from_values(1, 1, 1, 1, 1, 2)
-    g2 = SixVertexSignature(
-        f.a, rational(2) * f.b, -f.y, f.x, f.y, -f.b
-    )
-    composed = compose_n(g1, g2).try_six_vertex()
-    if composed is None or composed != f:
-        raise SynthesisError("chain closed form failed; not in the ax=-by family")
-    left, _ = _wheel_synthesis(g1)
-    right, _ = _wheel_synthesis(g2)
-    gadget = _join_chain(left, right)
-    scale = _scaled_propto(gadget.signature(), f.to_general().entries)
-    if scale is None or scale.is_zero():
-        raise SynthesisError("chain synthesis verification failed")
-    return gadget, scale
-
-
-def _join_chain(left: PlaneGadget, right: PlaneGadget) -> PlaneGadget:
-    """Connect left.x4 -- m -- right.x1 and left.x3 -- m' -- right.x2 (the
-    double Disequality), yielding externals (left.x1, left.x2, right.x3,
-    right.x4) in ccw order."""
-    g = PlaneGadget()
-    for _ in left.rotations:
-        g.add_vertex()
-    offset_right = g.n
-    for _ in right.rotations:
-        g.add_vertex()
-    for u, v, w in left.edges:
-        g.edges.append((u, v, w))
-    edge_offset_right = len(g.edges)
-    for u, v, w in right.edges:
-        g.edges.append((u + offset_right, v + offset_right, w))
-    # middle vertices of the two Disequality joins
-    m_top = g.add_vertex()
-    m_bot = g.add_vertex()
-    join_edges = {
-        ("L", 3): len(g.edges),  # left.x4 -- m_top
-    }
-    g.edges.append((left.externals[3], m_top, ONE))
-    join_edges[("R", 0)] = len(g.edges)
-    g.edges.append((right.externals[0] + offset_right, m_top, ONE))
-    join_edges[("L", 2)] = len(g.edges)
-    g.edges.append((left.externals[2], m_bot, ONE))
-    join_edges[("R", 1)] = len(g.edges)
-    g.edges.append((right.externals[1] + offset_right, m_bot, ONE))
-    # rotations: copy, replacing consumed open slots by the join edges
-    new_external_index = {("L", 0): 0, ("L", 1): 1, ("R", 2): 2, ("R", 3): 3}
-    externals: list[Optional[int]] = [None] * 4
-    for vid, rot in enumerate(left.rotations):
-        ports = []
-        for port in rot:
-            if port[0] == "open":
-                key = ("L", port[1])
-                if key in join_edges:
-                    eidx = join_edges[key]
-                    end = 0 if g.edges[eidx][0] == vid else 1
-                    ports.append(("edge", eidx, end))
-                else:
-                    ports.append(("open", new_external_index[key]))
-                    externals[new_external_index[key]] = vid
-            else:
-                ports.append(port)
-        g.rotations[vid] = ports
-    for vid, rot in enumerate(right.rotations):
-        ports = []
-        for port in rot:
-            if port[0] == "open":
-                key = ("R", port[1])
-                if key in join_edges:
-                    eidx = join_edges[key]
-                    end = 0 if g.edges[eidx][0] == vid + offset_right else 1
-                    ports.append(("edge", eidx, end))
-                else:
-                    ports.append(("open", new_external_index[key]))
-                    externals[new_external_index[key]] = vid + offset_right
-            else:
-                _, eidx, end = port
-                ports.append(("edge", eidx + edge_offset_right, end))
-        g.rotations[vid + offset_right] = ports
-    g.rotations[m_top] = [
-        ("edge", join_edges[("L", 3)], 1),
-        ("edge", join_edges[("R", 0)], 1),
-    ]
-    g.rotations[m_bot] = [
-        ("edge", join_edges[("L", 2)], 1),
-        ("edge", join_edges[("R", 1)], 1),
-    ]
-    if any(v is None for v in externals):
-        raise SynthesisError("chain join left an external slot unassigned")
-    g.externals = externals  # type: ignore[assignment]
-    return g
 
 
 # -- gadgets for Hadamard images ---------------------------------------------------
@@ -367,10 +273,7 @@ def _even_image_entries(m: GeneralSignature4):
         and r == val(1, 0, 0, 1)
         and s == val(1, 0, 1, 0)
     )
-    odd_zero = all(
-        m.entries[idx].is_zero() for idx in range(16) if bin(idx).count("1") & 1
-    )
-    if not (symmetric and odd_zero):
+    if not symmetric or m.has_parity_support(1):
         return None
     return p, q, r, s
 
@@ -403,12 +306,7 @@ def synthesize_even_image(m: GeneralSignature4) -> tuple[PlaneGadget, Scalar]:
         if p.is_zero() and not r.is_zero():
             attempts.append(_image_template_paths(r, split="12-34"))
     if p.is_zero() and q.is_zero() and r.is_zero() and s.is_zero():
-        g = PlaneGadget()
-        ports = [g.add_vertex() for _ in range(4)]
-        g.add_vertex()
-        for v in ports:
-            g.add_external(v)
-        return g, ONE
+        return _zero_gadget(), ONE
     for gadget in attempts:
         scale = _scaled_propto(gadget.signature(), m.entries)
         if scale is not None and not scale.is_zero():
@@ -875,52 +773,43 @@ class AssembledGraph:
     scale: Scalar  # product of gadget scales
 
 
+# the weights along the path that replaces each instance edge
+_DISEQ_PATH = (ONE, ONE)  # Disequality: one interior vertex
+# the signed equality [1, 0, 0, -1]: matching-equivalent to one edge of
+# weight -1, but never a loop or a parallel of a gadget edge
+_SIGNED_EQ_PATH = (-ONE, ONE, ONE)
+
+
 def _assemble(
     inst: PlanarInstance,
     gadget_of: Sequence[PlaneGadget],
     scales: Sequence[Scalar],
-    edge_joiner: str,
+    path: Sequence[Scalar],
 ) -> AssembledGraph:
-    """Glue vertex gadgets along the instance map.
+    """Glue vertex gadgets along the instance map, the one place gadgets are
+    joined.
 
-    edge_joiner "diseq" inserts one interior vertex per instance edge
-    (weight-1 Disequality join); "minus-eq" adds a single direct edge of
-    weight -1 (the Hadamard-transformed equality join).
+    The gadget vertices come first, in vertex order.  Each instance edge
+    then becomes a path from the open port of its first half-edge to that
+    of its second, whose edges carry the weights in `path` and whose
+    len(path) - 1 interior vertices are numbered in edge order.  Chain-family
+    vertices reach here already split (_split_chain_vertices), so every
+    gadget is one template, and gadgets are read, never mutated.
     """
     m = inst.map
-    vertex_offset: list[int] = []
-    total_vertices = 0
-    for g in gadget_of:
-        vertex_offset.append(total_vertices)
-        total_vertices += g.n
-    middle_of_edge: dict[tuple[int, int], int] = {}
-    if edge_joiner == "diseq":
-        for h, hp in m.edges():
-            middle_of_edge[(h, hp)] = total_vertices
-            total_vertices += 1
-    elif edge_joiner == "minus-eq":
-        # an even path A - p - q - B with weights (-1, 1, 1) is matching-
-        # equivalent to a direct -1 edge but can never collide with gadget
-        # edges or create parallels
-        for h, hp in m.edges():
-            middle_of_edge[(h, hp)] = total_vertices
-            total_vertices += 2
-
-    rotations: list[list[int]] = [[] for _ in range(total_vertices)]
+    rotations: list[list[int]] = []
     counter = 0
     internal_half: dict[tuple[int, int, int], int] = {}  # (vid, eidx, end)
     open_half: dict[tuple[int, int], int] = {}  # (vid, external index)
     for vid, g in enumerate(gadget_of):
-        off = vertex_offset[vid]
-        for local_v, rot in enumerate(g.rotations):
+        for rot in g.rotations:
+            rotations.append(list(range(counter, counter + len(rot))))
             for port in rot:
-                hid = counter
-                counter += 1
-                rotations[off + local_v].append(hid)
                 if port[0] == "edge":
-                    internal_half[(vid, port[1], port[2])] = hid
+                    internal_half[(vid, port[1], port[2])] = counter
                 else:
-                    open_half[(vid, port[1])] = hid
+                    open_half[(vid, port[1])] = counter
+                counter += 1
     involution: dict[int, int] = {}
     weights: dict[tuple[int, int], Scalar] = {}
 
@@ -933,28 +822,13 @@ def _assemble(
         for eidx, (_, _, w) in enumerate(g.edges):
             bind(internal_half[(vid, eidx, 0)], internal_half[(vid, eidx, 1)], w)
     for h, hp in m.edges():
-        side_a = open_half[(m.vertex_of[h], m.slot_of[h])]
-        side_b = open_half[(m.vertex_of[hp], m.slot_of[hp])]
-        if edge_joiner == "diseq":
-            mid = middle_of_edge[(h, hp)]
-            ha = counter
-            hb = counter + 1
+        tail = open_half[(m.vertex_of[h], m.slot_of[h])]
+        for w in path[:-1]:
+            rotations.append([counter, counter + 1])  # the next interior vertex
+            bind(tail, counter, w)
+            tail = counter + 1
             counter += 2
-            rotations[mid].extend([ha, hb])
-            bind(side_a, ha, ONE)
-            bind(side_b, hb, ONE)
-        elif edge_joiner == "minus-eq":
-            p = middle_of_edge[(h, hp)]
-            q = p + 1
-            hp1, hp2, hq1, hq2 = counter, counter + 1, counter + 2, counter + 3
-            counter += 4
-            rotations[p].extend([hp1, hp2])
-            rotations[q].extend([hq1, hq2])
-            bind(side_a, hp1, -ONE)
-            bind(hp2, hq1, ONE)
-            bind(hq2, side_b, ONE)
-        else:
-            raise ValueError(f"unknown joiner {edge_joiner!r}")
+        bind(tail, open_half[(m.vertex_of[hp], m.slot_of[hp])], path[-1])
     assembled = RotationMap(rotations, involution)
     assembled.validate_planar()
     scale = ONE
@@ -1068,16 +942,81 @@ def _label_gadgets(
     return gadgets, scales
 
 
+_CHAIN_LEFT = SixVertexSignature.from_values(1, 1, 1, 1, 1, 2)
+
+
+def _is_chain(label) -> bool:
+    """Whether fkt_eval splits a vertex with this label: c = z = 0 and
+    ax != 0.  The matchgates among these (ax = -by), the chain family, are
+    the ones no wheel realizes; the others fail in _chain_halves."""
+    return (
+        isinstance(label, SixVertexSignature)
+        and label.c.is_zero()
+        and label.z.is_zero()
+        and not label.a.is_zero()
+        and not label.x.is_zero()
+    )
+
+
+def _chain_halves(f: SixVertexSignature) -> tuple[SixVertexSignature, SixVertexSignature]:
+    """Labels g1 = (1,1,1,1,1,2) and g2 = (a, 2b, -y, x, y, -b) with
+    g1 N g2 = f, N the double Disequality, for f with c = z = 0.  Both have
+    c != 0, so the wheel realizes them when both are matchgates, which for
+    g2 holds exactly when f is one (ax = -by).  SynthesisError when f is
+    not a matchgate or the closed form fails."""
+    if not is_matchgate(f):
+        raise SynthesisError("signature violates the matchgate identity")
+    right = SixVertexSignature(f.a, rational(2) * f.b, -f.y, f.x, f.y, -f.b)
+    composed = compose_n(_CHAIN_LEFT, right).try_six_vertex()
+    if composed is None or composed != f:
+        raise SynthesisError("chain closed form failed")
+    return _CHAIN_LEFT, right
+
+
+def _split_chain_vertices(inst: PlanarInstance) -> PlanarInstance:
+    """The instance with every chain-family vertex split in two.
+
+    A vertex v with rotation (h1, h2, h3, h4) and label f keeps g1 on
+    (h1, h2, k, k+1); a new vertex, numbered after all others, carries g2 on
+    (k+2, k+3, h3, h4), k the least unused half-edge; and two new edges
+    k+1--k+2 and k--k+3 join them.  Instance edges carry Disequality, so
+    the pair contributes g1 N g2 = f, and the map stays planar.  The halves
+    are built and checked once per distinct label.  An instance with no
+    such vertex is returned as it is.
+    """
+    halves = {f: _chain_halves(f) for f in set(inst.labels) if _is_chain(f)}
+    if not halves:
+        return inst
+    m = inst.map
+    vertices = list(m.vertices)
+    involution = dict(enumerate(m.involution))
+    labels = list(inst.labels)
+    k = m.half_edge_count
+    for v, f in enumerate(inst.labels):
+        if f not in halves:
+            continue
+        h1, h2, h3, h4 = m.vertices[v]
+        labels[v], g2 = halves[f]
+        vertices[v] = [h1, h2, k, k + 1]
+        vertices.append([k + 2, k + 3, h3, h4])
+        labels.append(g2)
+        involution.update({k: k + 3, k + 3: k, k + 1: k + 2, k + 2: k + 1})
+        k += 4
+    return PlanarInstance(RotationMap(vertices, involution), tuple(labels))
+
+
 def fkt_eval(
     inst: PlanarInstance, orientation_seed: int = 0
 ) -> Scalar:
     """Exact Holant value through matchgate synthesis and the Pfaffian.
 
-    Every vertex label must be a matchgate six-vertex signature.  Each
-    distinct label is synthesized, and its gadget re-verified against the
-    matching oracle, once per call."""
+    Every vertex label must be a matchgate six-vertex signature.
+    Chain-family vertices are split in two first; then each distinct label
+    is synthesized, and its gadget re-verified against the matching oracle,
+    once per call."""
+    inst = _split_chain_vertices(inst)
     gadgets, scales = _label_gadgets(inst, synthesize, "fkt_eval")
-    assembled = _assemble(inst, gadgets, scales, "diseq")
+    assembled = _assemble(inst, gadgets, scales, _DISEQ_PATH)
     value = _pfaffian_value(assembled, orientation_seed)
     return value / assembled.scale
 
@@ -1090,12 +1029,7 @@ def _hat_gadget(label: SixVertexSignature) -> tuple[PlaneGadget, Scalar]:
     if not is_matchgate_hat(label):
         raise SynthesisError("label is not in M-hat")
     image = hadamard_image(label)
-    odd = any(
-        not image.entries[idx].is_zero()
-        for idx in range(16)
-        if bin(idx).count("1") & 1
-    )
-    if not odd:
+    if not image.has_parity_support(1):
         return synthesize_even_image(image)
     gadget, scale = synthesize_even_image(image.flip_variable(1))
     return add_flip_pigtail(gadget, 0), scale
@@ -1105,11 +1039,11 @@ def fkt_eval_hat(inst: PlanarInstance) -> Scalar:
     """Evaluation for Hadamard-transformed matchgates.
 
     Holant(!= | f) = 2^{-|E|} Holant([1,0,0,-1]-equality | H f), where the
-    signed equality is one direct edge of weight -1 and H f is synthesized
+    signed equality is the weighted path (-1, 1, 1) and H f is synthesized
     per parity (odd images flip variable 1 with a pigtail).  Each distinct
     label is tested, transformed, synthesized and re-verified once per
     call."""
     gadgets, scales = _label_gadgets(inst, _hat_gadget, "fkt_eval_hat")
-    assembled = _assemble(inst, gadgets, scales, "minus-eq")
+    assembled = _assemble(inst, gadgets, scales, _SIGNED_EQ_PATH)
     value = _pfaffian_value(assembled)
     return value / assembled.scale * rational(1, 2 ** inst.map.edge_count)

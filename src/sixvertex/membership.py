@@ -350,13 +350,8 @@ def is_matchgate(f: SixVertexSignature) -> bool:
 
 def is_matchgate_general(g: GeneralSignature4) -> bool:
     """Arity-4 matchgate test: parity condition plus determinant criterion."""
-    has_even = any(
-        not g.entries[idx].is_zero() for idx in range(16) if not bin(idx).count("1") & 1
-    )
-    has_odd = any(
-        not g.entries[idx].is_zero() for idx in range(16) if bin(idx).count("1") & 1
-    )
-    if has_even and has_odd:
+    has_odd = g.has_parity_support(1)
+    if has_odd and g.has_parity_support(0):
         return False
     if has_odd:
         # flip variable 1 through Disequality (a matchgate) to reach even parity

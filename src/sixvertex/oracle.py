@@ -1,5 +1,5 @@
-"""Brute-force ground truth: Holant sums, Eulerian-orientation statistics,
-Tutte polynomial, #CSP enumeration, perfect-matching signatures.
+"""Brute-force ground truth: Holant sums, #CSP enumeration and
+perfect-matching signatures.
 
 Everything here is exponential-time and capped; the point is exactness.
 The backtracking over edge orientations orders edges along a search tree
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .instance import MapError, PlainGraph, PlanarInstance, RotationMap
+from .instance import PlanarInstance
 from .scalar import ONE, ZERO, Scalar
 from .signature import (
     BinarySignature,
@@ -25,18 +25,14 @@ class OracleCapExceeded(RuntimeError):
     pass
 
 
-def _check_cap(edges: int, cap: int) -> None:
-    if edges > cap:
-        raise OracleCapExceeded(f"{edges} edges exceeds the brute-force cap {cap}")
-
-
 # -- Holant ---------------------------------------------------------------------
 
 
 def holant_brute(inst: PlanarInstance, cap: int = 24) -> Scalar:
     """Exact Holant value by backtracking over edge orientations."""
     m = inst.map
-    _check_cap(m.edge_count, cap)
+    if m.edge_count > cap:
+        raise OracleCapExceeded(f"{m.edge_count} edges exceeds the brute-force cap {cap}")
     values: list[Optional[int]] = [None] * m.half_edge_count
     counts = [[0, 0] for _ in range(m.vertex_count)]
     filled = [0] * m.vertex_count
@@ -107,127 +103,6 @@ def holant_brute(inst: PlanarInstance, cap: int = 24) -> Scalar:
         return total
 
     return run(0, ONE)
-
-
-# -- Eulerian statistics -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OrientationStats:
-    count: int
-    saddle_histogram: dict[int, int]
-
-    def weighted_sum(self, base: int = 2) -> int:
-        return sum(mult * base ** beta for beta, mult in self.saddle_histogram.items())
-
-
-def eulerian_stats(map_: RotationMap, cap: int = 24) -> OrientationStats:
-    """Exhaustive Eulerian-orientation census with saddle counts.
-
-    Saddle vertices have their half-edge values alternating in the
-    counterclockwise rotation (in, out, in, out).
-    """
-    if any(d != 4 for d in map_.degrees()):
-        raise MapError("eulerian statistics need a 4-regular map")
-    _check_cap(map_.edge_count, cap)
-    if map_.half_edge_count == 0:
-        return OrientationStats(1, {})
-    values: list[Optional[int]] = [None] * map_.half_edge_count
-    counts = [[0, 0] for _ in range(map_.vertex_count)]
-    filled = [0] * map_.vertex_count
-    histogram: dict[int, int] = {}
-    edges = [(h, map_.involution[h]) for h in range(map_.half_edge_count) if h < map_.involution[h]]
-
-    def saddle(v: int) -> bool:
-        bits = [values[h] for h in map_.vertices[v]]
-        return bits in ([0, 1, 0, 1], [1, 0, 1, 0])
-
-    def recurse(idx: int, saddles: int) -> None:
-        if idx == len(edges):
-            histogram[saddles] = histogram.get(saddles, 0) + 1
-            return
-        h, hp = edges[idx]
-        for bit in (0, 1):
-            ok = True
-            delta = 0
-            touched = []
-            for hh, b in ((h, bit), (hp, 1 - bit)):
-                v = map_.vertex_of[hh]
-                values[hh] = b
-                counts[v][b] += 1
-                filled[v] += 1
-                touched.append(hh)
-                if counts[v][0] > 2 or counts[v][1] > 2:
-                    ok = False
-                    break
-                if filled[v] == 4:
-                    delta += 1 if saddle(v) else 0
-            if ok:
-                recurse(idx + 1, saddles + delta)
-            for hh in touched:
-                v = map_.vertex_of[hh]
-                counts[v][values[hh]] -= 1
-                filled[v] -= 1
-                values[hh] = None
-
-    recurse(0, 0)
-    total = sum(histogram.values())
-    return OrientationStats(total, histogram)
-
-
-# -- Tutte polynomial ----------------------------------------------------------------
-
-
-def tutte(graph: PlainGraph, x: Scalar, y: Scalar, cap: int = 14) -> Scalar:
-    """Deletion-contraction with loop/bridge base cases."""
-    edges = graph.edge_list()
-    n = graph.vertex_count
-    if len(edges) > cap:
-        raise OracleCapExceeded(f"{len(edges)} edges exceeds the Tutte cap {cap}")
-    return _tutte_rec([(a, b) for a, b in edges], n, x, y)
-
-
-def _tutte_rec(edges: list[tuple[int, int]], n: int, x: Scalar, y: Scalar) -> Scalar:
-    if not edges:
-        return ONE
-    a, b = edges[0]
-    rest = edges[1:]
-    if a == b:
-        return y * _tutte_rec(rest, n, x, y)
-    if _is_bridge(edges, n, 0):
-        merged = _contract(rest, a, b)
-        return x * _tutte_rec(merged, n - 1, x, y)
-    deleted = _tutte_rec(rest, n, x, y)
-    contracted = _tutte_rec(_contract(rest, a, b), n - 1, x, y)
-    return deleted + contracted
-
-
-def _contract(edges: list[tuple[int, int]], a: int, b: int) -> list[tuple[int, int]]:
-    out = []
-    for u, v in edges:
-        uu = a if u == b else u
-        vv = a if v == b else v
-        out.append((uu, vv))
-    return out
-
-
-def _is_bridge(edges: list[tuple[int, int]], n: int, idx: int) -> bool:
-    a, b = edges[idx]
-    adj: dict[int, set[int]] = {}
-    for j, (u, v) in enumerate(edges):
-        if j == idx:
-            continue
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    seen = {a}
-    stack = [a]
-    while stack:
-        u = stack.pop()
-        for v in adj.get(u, ()):  # type: ignore[arg-type]
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return b not in seen
 
 
 # -- #CSP enumeration -------------------------------------------------------------------

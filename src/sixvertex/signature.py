@@ -26,6 +26,12 @@ from .scalar import ONE, ZERO, Scalar, format_scalar, parse_scalar
 # matrix M_{x1x2,x4x3}(f^{r*pi/2}) = M of the r-times-rotated signature.
 _VIEW_VARS = ((1, 2, 3, 4), (2, 3, 4, 1), (3, 4, 1, 2), (4, 1, 2, 3))
 
+# the entry indices of even (0) and odd (1) Hamming weight
+_PARITY_INDICES = tuple(
+    tuple(idx for idx in range(16) if bin(idx).count("1") % 2 == parity)
+    for parity in (0, 1)
+)
+
 
 @dataclass(frozen=True)
 class UnarySignature:
@@ -116,6 +122,11 @@ class GeneralSignature4:
 
     def scale(self, factor: Scalar) -> "GeneralSignature4":
         return GeneralSignature4([factor * e for e in self.entries])
+
+    def has_parity_support(self, parity: int) -> bool:
+        """Whether some input of even (parity 0) or odd (parity 1) Hamming
+        weight has a nonzero value."""
+        return any(not self.entries[idx].is_zero() for idx in _PARITY_INDICES[parity])
 
     def try_six_vertex(self) -> Optional["SixVertexSignature"]:
         """Downcast when supported on the six weight-2 patterns of M(f)."""

@@ -4,7 +4,8 @@ The self-checks raise typed errors and survive `python -O`: under `-O` the
 synthesis re-verification still runs once per distinct label of an FKT
 call, with `_scaled_propto` forced to fail both FKT routes raise
 `SynthesisError`, and so does `fkt_eval` when the matcher behind the
-Pfaffian's sign finds no perfect matching.  The library and its tests have
+Pfaffian's sign finds no perfect matching, or when the closed form that
+splits a chain-family vertex in two fails.  The library and its tests have
 no unused imports, and every console script that `pyproject.toml` declares
 resolves to a callable."""
 
@@ -136,11 +137,20 @@ for name, evaluate, label in [
         raised.append(name)
 matchgate._scaled_propto = real_propto
 
+real_matching = matchgate.perfect_matching
 matchgate.perfect_matching = lambda *args: None
 try:
     matchgate.fkt_eval(uniform_instance(grid_patch(2, 2), SixVertexSignature.from_values(1, 1, 2, 1, 1, 1)))
 except matchgate.SynthesisError:
     raised.append("sign")
+matchgate.perfect_matching = real_matching
+
+wrong = SixVertexSignature.from_values(1, 1, 1, 1, 1, 2).to_general()
+matchgate.compose_n = lambda *args: wrong
+try:
+    matchgate.fkt_eval(uniform_instance(grid_patch(2, 2), SixVertexSignature.from_values(1, 1, 0, 1, -1, 0)))
+except matchgate.SynthesisError:
+    raised.append("chain")
 print(",".join(raised))
 """
 
@@ -154,4 +164,4 @@ def test_checks_survive_optimized_mode():
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "witness,profile,fkt,fkt_hat,sign"
+    assert out.stdout.strip() == "witness,profile,fkt,fkt_hat,sign,chain"

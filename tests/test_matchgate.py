@@ -12,12 +12,17 @@ from sixvertex.instance import (
     uniform_instance,
 )
 from sixvertex.matchgate import (
+    _DISEQ_PATH,
+    _SIGNED_EQ_PATH,
     SynthesisError,
     _assemble,
+    _chain_halves,
     _hat_gadget,
+    _is_chain,
     _kasteleyn_matrix,
     _label_gadgets,
     _matching_sign,
+    _split_chain_vertices,
     add_flip_pigtail,
     fkt_eval,
     fkt_eval_hat,
@@ -30,7 +35,12 @@ from sixvertex.matchgate import (
 from sixvertex.membership import is_matchgate, is_matchgate_hat
 from sixvertex.oracle import holant_brute
 from sixvertex.scalar import ONE, ZERO, Scalar, rational
-from sixvertex.signature import SixVertexSignature, hadamard_image
+from sixvertex.signature import (
+    GeneralSignature4,
+    SixVertexSignature,
+    compose_n,
+    hadamard_image,
+)
 
 
 def sv(*vals):
@@ -354,18 +364,34 @@ class TestKasteleyn:
             kasteleyn_orient(m, outer_choice=1)
 
 
+def assert_synthesized(f):
+    """The gadget of f has matching signature scale * f, scale != 0."""
+    gadget, scale = synthesize(f)
+    assert not scale.is_zero()
+    assert gadget.signature() == [scale * v for v in f.to_general().entries]
+    return gadget, scale
+
+
+def assert_chain_halves(f):
+    """f has no wheel, but its halves do, and the halves' gadgets joined by
+    the double Disequality have matching signature (s1 s2) f."""
+    with pytest.raises(SynthesisError):
+        synthesize(f)
+    g1, g2 = _chain_halves(f)
+    left, s1 = assert_synthesized(g1)
+    right, s2 = assert_synthesized(g2)
+    joined = compose_n(GeneralSignature4(left.signature()), GeneralSignature4(right.signature()))
+    assert joined == f.to_general().scale(s1 * s2)
+
+
 class TestSynthesize:
     def test_inner_example(self):
-        f = sv(1, 1, 2, 1, 1, 1)
-        gadget, scale = synthesize(f)
-        assert gadget.signature() == [
-            (scale * v) for v in f.to_general().entries
-        ]
+        assert_synthesized(sv(1, 1, 2, 1, 1, 1))
 
     def test_chain_family(self):
         f = sv(1, 1, 0, 2, -2, 0)
-        gadget, scale = synthesize(f)
-        assert gadget.signature() == [scale * v for v in f.to_general().entries]
+        assert _is_chain(f)
+        assert_chain_halves(f)
 
     def test_not_matchgate_rejected(self):
         with pytest.raises(SynthesisError):
@@ -373,24 +399,23 @@ class TestSynthesize:
 
     def test_random_members(self):
         rng = random.Random(72)
+        chains = 0
         for _ in range(120):
             f = random_matchgate(rng)
             assert is_matchgate(f)
-            gadget, scale = synthesize(f)
-            got = gadget.signature()
-            want = [scale * v for v in f.to_general().entries]
-            assert got == want
+            if _is_chain(f):
+                assert_chain_halves(f)
+                chains += 1
+            else:
+                assert_synthesized(f)
+        assert chains >= 20
 
     def test_even_image_templates(self):
         rng = random.Random(73)
         for _ in range(80):
             f = random_matchgate_hat(rng)
             image = hadamard_image(f)
-            odd = any(
-                not image.entries[idx].is_zero()
-                for idx in range(16)
-                if bin(idx).count("1") & 1
-            )
+            odd = image.has_parity_support(1)
             target = image.flip_variable(1) if odd else image
             gadget, scale = synthesize_even_image(target)
             assert gadget.signature() == [scale * v for v in target.entries]
@@ -472,7 +497,7 @@ class TestFkt:
         assert len(seen) == 4  # nothing is kept between calls
 
     def test_grid_agrees_with_loop_space(self):
-        f = sv(1, 1, 0, 1, -1, 0)  # chain synthesis; also C4i
+        f = sv(1, 1, 0, 1, -1, 0)  # split into chain halves; also C4i
         inst = uniform_instance(grid_patch(6, 6), f)
         by_loops = loopspace.evaluate(inst, profile_base=f)
         for seed in (0, 1):
@@ -506,8 +531,48 @@ class TestFkt:
         before = [list(r) for r in gadget.rotations], list(gadget.edges), list(gadget.externals)
         inst = uniform_instance(grid_patch(2, 2), f)
         count = inst.map.vertex_count
-        _assemble(inst, [gadget] * count, [scale] * count, "diseq")
+        _assemble(inst, [gadget] * count, [scale] * count, _DISEQ_PATH)
         assert (gadget.rotations, gadget.edges, gadget.externals) == before
+
+
+CHAIN, WHEEL = sv(1, 1, 0, 2, -2, 0), sv(1, 1, 2, 1, 1, 1)
+
+
+class TestChainSplit:
+    def test_split_instance_is_planar_with_the_same_holant(self):
+        nonzero = 0
+        instances = [uniform_instance(cycle_medial(3), CHAIN)] + [
+            two_label_instance(medial_of_random_plane_graph(5, 3200 + seed), CHAIN, WHEEL, seed)
+            for seed in range(4)
+        ]
+        for inst in instances:
+            k = inst.labels.count(CHAIN)
+            split = _split_chain_vertices(inst)
+            split.map.validate_planar()
+            assert split.map.vertex_count == inst.map.vertex_count + k
+            assert split.map.edge_count == inst.map.edge_count + 2 * k
+            assert not any(_is_chain(label) for label in split.labels)
+            value = holant_brute(inst)
+            assert holant_brute(split) == value
+            nonzero += not value.is_zero()
+        assert nonzero >= 2
+
+    def test_instance_without_chain_labels_is_kept(self):
+        inst = uniform_instance(grid_patch(2, 3), WHEEL)
+        assert _split_chain_vertices(inst) is inst
+
+    def test_synthesize_never_sees_a_chain_label(self, monkeypatch):
+        seen = count_calls(monkeypatch, matchgate, "synthesize")
+        inst = two_label_instance(grid_patch(2, 3), CHAIN, WHEEL, 0)
+        assert fkt_eval(inst) == holant_brute(inst)
+        assert sorted(map(repr, seen)) == sorted(map(repr, [*_chain_halves(CHAIN), WHEEL]))
+
+    def test_outside_the_closed_form_raises_before_synthesis(self, monkeypatch):
+        f = sv(1, 1, 0, 1, 1, 0)  # c = z = 0 and ax != 0, but ax != -by
+        seen = count_calls(monkeypatch, matchgate, "synthesize")
+        with pytest.raises(SynthesisError):
+            fkt_eval(uniform_instance(cycle_medial(3), f))
+        assert seen == []
 
 
 class TestFktHat:
@@ -561,10 +626,15 @@ class TestFktHat:
 
 
 def assembled_graph(inst, joiner):
-    """The graph fkt_eval ("diseq") or fkt_eval_hat ("minus-eq") assembles."""
-    build = synthesize if joiner == "diseq" else _hat_gadget
+    """The graph fkt_eval ("diseq", chain-family vertices split first) or
+    fkt_eval_hat ("minus-eq") assembles."""
+    if joiner == "diseq":
+        inst = _split_chain_vertices(inst)
+        build, path = synthesize, _DISEQ_PATH
+    else:
+        build, path = _hat_gadget, _SIGNED_EQ_PATH
     gadgets, scales = _label_gadgets(inst, build, "test")
-    return _assemble(inst, gadgets, scales, joiner)
+    return _assemble(inst, gadgets, scales, path)
 
 
 def ones_pfaffian(assembled, outer_choice):
