@@ -16,14 +16,26 @@ Tables are computed two independent ways: directly, by extending the two
 leader assignments along both circuits, and through the entry/exit
 exponent profiles; the two must agree entrywise, which pins down the
 combinatorial chirality conventions.
+
+Per record, `induced_csp` does integer bookkeeping only: it files the
+vertex under its class (label object, slot of x1, entry or exit, self or
+intersection).  Circuits run straight through a degree-4 vertex, so the
+class fixes the vertex's factor under every assignment of its circuits;
+the factors and the class's rotated form of the base are computed once per
+class.  A pair's or a circuit's table depends only on how many of its
+vertices fall in each class, so the direct table is built once per distinct
+count vector and the profile table once per distinct exponent vector, and
+every pair and every circuit is still compared against its profile.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 from operator import mul
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .cspsolve import NotAffine, NotProduct, affine_eval, product_eval
 from .instance import PlanarInstance
@@ -37,8 +49,7 @@ class LoopSpaceError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class VertexRecord:
+class VertexRecord(NamedTuple):
     vertex: int
     kind: str  # "intersection" or "self"
     i: int
@@ -62,8 +73,10 @@ class CircuitDecomposition:
 
 
 def _require_loop_form(inst: PlanarInstance) -> None:
-    for rot, label in zip(inst.map.vertices, inst.labels):
-        if len(rot) != 4 or not isinstance(label, SixVertexSignature):
+    if any(len(rot) != 4 for rot in inst.map.vertices):
+        raise LoopSpaceError("loop space needs degree-4 six-vertex labels only")
+    for label in {id(label): label for label in inst.labels}.values():
+        if not isinstance(label, SixVertexSignature):
             raise LoopSpaceError("loop space needs degree-4 six-vertex labels only")
         if not (label.c.is_zero() and label.z.is_zero()):
             raise LoopSpaceError("loop space needs labels with zero inner pair")
@@ -76,70 +89,69 @@ def decompose(
 
     `leaders` optionally lists one half-edge per circuit to anchor its
     traversal (the anchored half-edge enters its vertex first); by default
-    the lowest half-edge id of each circuit leads it.
+    the lowest half-edge id of each circuit leads it.  A leader that is not
+    a half-edge of the instance raises LoopSpaceError.
     """
     _require_loop_form(inst)
     m = inst.map
     n_half = m.half_edge_count
+    preferred = list(leaders) if leaders else []
+    for h in preferred:
+        if not 0 <= h < n_half:
+            raise LoopSpaceError(
+                f"leader {h!r} is not a half-edge of the instance (0..{n_half - 1})"
+            )
+    opposite = [0] * n_half
+    successor = [0] * n_half  # ccw-successor around the vertex
+    for h0, h1, h2, h3 in m.vertices:
+        opposite[h0], opposite[h1], opposite[h2], opposite[h3] = h2, h3, h0, h1
+        successor[h0], successor[h1], successor[h2], successor[h3] = h1, h2, h3, h0
+    involution = m.involution
     circuit_of = [-1] * n_half
     enters = [False] * n_half
     circuits: list[tuple[int, ...]] = []
     chosen_leaders: list[int] = []
-    preferred = list(leaders) if leaders else []
 
-    def trace(start: int, cid: int) -> tuple[int, ...]:
-        seq = []
-        h = start
-        entering = True
-        while circuit_of[h] == -1:
-            circuit_of[h] = cid
-            enters[h] = entering
-            seq.append(h)
-            h = m.opposite(h) if entering else m.involution[h]
-            entering = not entering
-        if h != start:
-            raise LoopSpaceError("twin closure failed to close a circuit")
-        return tuple(seq)
-
-    for start in list(preferred) + list(range(n_half)):
+    for start in chain(preferred, range(n_half)):
         if circuit_of[start] != -1:
             continue
         cid = len(circuits)
-        circuits.append(trace(start, cid))
+        seq: list[int] = []
+        h = start
+        # an entering half-edge leaves through its opposite, whose twin
+        # enters the next vertex
+        while circuit_of[h] == -1:
+            out = opposite[h]
+            circuit_of[h] = circuit_of[out] = cid
+            enters[h] = True
+            seq += (h, out)
+            h = involution[out]
+        if h != start:
+            raise LoopSpaceError("twin closure failed to close a circuit")
+        circuits.append(tuple(seq))
         chosen_leaders.append(start)
 
+    slot_of = m.slot_of
     records = []
-    for vid, rot in enumerate(m.vertices):
-        enter_halves = [h for h in rot if enters[h]]
-        if len(enter_halves) != 2:
+    for vid, (h0, h1, h2, h3) in enumerate(m.vertices):
+        if enters[h0] == enters[h2] or enters[h1] == enters[h3]:
             raise LoopSpaceError("each vertex must be entered exactly twice")
-        e1, e2 = enter_halves
+        # the two enters, in adjacent slots
+        e1 = h0 if enters[h0] else h2
+        e2 = h1 if enters[h1] else h3
         c1, c2 = circuit_of[e1], circuit_of[e2]
         if c1 == c2:
             # self-intersection: x1 is the enter whose ccw-successor is the
             # other enter
-            if m.rotation_next(e1) == e2:
-                x1 = e1
-            elif m.rotation_next(e2) == e1:
-                x1 = e2
-            else:
-                raise LoopSpaceError("self-intersection enters are not adjacent")
-            records.append(
-                VertexRecord(vid, "self", c1, c1, x1, m.slot_of[x1], False)
-            )
+            x1 = e1 if successor[e1] == e2 else e2
+            records.append(VertexRecord(vid, "self", c1, c1, x1, slot_of[x1], False))
         else:
-            lo_half, hi_half = (e1, e2) if c1 < c2 else (e2, e1)
+            if c1 > c2:
+                e1, e2, c1, c2 = e2, e1, c2, c1
             # entry vertex: circuit j enters through the ccw-successor of x1
-            entry = m.rotation_next(lo_half) == hi_half
             records.append(
                 VertexRecord(
-                    vid,
-                    "intersection",
-                    min(c1, c2),
-                    max(c1, c2),
-                    lo_half,
-                    m.slot_of[lo_half],
-                    entry,
+                    vid, "intersection", c1, c2, e1, slot_of[e1], successor[e1] == e2
                 )
             )
     return CircuitDecomposition(
@@ -175,18 +187,37 @@ def _vertex_factor(inst: PlanarInstance, dec: CircuitDecomposition, vid: int, bi
     return inst.labels[vid].value(*args)
 
 
-def _factor_product(
-    inst: PlanarInstance, dec: CircuitDecomposition, recs: Sequence[VertexRecord], bits
-) -> Scalar:
-    """Product of the vertex factors at `recs`, as one power per distinct
-    factor value."""
-    counts: dict[Scalar, int] = {}
-    for rec in recs:
-        v = _vertex_factor(inst, dec, rec.vertex, bits)
-        if v.is_zero():
-            return ZERO
-        counts[v] = counts.get(v, 0) + 1
-    return reduce(mul, [v**e for v, e in counts.items()])
+def _class_factors(
+    inst: PlanarInstance, dec: CircuitDecomposition, rec: VertexRecord
+) -> tuple[Scalar, ...]:
+    """The factor of `rec`'s vertex under each assignment of its circuits,
+    in table order: (i, j) = 00, 01, 10, 11, or i = 0, 1 at a
+    self-intersection."""
+    if rec.kind == "self":
+        return tuple(_vertex_factor(inst, dec, rec.vertex, {rec.i: b}) for b in (0, 1))
+    return tuple(
+        _vertex_factor(inst, dec, rec.vertex, {rec.i: b, rec.j: bp})
+        for b in (0, 1)
+        for bp in (0, 1)
+    )
+
+
+def _table_entries(
+    counts: Counter, factors: Sequence[tuple[Scalar, ...]], size: int
+) -> list[Scalar]:
+    """Each table entry as the product of the class factors raised to the
+    class counts, one power per distinct factor value."""
+    entries = []
+    for e in range(size):
+        powers: dict[Scalar, int] = {}
+        for c, n in counts.items():
+            v = factors[c][e]
+            powers[v] = powers.get(v, 0) + n
+        if any(v.is_zero() for v in powers):
+            entries.append(ZERO)
+        else:
+            entries.append(reduce(mul, [v**n for v, n in powers.items()]))
+    return entries
 
 
 def induced_csp(
@@ -195,87 +226,108 @@ def induced_csp(
     profile_base: Optional[SixVertexSignature] = None,
 ) -> InducedCSP:
     """Build the circuit #CSP, verifying the direct tables against the
-    entry/exit exponent profiles when a base signature is available."""
-    check = profile_base is not None
-    form_index = _form_indexer(inst, profile_base) if check else None
-    pair_vertices: dict[tuple[int, int], list[VertexRecord]] = {}
-    self_vertices: dict[int, list[VertexRecord]] = {}
+    entry/exit exponent profiles when a base signature is available.
+
+    Per record, the vertex is filed under its class and its pair or circuit.
+    Per class, the vertex factors and the form index are computed once.  Per
+    distinct class-count vector, the direct table is built and compared
+    with the profile table, which is computed once per distinct (k, l) or m
+    exponent vector.  Nothing is kept between calls.
+    """
+    labels = inst.labels
+    # the class memo keys on the label's id, which is unique while `inst`
+    # keeps every label alive, and cheaper than hashing its six scalars
+    class_of: dict[tuple[int, int, bool, str], int] = {}
+    reps: list[VertexRecord] = []
+    pair_classes: dict[tuple[int, int], list[int]] = {}
+    self_classes: dict[int, list[int]] = {}
     for rec in dec.records:
+        key = (id(labels[rec.vertex]), rec.rotation, rec.entry, rec.kind)
+        c = class_of.get(key)
+        if c is None:
+            c = class_of[key] = len(reps)
+            reps.append(rec)
         if rec.kind == "intersection":
-            pair_vertices.setdefault((rec.i, rec.j), []).append(rec)
+            pair_classes.setdefault((rec.i, rec.j), []).append(c)
         else:
-            self_vertices.setdefault(rec.i, []).append(rec)
+            self_classes.setdefault(rec.i, []).append(c)
+    factors = [_class_factors(inst, dec, rec) for rec in reps]
+
+    check = profile_base is not None
+    if check:
+        base_forms = [profile_base.rotate(r) for r in range(4)]
+        form = [_form_indexer(base_forms, labels[rec.vertex], rec.rotation) for rec in reps]
+        binary_profiles: dict[tuple[tuple[int, ...], tuple[int, ...]], BinarySignature] = {}
+        unary_profiles: dict[tuple[int, ...], UnarySignature] = {}
 
     binary = {}
-    for (i, j), recs in pair_vertices.items():
-        table = BinarySignature(
-            *(
-                _factor_product(inst, dec, recs, {i: b, j: bp})
-                for b in (0, 1)
-                for bp in (0, 1)
-            )
-        )
-        if check:
-            profile = _profile_binary(recs, profile_base, form_index)
-            if profile.values() != table.values():
-                raise LoopSpaceError(
-                    f"direct and profile tables disagree on pair {(i, j)}"
-                )
-        binary[(i, j)] = table
+    binary_tables: dict[tuple[int, ...], BinarySignature] = {}
+    for pair, classes in pair_classes.items():
+        key = tuple(sorted(classes))
+        table = binary_tables.get(key)
+        if table is None:
+            counts = Counter(key)
+            table = binary_tables[key] = BinarySignature(*_table_entries(counts, factors, 4))
+            if check:
+                k = [0, 0, 0, 0]
+                l = [0, 0, 0, 0]
+                for c, n in counts.items():
+                    if reps[c].entry:
+                        k[form[c]] += n
+                    else:
+                        # exit columns are shifted: forms f^{pi/2},f^{pi},f^{3pi/2},f
+                        l[(form[c] - 1) % 4] += n
+                exponents = (tuple(k), tuple(l))
+                profile = binary_profiles.get(exponents)
+                if profile is None:
+                    profile = binary_profiles[exponents] = _profile_binary(
+                        k, l, profile_base
+                    )
+                if profile.values() != table.values():
+                    raise LoopSpaceError(f"direct and profile tables disagree on pair {pair}")
+        binary[pair] = table
 
     unary = {}
-    for i, recs in self_vertices.items():
-        table = UnarySignature(*(_factor_product(inst, dec, recs, {i: b}) for b in (0, 1)))
-        if check:
-            profile = _profile_unary(recs, profile_base, form_index)
-            if profile.values() != table.values():
-                raise LoopSpaceError(f"direct and profile tables disagree on h_{i}")
+    unary_tables: dict[tuple[int, ...], UnarySignature] = {}
+    for i, classes in self_classes.items():
+        key = tuple(sorted(classes))
+        table = unary_tables.get(key)
+        if table is None:
+            counts = Counter(key)
+            table = unary_tables[key] = UnarySignature(*_table_entries(counts, factors, 2))
+            if check:
+                m = [0, 0, 0, 0]
+                for c, n in counts.items():
+                    m[form[c]] += n
+                exponents = tuple(m)
+                profile = unary_profiles.get(exponents)
+                if profile is None:
+                    profile = unary_profiles[exponents] = _profile_unary(m, profile_base)
+                if profile.values() != table.values():
+                    raise LoopSpaceError(f"direct and profile tables disagree on h_{i}")
         unary[i] = table
     return InducedCSP(dec.k, binary, unary)
 
 
-_FormIndex = Callable[[VertexRecord], int]
-
-
-def _form_indexer(inst: PlanarInstance, base: SixVertexSignature) -> _FormIndex:
-    """Which rotated form of `base` the local x1-labeling sees at a vertex,
-    memoised per (label, rotation) for the lifetime of the returned function.
-
-    The memo is keyed by the label's id, which is unique while `inst` keeps
-    every label alive, and cheaper than hashing a label's six scalars."""
-    base_forms = [base.rotate(r) for r in range(4)]
-    memo: dict[tuple[int, int], int] = {}
-
-    def form_index(rec: VertexRecord) -> int:
-        label = inst.labels[rec.vertex]
-        key = (id(label), rec.rotation)
-        r = memo.get(key)
-        if r is None:
-            local = label.rotate(rec.rotation)
-            for r, form in enumerate(base_forms):
-                if form == local:
-                    break
-            else:
-                raise LoopSpaceError("vertex label is not a rotation of the base signature")
-            memo[key] = r
-        return r
-
-    return form_index
+def _form_indexer(
+    base_forms: Sequence[SixVertexSignature], label: SixVertexSignature, rotation: int
+) -> int:
+    """Which rotated form of the base (`base_forms[r]` is the base turned r
+    quarter turns) the local x1-labeling sees at a vertex with `label`
+    whose x1 sits at slot `rotation`."""
+    local = label.rotate(rotation)
+    for r, form in enumerate(base_forms):
+        if form == local:
+            return r
+    raise LoopSpaceError("vertex label is not a rotation of the base signature")
 
 
 def _profile_binary(
-    recs: Sequence[VertexRecord], base: SixVertexSignature, form_index: _FormIndex
+    k: Sequence[int], l: Sequence[int], base: SixVertexSignature
 ) -> BinarySignature:
-    """Def-4.3 monomial evaluation from the (k, l) exponent profile."""
-    k = [0, 0, 0, 0]
-    l = [0, 0, 0, 0]
-    for rec in recs:
-        r = form_index(rec)
-        if rec.entry:
-            k[r] += 1
-        else:
-            # exit columns are shifted: forms f^{pi/2},f^{pi},f^{3pi/2},f
-            l[(r - 1) % 4] += 1
+    """Def-4.3 monomial evaluation from the (k, l) exponent profile: k counts
+    the entry vertices in each form, l the exit vertices in each shifted
+    form."""
     if sum(k) != sum(l):
         raise LoopSpaceError("entry/exit imbalance in a pairwise profile")
     a, b, x, y = base.a, base.b, base.x, base.y
@@ -289,12 +341,8 @@ def _profile_binary(
     )
 
 
-def _profile_unary(
-    recs: Sequence[VertexRecord], base: SixVertexSignature, form_index: _FormIndex
-) -> UnarySignature:
-    m = [0, 0, 0, 0]
-    for rec in recs:
-        m[form_index(rec)] += 1
+def _profile_unary(m: Sequence[int], base: SixVertexSignature) -> UnarySignature:
+    """The unary profile table from m, the self-intersections in each form."""
     a, b, x, y = base.a, base.b, base.x, base.y
     m1, m2, m3, m4 = m
     return UnarySignature(
@@ -314,6 +362,9 @@ def entry_exit_audit(dec: CircuitDecomposition) -> bool:
     return not any(balance.values())
 
 
+_METHODS = ("auto", "product", "affine", "brute")
+
+
 def evaluate(
     inst: PlanarInstance,
     profile_base: Optional[SixVertexSignature] = None,
@@ -325,11 +376,16 @@ def evaluate(
     then brute enumeration, which raises OracleCapExceeded past csp_brute's
     cap; "product", "affine" and "brute" force one path.
 
-    Many induced tables repeat, so each distinct table is tested for
-    membership once per call, and the solvers receive the constraints as
-    (witness, variables) pairs instead of re-testing every table.  Nothing
-    is kept between calls.
+    An unknown method raises ValueError before any work is done.
+
+    `induced_csp` does per-vertex bookkeeping only and builds each distinct
+    table once (see its docstring).  Many induced tables repeat, so each
+    distinct table is tested for membership once per call, and the solvers
+    receive the constraints as (witness, variables) pairs instead of
+    re-testing every table.  Nothing is kept between calls.
     """
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}")
     dec = decompose(inst)
     if not entry_exit_audit(dec):
         raise LoopSpaceError("entry/exit balance violated (planarity bug)")
@@ -347,9 +403,7 @@ def evaluate(
             return affine_eval(witnessed, csp.n_vars)
         if method == "affine":
             raise NotAffine("induced tables are not affine")
-    if method in ("auto", "brute"):
-        return csp_brute(csp.n_vars, constraints)
-    raise ValueError(f"unknown method {method!r}")
+    return csp_brute(csp.n_vars, constraints)
 
 
 def _witnessed(

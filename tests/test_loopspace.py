@@ -3,6 +3,7 @@ import random
 import pytest
 
 from sixvertex.instance import (
+    PlanarInstance,
     RotationMap,
     cycle_medial,
     grid_patch,
@@ -178,6 +179,23 @@ class TestEvaluate:
 
             assert affine_eval(csp.constraints(), csp.n_vars) == base
 
+    def test_bad_leaders_raise_typed_error(self):
+        inst = uniform_instance(cycle_medial(3), sv(1, 1, 0, 1, 1, 0))
+        for bad in (-1, 999, inst.map.half_edge_count):
+            with pytest.raises(LoopSpaceError, match=f"leader {bad} "):
+                decompose(inst, leaders=[bad])
+
+    def test_unknown_method_raises_before_any_work(self, monkeypatch):
+        from sixvertex import loopspace
+
+        def no_decompose(*args, **kwargs):
+            raise AssertionError("decompose ran before the method was checked")
+
+        monkeypatch.setattr(loopspace, "decompose", no_decompose)
+        inst = uniform_instance(cycle_medial(3), sv(1, 1, 0, 1, 1, 0))
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            evaluate(inst, method="bogus")
+
     def test_empty_instance(self):
         inst = uniform_instance(RotationMap([], {}), sv(1, 1, 0, 1, 1, 0))
         assert evaluate(inst) == ONE
@@ -261,39 +279,137 @@ class TestWitnessReuse:
         assert len(seen["product"]) == 2 * first
 
 
+def assert_tables_equal_plain_factor_products(inst, f):
+    """The induced tables of `inst` equal, entrywise, the per-record products
+    of the vertex factors, multiplied one vertex at a time."""
+    from sixvertex.loopspace import _vertex_factor
+
+    dec = decompose(inst)
+    csp = induced_csp(dec, inst, profile_base=f)
+    by_pair, by_self = {}, {}
+    for rec in dec.records:
+        if rec.kind == "intersection":
+            by_pair.setdefault((rec.i, rec.j), []).append(rec.vertex)
+        else:
+            by_self.setdefault(rec.i, []).append(rec.vertex)
+
+    def plain(vertices, bits):
+        acc = ONE
+        for vid in vertices:
+            acc = acc * _vertex_factor(inst, dec, vid, bits)
+        return acc
+
+    assert set(csp.binary) == set(by_pair)
+    assert set(csp.unary) == set(by_self)
+    for (i, j), vertices in by_pair.items():
+        expected = tuple(
+            plain(vertices, {i: b, j: bp}) for b in (0, 1) for bp in (0, 1)
+        )
+        assert csp.binary[(i, j)].values() == expected
+    for i, vertices in by_self.items():
+        expected = tuple(plain(vertices, {i: b}) for b in (0, 1))
+        assert csp.unary[i].values() == expected
+
+
 class TestInducedTables:
     def test_tables_equal_plain_factor_products(self):
-        from sixvertex.loopspace import _vertex_factor
-
         rng = random.Random(69)
         for trial, m in enumerate(small_medials(70, 10, max_edges=40)):
             f = random_c4i(rng) if trial % 2 else random_c4ii(rng)
-            inst = uniform_instance(m, f)
+            assert_tables_equal_plain_factor_products(uniform_instance(m, f), f)
+
+    def test_mixed_rotation_labels(self):
+        """Vertices labeled by different rotations of one base, as distinct
+        objects: the per-class work keys on label identity and slot, so
+        value-equal labels in separate objects must still agree."""
+        rng = random.Random(73)
+        equal_but_distinct = 0
+        for trial, m in enumerate(small_medials(74, 12)):
+            f = random_c4i(rng) if trial % 2 else random_c4ii(rng)
+            labels = tuple(
+                SixVertexSignature(*f.rotate(rng.randrange(4)).tuple())
+                for _ in range(m.vertex_count)
+            )
+            inst = PlanarInstance(m, labels)
+            equal_but_distinct += any(
+                labels[u] == labels[v] and labels[u] is not labels[v]
+                for u in range(len(labels))
+                for v in range(u)
+            )
+            assert evaluate(inst, profile_base=f) == holant_brute(inst), trial
+            assert_tables_equal_plain_factor_products(inst, f)
+        assert equal_but_distinct
+
+    def test_work_per_class_and_per_distinct_profile(self, monkeypatch):
+        """_vertex_factor runs at most 4 times per vertex class and
+        _profile_binary once per distinct (k, l) vector, however many
+        vertices the instance has."""
+        from sixvertex import loopspace
+
+        calls = {"factor": 0, "profile": []}
+        real_factor = loopspace._vertex_factor
+        real_profile = loopspace._profile_binary
+
+        def factor(*args):
+            calls["factor"] += 1
+            return real_factor(*args)
+
+        def profile(k, l, base):
+            calls["profile"].append((tuple(k), tuple(l)))
+            return real_profile(k, l, base)
+
+        monkeypatch.setattr(loopspace, "_vertex_factor", factor)
+        monkeypatch.setattr(loopspace, "_profile_binary", profile)
+        f = sv(1, 2, 0, 2, 1, 0)
+        forms = [f.rotate(r) for r in range(4)]
+        factor_calls = []
+        for size in (4, 8):
+            inst = uniform_instance(grid_patch(size, size), f)
             dec = decompose(inst)
-            csp = induced_csp(dec, inst, profile_base=f)
-            by_pair, by_self = {}, {}
+            calls["factor"] = 0
+            calls["profile"].clear()
+            induced_csp(dec, inst, profile_base=f)
+            classes = {
+                (id(inst.labels[rec.vertex]), rec.rotation, rec.entry, rec.kind)
+                for rec in dec.records
+            }
+            assert calls["factor"] <= 4 * len(classes)
+            factor_calls.append(calls["factor"])
+            profiles = {}
             for rec in dec.records:
-                if rec.kind == "intersection":
-                    by_pair.setdefault((rec.i, rec.j), []).append(rec.vertex)
+                if rec.kind != "intersection":
+                    continue
+                k, l = profiles.setdefault((rec.i, rec.j), ([0] * 4, [0] * 4))
+                r = forms.index(inst.labels[rec.vertex].rotate(rec.rotation))
+                if rec.entry:
+                    k[r] += 1
                 else:
-                    by_self.setdefault(rec.i, []).append(rec.vertex)
+                    l[(r - 1) % 4] += 1
+            expected = {(tuple(k), tuple(l)) for k, l in profiles.values()}
+            assert len(expected) < len(profiles)  # the grid repeats its profiles
+            assert sorted(calls["profile"]) == sorted(expected)
+        assert factor_calls[0] == factor_calls[1]
 
-            def plain(vertices, bits):
-                acc = ONE
-                for vid in vertices:
-                    acc = acc * _vertex_factor(inst, dec, vid, bits)
-                return acc
+    def test_form_misindex_raises(self, monkeypatch):
+        """Mis-indexing the form of any single rotation breaks the
+        comparison of direct and profile tables."""
+        from sixvertex import loopspace
 
-            assert set(csp.binary) == set(by_pair)
-            assert set(csp.unary) == set(by_self)
-            for (i, j), vertices in by_pair.items():
-                expected = tuple(
-                    plain(vertices, {i: b, j: bp}) for b in (0, 1) for bp in (0, 1)
-                )
-                assert csp.binary[(i, j)].values() == expected
-            for i, vertices in by_self.items():
-                expected = tuple(plain(vertices, {i: b}) for b in (0, 1))
-                assert csp.unary[i].values() == expected
+        f = sv(2, 3, 0, 5, 7, 0)
+        inst = uniform_instance(grid_patch(3, 3), f)
+        dec = decompose(inst)
+        real = loopspace._form_indexer
+        rotations = {rec.rotation for rec in dec.records}
+        assert len(rotations) > 1
+        for target in rotations:
+
+            def wrong(base_forms, label, rotation, target=target):
+                r = real(base_forms, label, rotation)
+                return (r + 1) % 4 if rotation == target else r
+
+            monkeypatch.setattr(loopspace, "_form_indexer", wrong)
+            with pytest.raises(LoopSpaceError):
+                induced_csp(dec, inst, profile_base=f)
 
     def test_profile_mismatch_still_raises(self, monkeypatch):
         from sixvertex import loopspace
