@@ -12,6 +12,14 @@ split.  For the pivot variable's linear coefficient c:
 using x xor y = x + y - 2xy to push Z_2 substitutions through Z_4.  Every
 result stays inside Q(zeta_8).
 
+Pivot order: each linear condition is solved as soon as it exists, by
+substituting for its variable of least degree (pending rows plus cross
+partners, ties by index).  With no condition pending, the live variable of
+least cross degree (ties by index) is summed out; a lazy heap of (degree,
+variable) finds it, as in matchgate.pfaffian_sparse.  Cross terms are kept
+as one partner set per variable and linear conditions as sparse variable
+sets, so a step costs in the size of its neighbourhood, not in n.
+
 Product-type instances decompose into =/!= relations with unary weights,
 solved by union-find with parity; an inconsistent relation set makes the
 value 0, which is a legitimate partition-function value, not an error.
@@ -19,11 +27,12 @@ value 0, which is a legitimate partition-function value, not an error.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .membership import AffineWitness, ProductWitness, is_affine, is_product
-from .scalar import I, ONE, SQRT2, W, ZERO, Scalar
+from .scalar import MU8, ONE, SQRT2, ZERO, Scalar
 from .signature import BinarySignature, UnarySignature
 
 
@@ -36,36 +45,39 @@ class NotProduct(ValueError):
 
 
 class GaussSumError(RuntimeError):
-    """The elimination left a quadratic or linear term on a free variable."""
+    """The elimination left a variable unsummed or a term of Q behind."""
 
 
 @dataclass
 class AffineAggregate:
-    """lam * chi_{AX=0} * i^Q over n variables, cross coefficients even."""
+    """lam * sqrt(2)^sqrt2_exp * w^w_exp * chi_{rows} * i^Q over n variables.
+
+    Q = sum lin[v] x_v + sum over partners u in adj[v] of 2 x_u x_v (each
+    pair once): cross coefficients are 0 or 2, so a partner set holds them.
+    A row (variables, constant) is the Z_2 condition that the variables
+    xor to the constant.
+    """
 
     n: int
     lam: Scalar
-    rows: list[int]  # bitmasks over n+1 columns; bit n is the affine constant
+    rows: list[tuple[set[int], int]]
     lin: list[int]  # Z_4 coefficients
-    cross: dict[tuple[int, int], int]  # (s < t) -> Z_4 coefficient, always 0 or 2
+    adj: list[set[int]]
+    sqrt2_exp: int = 0
+    w_exp: int = 0  # mod 8
 
     @classmethod
     def empty(cls, n: int) -> "AffineAggregate":
-        return cls(n, ONE, [], [0] * n, {})
+        return cls(n, ONE, [], [0] * n, [set() for _ in range(n)])
 
     def add_witness(self, witness: AffineWitness, variables: Sequence[int]) -> None:
         if witness.n != len(variables):
             raise ValueError("arity mismatch")
         self.lam = self.lam * witness.lam
         for row in witness.rows:
-            mask = 0
-            for local, coeff in enumerate(row[:-1]):
-                if coeff:
-                    mask ^= 1 << variables[local]
-            if row[-1]:
-                mask ^= 1 << self.n
-            if mask:
-                self.rows.append(mask)
+            vars_ = {variables[local] for local, coeff in enumerate(row[:-1]) if coeff}
+            if vars_ or row[-1]:
+                self.rows.append((vars_, row[-1]))
         for local, coeff in enumerate(witness.quad_lin):
             self.add_lin(variables[local], coeff)
         for s, t, bit in witness.quad_cross:
@@ -79,16 +91,18 @@ class AffineAggregate:
             # x^2 = x on 0/1 values
             self.add_lin(u, coeff)
             return
-        key = (min(u, v), max(u, v))
-        value = (self.cross.get(key, 0) + coeff) % 4
-        if value % 2:
+        coeff %= 4
+        if coeff % 2:
             raise NotAffine("odd cross coefficient")
-        if value:
-            self.cross[key] = value
-        else:
-            self.cross.pop(key, None)
+        if coeff:
+            if v in self.adj[u]:
+                self.adj[u].discard(v)
+                self.adj[v].discard(u)
+            else:
+                self.adj[u].add(v)
+                self.adj[v].add(u)
 
-    def add_parity_term(self, vars_: list[int], const: int, scale: int) -> None:
+    def add_parity_term(self, vars_: Iterable[int], const: int, scale: int) -> None:
         """Add scale * parity(x_{vars} xor const) to Q (mod 4).
 
         parity(S) = sum x - 2 * sum_{s<t} x_s x_t (mod 4) on 0/1 values;
@@ -98,15 +112,41 @@ class AffineAggregate:
         if scale == 0:
             return
         if const:
-            # scale * (1 - P) = scale + (-scale) * P
-            self.lam = self.lam * I ** scale
-            self.add_parity_term(vars_, 0, -scale)
-            return
+            # scale * (1 - P) = scale + (-scale) * P, and i^scale = w^{2 scale}
+            self.w_exp = (self.w_exp + 2 * scale) % 8
+            scale = -scale % 4
+        vars_ = list(vars_)
         for v in vars_:
             self.add_lin(v, scale)
-        for idx, s in enumerate(vars_):
-            for t in vars_[idx + 1 :]:
-                self.add_cross(s, t, (-2 * scale) % 4)
+        if scale % 2:
+            for idx, s in enumerate(vars_):
+                for t in vars_[idx + 1 :]:
+                    self.add_cross(s, t, 2)
+
+    def detach(self, var: int) -> set[int]:
+        """Remove x_var's cross terms from Q and return its partners."""
+        partners = self.adj[var]
+        self.adj[var] = set()
+        for u in partners:
+            self.adj[u].discard(var)
+        return partners
+
+    def substitute(self, pivot: int, others: set[int], const: int) -> set[int]:
+        """Replace x_pivot by xor(others) xor const inside Q; return the
+        partners it had."""
+        coeff = self.lin[pivot]
+        self.lin[pivot] = 0
+        partners = self.detach(pivot)
+        if coeff:
+            self.add_parity_term(others, const, coeff)
+        for o in partners:
+            # 2 * x_pivot * x_o = 2 * (xor(others) xor const) * x_o  (mod 4):
+            # the parity's own cross terms cancel against the factor 2
+            if const:
+                self.add_lin(o, 2)
+            for v in others:
+                self.add_cross(v, o, 2)  # x^2 = x when v == o
+        return partners
 
 
 def affine_eval(
@@ -156,124 +196,98 @@ def _collapse_repeats(sig, var_tuple):
 
 
 def _gauss_sum(agg: AffineAggregate) -> Scalar:
-    """Eliminate the linear system, then free variables one at a time."""
+    """Solve the linear rows, then sum out the live variable of least cross
+    degree (ties by index) until none is left."""
     n = agg.n
-    alive = [True] * n
     if agg.lam.is_zero():
         return ZERO
+    alive = [True] * n
+    heap = [(len(agg.adj[v]), v) for v in range(n)]
+    heapq.heapify(heap)
+    touched: set[int] = set()
 
-    def substitute_linear() -> bool:
-        """Gaussian elimination over Z_2; substitute pivots into Q.
+    def requeue() -> None:
+        """Queue every live touched variable under its current degree."""
+        for u in touched:
+            if alive[u]:
+                heapq.heappush(heap, (len(agg.adj[u]), u))
+        touched.clear()
 
-        Returns False on inconsistency.
-        """
-        rows = [r for r in agg.rows if r]
-        agg.rows = []
-        basis: dict[int, int] = {}  # pivot var -> row mask
-        for row in rows:
-            for pv, pr in basis.items():
-                if row >> pv & 1:
-                    row ^= pr
-            vars_bits = row & ((1 << n) - 1)
-            if vars_bits == 0:
-                if row:
-                    return False  # 0 = 1
-                continue
-            pivot = vars_bits.bit_length() - 1
-            basis[pivot] = row
-        # reduce rows against each other for clean substitution
-        for pv in sorted(basis, reverse=True):
-            row = basis[pv]
-            for qv in list(basis):
-                if qv != pv and basis[qv] >> pv & 1:
-                    basis[qv] ^= row
-        for pivot, row in basis.items():
-            others = [v for v in range(n) if v != pivot and row >> v & 1]
-            const = row >> n & 1
-            _substitute(agg, pivot, others, const)
-            alive[pivot] = False
-        return True
+    rows, agg.rows = agg.rows, []
+    if not _solve_rows(agg, rows, alive, touched):
+        return ZERO
+    requeue()
+    while heap:
+        degree, v = heapq.heappop(heap)
+        if not alive[v] or len(agg.adj[v]) != degree:
+            continue  # v was eliminated or its degree has changed since
+        alive[v] = False
+        coeff = agg.lin[v]
+        agg.lin[v] = 0
+        partners = agg.detach(v)
+        touched |= partners
+        if coeff % 2 == 1:
+            # sum over x_v of i^{x_v (coeff + 2P)} = sqrt(2) * w^{+-1} * i^{lin(P)}
+            agg.sqrt2_exp += 1
+            agg.w_exp = (agg.w_exp + (1 if coeff == 1 else 7)) % 8
+            agg.add_parity_term(partners, 0, 3 if coeff == 1 else 1)
+        else:
+            # even coefficient: factor 2 and a parity condition
+            agg.sqrt2_exp += 2
+            if not _solve_rows(agg, [(partners, coeff >> 1)], alive, touched):
+                return ZERO
+        requeue()
+    if any(alive) or any(agg.lin):
+        raise GaussSumError("a variable kept a linear coefficient or was never summed")
+    if any(agg.adj):
+        raise GaussSumError("cross terms survived elimination")
+    twos, odd = divmod(agg.sqrt2_exp, 2)
+    out = agg.lam * Scalar(2**twos) * MU8[agg.w_exp]
+    return out * SQRT2 if odd else out
 
-    def _substitute(agg: AffineAggregate, pivot: int, others: list[int], const: int):
-        """Replace x_pivot by xor(others) xor const inside Q."""
-        coeff = agg.lin[pivot]
-        agg.lin[pivot] = 0
-        cross_items = [
-            (key, value)
-            for key, value in list(agg.cross.items())
-            if pivot in key
-        ]
-        for key, value in cross_items:
-            del agg.cross[key]
-        if coeff:
-            agg.add_parity_term(others, const, coeff)
-        for (s, t), value in cross_items:
-            other_var = t if s == pivot else s
-            # 2 * x_pivot * x_o = 2 * (xor(others) xor const) * x_o  (mod 4):
-            # the parity's own cross terms cancel against the factor 2
-            if const:
-                agg.add_lin(other_var, value)
+
+def _solve_rows(
+    agg: AffineAggregate,
+    rows: list[tuple[set[int], int]],
+    alive: list[bool],
+    touched: set[int],
+) -> bool:
+    """Gaussian elimination over Z_2 by substitution: each row in turn
+    replaces its variable of least degree (pending rows plus cross
+    partners, ties by index) inside Q and inside the rows still pending.
+    Every variable whose cross terms change joins `touched`.
+
+    Returns False on an inconsistent row (0 = 1).
+    """
+    rows_of: dict[int, set[int]] = {}
+    for r, (vars_, _) in enumerate(rows):
+        for v in vars_:
+            rows_of.setdefault(v, set()).add(r)
+    consts = [const for _, const in rows]
+    for r, (vars_, _) in enumerate(rows):
+        if not vars_:
+            if consts[r]:
+                return False  # 0 = 1
+            continue
+        for v in vars_:
+            rows_of[v].discard(r)
+        pivot = min(vars_, key=lambda v: (len(rows_of[v]) + len(agg.adj[v]), v))
+        others = vars_ - {pivot}
+        for r2 in rows_of.pop(pivot):
+            vars2 = rows[r2][0]
+            vars2.discard(pivot)
             for v in others:
-                if v == other_var:
-                    agg.add_lin(other_var, value)  # x^2 = x
+                if v in vars2:
+                    vars2.discard(v)
+                    rows_of[v].discard(r2)
                 else:
-                    agg.add_cross(v, other_var, value)
-
-    while True:
-        if not substitute_linear():
-            return ZERO
-        progressed = False
-        for pivot in range(n):
-            if not alive[pivot]:
-                continue
-            coeff = agg.lin[pivot]
-            partners = [
-                (key[0] if key[1] == pivot else key[1])
-                for key in agg.cross
-                if pivot in key
-            ]
-            if coeff % 2 == 1:
-                # sum over x_pivot of i^{x(coeff + 2P)} = sqrt(2) * w^{eps} * i^{lin(P)}
-                for key in [k for k in agg.cross if pivot in k]:
-                    del agg.cross[key]
-                agg.lin[pivot] = 0
-                alive[pivot] = False
-                agg.lam = agg.lam * SQRT2
-                if coeff % 4 == 1:
-                    agg.lam = agg.lam * W
-                    agg.add_parity_term(partners, 0, 3)
-                else:  # coeff = 3 mod 4
-                    agg.lam = agg.lam * W ** 7
-                    agg.add_parity_term(partners, 0, 1)
-                progressed = True
-                break
-            else:
-                # even coefficient: factor 2 and a parity condition
-                for key in [k for k in agg.cross if pivot in k]:
-                    del agg.cross[key]
-                agg.lin[pivot] = 0
-                alive[pivot] = False
-                agg.lam = agg.lam * Scalar.from_rational(2)
-                mask = 0
-                for v in partners:
-                    mask ^= 1 << v
-                if coeff == 2:
-                    mask ^= 1 << n
-                if mask:
-                    agg.rows.append(mask)
-                progressed = True
-                break
-        if not progressed:
-            break
-        if agg.lam.is_zero():
-            return ZERO
-    # remaining alive variables are unconstrained with no Q terms
-    free = sum(1 for v in range(n) if alive[v])
-    if any(agg.lin[v] for v in range(n) if alive[v]):
-        raise GaussSumError("a free variable kept a linear coefficient")
-    if agg.cross or agg.rows:
-        raise GaussSumError("cross terms or linear rows survived elimination")
-    return agg.lam * Scalar.from_rational(2 ** free)
+                    vars2.add(v)
+                    rows_of[v].add(r2)
+            consts[r2] ^= consts[r]
+        touched |= agg.substitute(pivot, others, consts[r])
+        touched |= others
+        alive[pivot] = False
+    return True
 
 
 # -- product-type propagation ----------------------------------------------------
@@ -348,7 +362,10 @@ def product_eval(
             _, par = find(v)
             for w0, w1 in unary_factors[v]:
                 lo, hi = (w0, w1) if par == 0 else (w1, w0)
-                acc0 = acc0 * lo
-                acc1 = acc1 * hi
+                # a witness's later blocks carry ONE on one side
+                if lo is not ONE:
+                    acc0 = acc0 * lo
+                if hi is not ONE:
+                    acc1 = acc1 * hi
         total = total * (acc0 + acc1)
     return total

@@ -32,16 +32,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
 from itertools import chain
-from operator import mul
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .cspsolve import NotAffine, NotProduct, affine_eval, product_eval
 from .instance import PlanarInstance
 from .membership import is_affine, is_product
 from .oracle import csp_brute
-from .scalar import ZERO, Scalar
+from .scalar import ONE, ZERO, Scalar
 from .signature import BinarySignature, SixVertexSignature, UnarySignature
 
 
@@ -72,9 +70,7 @@ class CircuitDecomposition:
         return len(self.circuits)
 
 
-def _require_loop_form(inst: PlanarInstance) -> None:
-    if any(len(rot) != 4 for rot in inst.map.vertices):
-        raise LoopSpaceError("loop space needs degree-4 six-vertex labels only")
+def _require_loop_labels(inst: PlanarInstance) -> None:
     for label in {id(label): label for label in inst.labels}.values():
         if not isinstance(label, SixVertexSignature):
             raise LoopSpaceError("loop space needs degree-4 six-vertex labels only")
@@ -90,9 +86,11 @@ def decompose(
     `leaders` optionally lists one half-edge per circuit to anchor its
     traversal (the anchored half-edge enters its vertex first); by default
     the lowest half-edge id of each circuit leads it.  A leader that is not
-    a half-edge of the instance raises LoopSpaceError.
+    a half-edge of the instance, a vertex of degree other than 4 or a label
+    that is not a six-vertex signature with zero inner pair raises
+    LoopSpaceError.
     """
-    _require_loop_form(inst)
+    _require_loop_labels(inst)
     m = inst.map
     n_half = m.half_edge_count
     preferred = list(leaders) if leaders else []
@@ -103,9 +101,12 @@ def decompose(
             )
     opposite = [0] * n_half
     successor = [0] * n_half  # ccw-successor around the vertex
-    for h0, h1, h2, h3 in m.vertices:
-        opposite[h0], opposite[h1], opposite[h2], opposite[h3] = h2, h3, h0, h1
-        successor[h0], successor[h1], successor[h2], successor[h3] = h1, h2, h3, h0
+    try:
+        for h0, h1, h2, h3 in m.vertices:
+            opposite[h0], opposite[h1], opposite[h2], opposite[h3] = h2, h3, h0, h1
+            successor[h0], successor[h1], successor[h2], successor[h3] = h1, h2, h3, h0
+    except ValueError:  # a rotation of other than four half-edges
+        raise LoopSpaceError("loop space needs degree-4 six-vertex labels only") from None
     involution = m.involution
     circuit_of = [-1] * n_half
     enters = [False] * n_half
@@ -202,22 +203,55 @@ def _class_factors(
     )
 
 
+class _PowerTable:
+    """The powers one induced_csp call needs, each distinct (value,
+    exponent) computed once.  Values are interned as small ints, so the
+    per-entry bookkeeping hashes ints rather than Scalars."""
+
+    def __init__(self) -> None:
+        self._values: list[Scalar] = []
+        self._ids: dict[Scalar, int] = {}
+        self._powers: dict[tuple[int, int], Scalar] = {}
+
+    def intern(self, value: Scalar) -> int:
+        vid = self._ids.get(value)
+        if vid is None:
+            vid = self._ids[value] = len(self._values)
+            self._values.append(value)
+        return vid
+
+    def monomial(self, terms: Iterable[tuple[int, int]]) -> Scalar:
+        """The product of value ** exponent over (interned value, exponent)
+        terms, equal values sharing one power: ZERO when a zero value has a
+        positive exponent, and factors equal to ONE are skipped."""
+        merged: dict[int, int] = {}
+        for vid, e in terms:
+            if e:
+                merged[vid] = merged.get(vid, 0) + e
+        out = ONE
+        for vid, e in merged.items():
+            power = self._powers.get((vid, e))
+            if power is None:
+                value = self._values[vid]
+                if value.is_zero():
+                    return ZERO
+                power = self._powers[vid, e] = ONE if value == ONE else value**e
+            if power is not ONE:
+                out = power if out is ONE else out * power
+        return out
+
+
 def _table_entries(
-    counts: Counter, factors: Sequence[tuple[Scalar, ...]], size: int
+    counts: Counter, factors: Sequence[tuple[int, ...]], size: int, powers: _PowerTable
 ) -> list[Scalar]:
-    """Each table entry as the product of the class factors raised to the
-    class counts, one power per distinct factor value."""
-    entries = []
-    for e in range(size):
-        powers: dict[Scalar, int] = {}
-        for c, n in counts.items():
-            v = factors[c][e]
-            powers[v] = powers.get(v, 0) + n
-        if any(v.is_zero() for v in powers):
-            entries.append(ZERO)
-        else:
-            entries.append(reduce(mul, [v**n for v, n in powers.items()]))
-    return entries
+    """Each table entry as the product of the class factors (interned in
+    `powers`) raised to the class counts."""
+    return [powers.monomial((factors[c][e], n) for c, n in counts.items()) for e in range(size)]
+
+
+def _outer_ids(powers: _PowerTable, base: SixVertexSignature) -> list[int]:
+    """The base's outer values interned, in the profiles' order a, y, x, b."""
+    return [powers.intern(v) for v in (base.a, base.y, base.x, base.b)]
 
 
 def induced_csp(
@@ -232,7 +266,9 @@ def induced_csp(
     Per class, the vertex factors and the form index are computed once.  Per
     distinct class-count vector, the direct table is built and compared
     with the profile table, which is computed once per distinct (k, l) or m
-    exponent vector.  Nothing is kept between calls.
+    exponent vector.  Both sides read their powers from one table per call,
+    so each distinct (value, exponent) power is computed once, and neither
+    multiplies by ONE.  Nothing is kept between calls.
     """
     labels = inst.labels
     # the class memo keys on the label's id, which is unique while `inst`
@@ -251,7 +287,10 @@ def induced_csp(
             pair_classes.setdefault((rec.i, rec.j), []).append(c)
         else:
             self_classes.setdefault(rec.i, []).append(c)
-    factors = [_class_factors(inst, dec, rec) for rec in reps]
+    powers = _PowerTable()
+    factors = [
+        tuple(powers.intern(v) for v in _class_factors(inst, dec, rec)) for rec in reps
+    ]
 
     check = profile_base is not None
     if check:
@@ -267,7 +306,9 @@ def induced_csp(
         table = binary_tables.get(key)
         if table is None:
             counts = Counter(key)
-            table = binary_tables[key] = BinarySignature(*_table_entries(counts, factors, 4))
+            table = binary_tables[key] = BinarySignature(
+                *_table_entries(counts, factors, 4, powers)
+            )
             if check:
                 k = [0, 0, 0, 0]
                 l = [0, 0, 0, 0]
@@ -281,7 +322,7 @@ def induced_csp(
                 profile = binary_profiles.get(exponents)
                 if profile is None:
                     profile = binary_profiles[exponents] = _profile_binary(
-                        k, l, profile_base
+                        k, l, profile_base, powers
                     )
                 if profile.values() != table.values():
                     raise LoopSpaceError(f"direct and profile tables disagree on pair {pair}")
@@ -294,7 +335,9 @@ def induced_csp(
         table = unary_tables.get(key)
         if table is None:
             counts = Counter(key)
-            table = unary_tables[key] = UnarySignature(*_table_entries(counts, factors, 2))
+            table = unary_tables[key] = UnarySignature(
+                *_table_entries(counts, factors, 2, powers)
+            )
             if check:
                 m = [0, 0, 0, 0]
                 for c, n in counts.items():
@@ -302,7 +345,9 @@ def induced_csp(
                 exponents = tuple(m)
                 profile = unary_profiles.get(exponents)
                 if profile is None:
-                    profile = unary_profiles[exponents] = _profile_unary(m, profile_base)
+                    profile = unary_profiles[exponents] = _profile_unary(
+                        m, profile_base, powers
+                    )
                 if profile.values() != table.values():
                     raise LoopSpaceError(f"direct and profile tables disagree on h_{i}")
         unary[i] = table
@@ -323,31 +368,33 @@ def _form_indexer(
 
 
 def _profile_binary(
-    k: Sequence[int], l: Sequence[int], base: SixVertexSignature
+    k: Sequence[int], l: Sequence[int], base: SixVertexSignature, powers: _PowerTable
 ) -> BinarySignature:
     """Def-4.3 monomial evaluation from the (k, l) exponent profile: k counts
     the entry vertices in each form, l the exit vertices in each shifted
     form."""
     if sum(k) != sum(l):
         raise LoopSpaceError("entry/exit imbalance in a pairwise profile")
-    a, b, x, y = base.a, base.b, base.x, base.y
     k1, k2, k3, k4 = k
     l1, l2, l3, l4 = l
+    outer = _outer_ids(powers, base)
     return BinarySignature(
-        a ** (k1 + l1) * y ** (k2 + l2) * x ** (k3 + l3) * b ** (k4 + l4),
-        a ** (k2 + l4) * y ** (k3 + l1) * x ** (k4 + l2) * b ** (k1 + l3),
-        a ** (k4 + l2) * y ** (k1 + l3) * x ** (k2 + l4) * b ** (k3 + l1),
-        a ** (k3 + l3) * y ** (k4 + l4) * x ** (k1 + l1) * b ** (k2 + l2),
+        powers.monomial(zip(outer, (k1 + l1, k2 + l2, k3 + l3, k4 + l4))),
+        powers.monomial(zip(outer, (k2 + l4, k3 + l1, k4 + l2, k1 + l3))),
+        powers.monomial(zip(outer, (k4 + l2, k1 + l3, k2 + l4, k3 + l1))),
+        powers.monomial(zip(outer, (k3 + l3, k4 + l4, k1 + l1, k2 + l2))),
     )
 
 
-def _profile_unary(m: Sequence[int], base: SixVertexSignature) -> UnarySignature:
+def _profile_unary(
+    m: Sequence[int], base: SixVertexSignature, powers: _PowerTable
+) -> UnarySignature:
     """The unary profile table from m, the self-intersections in each form."""
-    a, b, x, y = base.a, base.b, base.x, base.y
     m1, m2, m3, m4 = m
+    outer = _outer_ids(powers, base)
     return UnarySignature(
-        a ** m1 * y ** m2 * x ** m3 * b ** m4,
-        a ** m3 * y ** m4 * x ** m1 * b ** m2,
+        powers.monomial(zip(outer, (m1, m2, m3, m4))),
+        powers.monomial(zip(outer, (m3, m4, m1, m2))),
     )
 
 

@@ -6,9 +6,14 @@ binary equality and binary disequality.  Matchgate membership for arity-4
 even-parity signatures is the determinant criterion
 det M_Out(f) = det M_In(f); the odd-parity case reduces to it by composing
 one variable with Disequality (itself a matchgate, so membership is
-preserved exactly).  Every returned witness reconstructs its signature
-entrywise; the witness constructors check this and raise WitnessError
-otherwise.
+preserved exactly).
+
+The affine witness is read off the support with no search: a GF(2) basis,
+the exponents at the unit and pair points, and one check of every entry.
+Product-type membership enumerates set partitions of the variables and
+divides at most once per block.  Every returned witness reconstructs its
+signature entrywise: is_affine returns a witness only after checking this,
+and is_product raises WitnessError when its witness does not.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ from .signature import (
 
 
 class WitnessError(RuntimeError):
-    """A membership witness (or the GF(2) solution behind one) failed to
-    reproduce the data it was computed from."""
+    """A membership witness failed to reproduce the data it was computed
+    from."""
 
 
 def _values_of(sig) -> tuple[tuple[Scalar, ...], int]:
@@ -78,131 +83,97 @@ class AffineWitness:
             q += coeff * assignment[t]
         for s, t, bit in self.quad_cross:
             q += 2 * bit * assignment[s] * assignment[t]
-        return self.lam * I ** (q % 4)
+        return self.lam * _I_POWERS[q % 4]
+
+
+_I_POWERS = (ONE, I, -ONE, -I)  # i^q for q in Z_4
 
 
 def is_affine(sig) -> Optional[AffineWitness]:
-    """Affine-class membership with a reconstructing witness.
+    """Affine-class membership with a reconstructing witness, read off the
+    support without search.
 
-    The support must be an affine Z_2-subspace and all value ratios powers
-    of i; the quadratic part is searched over the 4^n linear coefficient
-    vectors, solving a small GF(2) system for the (even) cross terms.
+    The support S is affine iff, with x0 its least point, the vectors
+    s xor x0 span a GF(2) space of rank r with |S| = 2^r.  In reduced
+    echelon form each basis vector b owns one pivot variable, its leading
+    bit, so the pivot bits coordinatize S, the witness rows give every
+    other variable as an affine function of them, and x0 is the point of S
+    whose pivot bits are all 0.  Anchored there, every value must be
+    f(x0) * i^e.  On S the exponent is then a multilinear polynomial over
+    Z_4 in the pivot bits, which is unique: its linear coefficients are the
+    exponents at the unit points x0 xor b, its cross coefficients come from
+    the points x0 xor b xor b', and an odd cross coefficient means f is not
+    affine.  The witness so read is checked against every entry.
     """
     values, n = _values_of(sig)
     support = [idx for idx, v in enumerate(values) if not v.is_zero()]
     if not support:
         return AffineWitness(n, ONE, (tuple([0] * n + [1]),), tuple([0] * n), tuple())
-    sup_set = set(support)
-    for a in support:
-        for b in support:
-            for c in support:
-                if a ^ b ^ c not in sup_set:
-                    return None
     x0 = support[0]
-    base = values[x0]
-    exps = {}
-    for idx in support:
-        ratio = values[idx] / base
-        for e in range(4):
-            if ratio == I ** e:
-                exps[idx] = e
-                break
-        else:
+    basis: dict[int, int] = {}  # pivot bit -> vector; no vector has another's pivot
+    for s in support:
+        v = s ^ x0
+        for p, b in basis.items():
+            if v >> p & 1:
+                v ^= b
+        if v:
+            p = v.bit_length() - 1
+            for q in list(basis):
+                if basis[q] >> p & 1:
+                    basis[q] ^= v
+            basis[p] = v
+    if len(support) != 1 << len(basis):
+        return None
+    exponent_of = _i_multiples(values[x0])
+
+    def exponent(idx: int) -> Optional[int]:
+        v = values[idx]
+        return exponent_of.get((v.n0, v.n1, v.n2, v.n3, v.den))
+
+    # bit p of an index is variable n - 1 - p; ascending variables
+    pivots = sorted(basis, reverse=True)
+    lin = [0] * n
+    for p in pivots:
+        e = exponent(x0 ^ basis[p])
+        if e is None:
             return None
-    rows = _affine_rows(sup_set, n)
-    pairs = [(s, t) for s in range(n) for t in range(s + 1, n)]
-    points = [_bits(idx, n) for idx in support]
-    bits0 = points[0]
-    pr0 = [bits0[s] & bits0[t] for s, t in pairs]
-    targets = [exps[idx] for idx in support]
-    for lin in product(range(4), repeat=n):
-        lin0 = sum(lin[t] * bits0[t] for t in range(n))
-        eqs = []
-        ok = True
-        for bits, target in zip(points, targets):
-            delta = (target - sum(lin[t] * bits[t] for t in range(n)) + lin0) % 4
-            if delta & 1:
-                ok = False
-                break
-            mask = 0
-            for pidx, (s, t) in enumerate(pairs):
-                if (bits[s] & bits[t]) ^ pr0[pidx]:
-                    mask |= 1 << pidx
-            eqs.append((mask, delta >> 1))
-        if not ok:
-            continue
-        cross_bits = _solve_gf2(eqs, len(pairs))
-        if cross_bits is None:
-            continue
-        q0 = (lin0 + 2 * sum(cb & pb for cb, pb in zip(_unpack(cross_bits, len(pairs)), pr0))) % 4
-        lam = base * I ** ((-q0) % 4)
-        witness = AffineWitness(
-            n,
-            lam,
-            rows,
-            tuple(lin),
-            tuple(
-                (s, t, cb)
-                for cb, (s, t) in zip(_unpack(cross_bits, len(pairs)), pairs)
-                if cb
-            ),
-        )
-        if _witness_matches(witness, values, n):
-            return witness
-    return None
-
-
-def _unpack(mask: int, width: int) -> list[int]:
-    return [(mask >> i) & 1 for i in range(width)]
-
-
-def _solve_gf2(eqs: list[tuple[int, int]], nvars: int) -> Optional[int]:
-    """Solve linear equations (coeff mask, rhs bit) over GF(2); any solution."""
-    rows = [(m, r) for m, r in eqs if m or r]
-    pivots: list[tuple[int, int, int]] = []  # (pivot bit, mask, rhs)
-    for mask, rhs in rows:
-        for pbit, pmask, prhs in pivots:
-            if mask >> pbit & 1:
-                mask ^= pmask
-                rhs ^= prhs
-        if mask == 0:
-            if rhs:
+        lin[n - 1 - p] = e
+    cross = []
+    for at, p in enumerate(pivots):
+        for q in pivots[at + 1 :]:
+            e = exponent(x0 ^ basis[p] ^ basis[q])
+            if e is None:
                 return None
-            continue
-        pbit = mask.bit_length() - 1
-        pivots.append((pbit, mask, rhs))
-    solution = 0
-    # each pivot row only contains bits <= its pivot bit, so ascending
-    # back-substitution sees every lower bit already decided (free bits = 0)
-    for pbit, mask, rhs in sorted(pivots):
-        rest = mask & ~(1 << pbit)
-        if rhs ^ (bin(rest & solution).count("1") & 1):
-            solution |= 1 << pbit
-    for mask, rhs in rows:
-        if (bin(mask & solution).count("1") & 1) != rhs:
-            raise WitnessError("GF(2) back-substitution missed an equation")
-    return solution
-
-
-def _affine_rows(sup_set: set[int], n: int) -> tuple[tuple[int, ...], ...]:
-    """Equations over Z_2 cutting out exactly the given affine subspace."""
+            d = (e - lin[n - 1 - p] - lin[n - 1 - q]) % 4
+            if d & 1:
+                return None
+            if d:
+                cross.append((n - 1 - p, n - 1 - q, 1))
     rows = []
-    for coeffs in product(range(2), repeat=n):
-        if not any(coeffs):
+    for c in range(n - 1, -1, -1):
+        if c in basis:
             continue
-        rhs = None
-        ok = True
-        for idx in sup_set:
-            bits = _bits(idx, n)
-            val = sum(c * b for c, b in zip(coeffs, bits)) & 1
-            if rhs is None:
-                rhs = val
-            elif rhs != val:
-                ok = False
-                break
-        if ok:
-            rows.append(coeffs + (rhs,))
-    return tuple(rows)
+        row = [0] * n
+        row[n - 1 - c] = 1
+        for p, b in basis.items():
+            if b >> c & 1:
+                row[n - 1 - p] = 1
+        rows.append(tuple(row) + (x0 >> c & 1,))
+    witness = AffineWitness(n, values[x0], tuple(rows), tuple(lin), tuple(cross))
+    return witness if _witness_matches(witness, values, n) else None
+
+
+def _i_multiples(base: Scalar) -> dict[tuple[int, ...], int]:
+    """{(n0, n1, n2, n3, den) of base * i^e: e} for e in Z_4.  Multiplying
+    by i = w^2 moves each coefficient up two places and negates the two
+    that wrap past w^4 = -1, so no Scalar arithmetic is needed."""
+    n0, n1, n2, n3, den = base.n0, base.n1, base.n2, base.n3, base.den
+    return {
+        (n0, n1, n2, n3, den): 0,
+        (-n2, -n3, n0, n1, den): 1,
+        (-n0, -n1, -n2, -n3, den): 2,
+        (n2, n3, -n0, -n1, den): 3,
+    }
 
 
 def _witness_matches(witness: AffineWitness, values, n) -> bool:
@@ -304,32 +275,35 @@ def _try_factor(values, n, blocks, full_pars) -> Optional[ProductWitness]:
     if ref is None:
         return None  # zero signature was handled before structure search
     ref_val = tensor[ref]
+    # block 0 keeps the tensor's values along its axis through ref; every
+    # later block is exactly ONE on ref's side and one ratio on the other,
+    # so a block costs at most one division
     weights = []
     for t in range(k):
+        probe = list(ref)
+        probe[t] ^= 1
+        other = tensor[tuple(probe)]
         w = [ZERO, ZERO]
-        for bit in range(2):
-            probe = list(ref)
-            probe[t] = bit
-            w[bit] = tensor[tuple(probe)] / ref_val
-        weights.append(w)  # note w[ref[t]] == 1
+        if t == 0:
+            w[ref[t]], w[1 - ref[t]] = ref_val, other
+        else:
+            w[ref[t]] = ONE
+            w[1 - ref[t]] = ZERO if other.is_zero() else other / ref_val
+        weights.append(tuple(w))
     for reps, v in tensor.items():
-        acc = ref_val
-        for t in range(k):
-            acc = acc * weights[t][reps[t]]
+        acc = weights[0][reps[0]]
+        for t in range(1, k):
+            w = weights[t][reps[t]]
+            if w is not ONE:
+                acc = acc * w
         if acc != v:
             return None
-    out_weights = []
-    for t in range(k):
-        w0, w1 = weights[t]
-        if t == 0:
-            w0, w1 = w0 * ref_val, w1 * ref_val
-        out_weights.append((w0, w1))
     return ProductWitness(
         n,
         zero=False,
         blocks=tuple(tuple(b) for b in blocks),
         parities=tuple(tuple(p) for p in full_pars),
-        weights=tuple(out_weights),
+        weights=tuple(weights),
     )
 
 

@@ -7,7 +7,8 @@ call, with `_scaled_propto` forced to fail both FKT routes raise
 Pfaffian's sign finds no perfect matching, or when the closed form that
 splits a chain-family vertex in two fails.  The library and its tests have
 no unused imports, and every console script that `pyproject.toml` declares
-resolves to a callable."""
+resolves to a callable.  The library imports nothing outside the standard
+library."""
 
 import ast
 import importlib
@@ -35,6 +36,43 @@ def test_no_assert_statements_in_library():
             if isinstance(node, ast.Assert):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def _absolute_imports(tree):
+    """(line, top-level module) of each absolute import in the tree."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name.split(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module.split(".")[0]))
+    return found
+
+
+def test_library_imports_stdlib_only():
+    """Every absolute import in the library is a standard-library module,
+    which keeps `dependencies = []` in pyproject.toml true."""
+    offenders = []
+    for path in sorted((SRC / "sixvertex").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offenders += [
+            f"{path.name}:{line} {module}"
+            for line, module in _absolute_imports(tree)
+            if module not in sys.stdlib_module_names
+        ]
+    assert offenders == []
+
+
+def test_absolute_import_scan():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path, numpy as np\n"
+        "from networkx.algorithms import planarity\n"
+        "from .scalar import ONE\n"
+    )
+    assert _absolute_imports(tree) == [
+        (1, "__future__"), (2, "os"), (2, "numpy"), (3, "networkx")
+    ]
 
 
 def _unused_imports(tree):

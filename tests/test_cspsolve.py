@@ -103,6 +103,15 @@ class TestAffineBasics:
         pin1 = UnarySignature(ZERO, ONE)
         assert affine_eval([(pin0, (0,)), (pin1, (0,))], 1) == ZERO
 
+    def test_variable_freed_by_substitution_is_summed(self):
+        # x0 = x1 replaces x0's cross terms with x2, x3 by x1's, which
+        # cancel x1's own: x1 is left with no partners and must still be
+        # summed (Q vanishes mod 4, so all 8 assignments count 1)
+        constraints = [(EQ, (0, 1))] + [
+            (binary(1, 1, 1, -1), pair) for pair in ((1, 2), (1, 3), (0, 2), (0, 3))
+        ]
+        assert affine_eval(constraints, 4) == rational(8) == csp_brute(4, constraints)
+
     def test_rejects_non_affine(self):
         bad = binary(1, 1, 1, 2)
         with pytest.raises(NotAffine):
@@ -138,6 +147,63 @@ class TestAffineAgainstBrute:
                 ]
                 assert affine_eval(permuted, n) == base
 
+
+class TestAffinePastTheCap:
+    """Closed forms far beyond csp_brute's cap of 20 variables."""
+
+    def test_star_with_odd_centre(self):
+        # x0 carries i^{x0}; each leaf j carries i^{2 x0 xj} and i^{xj}.
+        # Summing the leaves gives (1 + i)^200 at x0 = 0 and i (1 - i)^200
+        # at x0 = 1, and (1 +- i)^200 = (+-2i)^100 = 2^100.
+        leaves = 200
+        ramp = UnarySignature(ONE, I)
+        cross = BinarySignature(ONE, ONE, ONE, -ONE)
+        constraints = [(ramp, (0,))]
+        for j in range(1, leaves + 1):
+            constraints += [(cross, (0, j)), (ramp, (j,))]
+        assert affine_eval(constraints, leaves + 1) == rational(2**100) * (ONE + I)
+
+    def test_long_chain_against_transfer_matrix(self):
+        # sum over x of prod (-1)^{x_v x_{v+1}} is 1^T M^{n-1} 1 with
+        # M = [[1, 1], [1, -1]]
+        n = 10_000
+        g = BinarySignature(ONE, ONE, ONE, -ONE)
+        row = [1, 1]
+        for _ in range(n - 1):
+            row = [row[0] + row[1], row[0] - row[1]]
+        expected = row[0] + row[1]
+        assert expected == 2**5000
+        constraints = [(g, (v, v + 1)) for v in range(n - 1)]
+        assert affine_eval(constraints, n) == rational(expected)
+
+    def test_variable_order_invariance_at_300(self):
+        # i^{x_v} on every variable, random cross terms and a few
+        # (dis)equalities: random affine constraints alone almost always
+        # sum to 0 at this size, which would hide an order dependence
+        n = 300
+        values = []
+        for seed in (53, 54, 55):
+            for n_cross, n_rows in ((300, 30), (600, 0)):
+                rng = random.Random(seed)
+                constraints = [(UnarySignature(ONE, I), (v,)) for v in range(n)]
+                for _ in range(n_cross):
+                    constraints.append((binary(1, 1, 1, -1), tuple(rng.sample(range(n), 2))))
+                for _ in range(n_rows):
+                    lam, ramp = MU8[rng.randrange(8)], I ** rng.randrange(4)
+                    sig = rng.choice([
+                        BinarySignature(lam, ZERO, ZERO, lam * ramp),
+                        BinarySignature(ZERO, lam, lam * ramp, ZERO),
+                    ])
+                    constraints.append((sig, tuple(rng.sample(range(n), 2))))
+                base = affine_eval(constraints, n)
+                for _ in range(3):
+                    perm = list(range(n))
+                    rng.shuffle(perm)
+                    permuted = [(sig, tuple(perm[v] for v in vs)) for sig, vs in constraints]
+                    rng.shuffle(permuted)
+                    assert affine_eval(permuted, n) == base
+                values.append(base)
+        assert sum(not v.is_zero() for v in values) >= 3
 
 class TestProductBasics:
     def test_equality_chain(self):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -18,8 +19,8 @@ from sixvertex.loopspace import (
     induced_csp,
 )
 from sixvertex.oracle import holant_brute
-from sixvertex.scalar import MU8, ONE, W, ZERO, rational
-from sixvertex.signature import SixVertexSignature
+from sixvertex.scalar import MU8, ONE, W, ZERO, Scalar, rational
+from sixvertex.signature import BinarySignature, SixVertexSignature
 
 
 def sv(*vals):
@@ -80,6 +81,22 @@ class TestDecompose:
         inst = uniform_instance(cycle_medial(3), sv(1, 1, 1, 1, 1, 1))
         with pytest.raises(LoopSpaceError):
             decompose(inst)
+
+    def test_rejects_vertex_of_other_degree(self):
+        f = sv(1, 1, 0, 1, 1, 0)
+        # a degree-4 vertex whose two remaining slots meet a degree-2 vertex
+        m = RotationMap([[0, 1, 2, 3], [4, 5]], {0: 1, 1: 0, 2: 4, 4: 2, 3: 5, 5: 3})
+        message = "degree-4 six-vertex labels only"
+        inst = PlanarInstance(m, (f, BinarySignature(ONE, ONE, ONE, ONE)))
+        with pytest.raises(LoopSpaceError, match=message):
+            decompose(inst)
+        # the circuit pass itself rejects the degree-2 vertex when its label
+        # claims arity 4 (the constructor refuses such an instance)
+        forged = object.__new__(PlanarInstance)
+        object.__setattr__(forged, "map", m)
+        object.__setattr__(forged, "labels", (f, f))
+        with pytest.raises(LoopSpaceError, match=message):
+            decompose(forged)
 
     def test_random_instances_balanced(self):
         rng = random.Random(60)
@@ -354,9 +371,9 @@ class TestInducedTables:
             calls["factor"] += 1
             return real_factor(*args)
 
-        def profile(k, l, base):
+        def profile(k, l, base, powers):
             calls["profile"].append((tuple(k), tuple(l)))
-            return real_profile(k, l, base)
+            return real_profile(k, l, base, powers)
 
         monkeypatch.setattr(loopspace, "_vertex_factor", factor)
         monkeypatch.setattr(loopspace, "_profile_binary", profile)
@@ -390,6 +407,29 @@ class TestInducedTables:
             assert sorted(calls["profile"]) == sorted(expected)
         assert factor_calls[0] == factor_calls[1]
 
+    def test_one_power_per_distinct_value_and_exponent(self, monkeypatch):
+        """Within one induced_csp call the direct tables and the profiles
+        share one power table: Scalar.__pow__ runs at most once per
+        distinct (value, exponent) pair."""
+        real_pow = Scalar.__pow__
+        seen = Counter()
+
+        def counted(value, exponent):
+            seen[value, exponent] += 1
+            return real_pow(value, exponent)
+
+        monkeypatch.setattr(Scalar, "__pow__", counted)
+        cases = [
+            (grid_patch(8, 8), sv(2, 3, 0, 5, 7, 0)),
+            (medial_of_random_plane_graph(60, 4), SixVertexSignature(ONE, W, ZERO, W * W, W**3, ZERO)),
+        ]
+        for m, f in cases:
+            inst = uniform_instance(m, f)
+            dec = decompose(inst)
+            seen.clear()
+            induced_csp(dec, inst, profile_base=f)
+            assert seen and max(seen.values()) == 1
+
     def test_form_misindex_raises(self, monkeypatch):
         """Mis-indexing the form of any single rotation breaks the
         comparison of direct and profile tables."""
@@ -413,7 +453,6 @@ class TestInducedTables:
 
     def test_profile_mismatch_still_raises(self, monkeypatch):
         from sixvertex import loopspace
-        from sixvertex.signature import BinarySignature
 
         f = sv(2, 3, 0, 5, 7, 0)
         inst = uniform_instance(grid_patch(2, 2), f)

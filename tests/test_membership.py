@@ -1,7 +1,10 @@
 import random
+from itertools import product
 
-from sixvertex.scalar import I, MU8, ONE, ZERO, rational
+from sixvertex.scalar import I, MU8, ONE, W, ZERO, rational
 from sixvertex.membership import (
+    AffineWitness,
+    _values_of,
     is_affine,
     is_matchgate,
     is_matchgate_general,
@@ -23,6 +26,158 @@ def sv(*vals):
 
 def bits(idx, n=4):
     return tuple((idx >> (n - 1 - t)) & 1 for t in range(n))
+
+
+def searched_is_affine(sig):
+    """Reference affine test: the search over all 4^n linear coefficient
+    vectors, each with a GF(2) solve for the even cross terms, that
+    membership.is_affine replaced.  Returns a reconstructing witness or
+    None."""
+    values, n = _values_of(sig)
+    support = [idx for idx, v in enumerate(values) if not v.is_zero()]
+    if not support:
+        return AffineWitness(n, ONE, (tuple([0] * n + [1]),), tuple([0] * n), tuple())
+    sup_set = set(support)
+    for a in support:
+        for b in support:
+            for c in support:
+                if a ^ b ^ c not in sup_set:
+                    return None
+    base = values[support[0]]
+    exps = {}
+    for idx in support:
+        ratio = values[idx] / base
+        for e in range(4):
+            if ratio == I ** e:
+                exps[idx] = e
+                break
+        else:
+            return None
+    rows = _searched_rows(sup_set, n)
+    pairs = [(s, t) for s in range(n) for t in range(s + 1, n)]
+    points = [bits(idx, n) for idx in support]
+    bits0 = points[0]
+    pr0 = [bits0[s] & bits0[t] for s, t in pairs]
+    targets = [exps[idx] for idx in support]
+    for lin in product(range(4), repeat=n):
+        lin0 = sum(lin[t] * bits0[t] for t in range(n))
+        eqs = []
+        ok = True
+        for xs, target in zip(points, targets):
+            delta = (target - sum(lin[t] * xs[t] for t in range(n)) + lin0) % 4
+            if delta & 1:
+                ok = False
+                break
+            mask = 0
+            for pidx, (s, t) in enumerate(pairs):
+                if (xs[s] & xs[t]) ^ pr0[pidx]:
+                    mask |= 1 << pidx
+            eqs.append((mask, delta >> 1))
+        if not ok:
+            continue
+        solution = _solve_gf2(eqs)
+        if solution is None:
+            continue
+        cross_bits = [(solution >> i) & 1 for i in range(len(pairs))]
+        q0 = (lin0 + 2 * sum(cb & pb for cb, pb in zip(cross_bits, pr0))) % 4
+        witness = AffineWitness(
+            n,
+            base * I ** ((-q0) % 4),
+            rows,
+            tuple(lin),
+            tuple((s, t, cb) for cb, (s, t) in zip(cross_bits, pairs) if cb),
+        )
+        if all(witness.evaluate(bits(idx, n)) == values[idx] for idx in range(2**n)):
+            return witness
+    return None
+
+
+def _solve_gf2(eqs):
+    """Any solution of the equations (coefficient mask, rhs bit) over GF(2)."""
+    pivots = []  # (pivot bit, mask, rhs)
+    for mask, rhs in eqs:
+        for pbit, pmask, prhs in pivots:
+            if mask >> pbit & 1:
+                mask ^= pmask
+                rhs ^= prhs
+        if mask == 0:
+            if rhs:
+                return None
+            continue
+        pivots.append((mask.bit_length() - 1, mask, rhs))
+    solution = 0
+    # a pivot row has no bit above its pivot, so ascending back-substitution
+    # sees every lower bit decided (free bits 0)
+    for pbit, mask, rhs in sorted(pivots):
+        if rhs ^ (bin(mask & ~(1 << pbit) & solution).count("1") & 1):
+            solution |= 1 << pbit
+    return solution
+
+
+def _searched_rows(sup_set, n):
+    """Every equation over Z_2 that holds on the whole support."""
+    rows = []
+    for coeffs in product(range(2), repeat=n):
+        if any(coeffs):
+            sides = {sum(c * b for c, b in zip(coeffs, bits(idx, n))) & 1 for idx in sup_set}
+            if len(sides) == 1:
+                rows.append(coeffs + (sides.pop(),))
+    return tuple(rows)
+
+
+def random_affine_entries(rng, n=4):
+    """The 2^n values of a random affine signature."""
+    nrows = rng.randint(0, 3)
+    rows = [tuple(rng.randint(0, 1) for _ in range(n + 1)) for _ in range(nrows)]
+    lin = [rng.randint(0, 3) for _ in range(n)]
+    cross = {(s, t): rng.randint(0, 1) for s in range(n) for t in range(s + 1, n)}
+    lam = MU8[rng.randrange(8)] * rational(rng.randint(1, 3))
+    entries = []
+    for idx in range(2**n):
+        xs = bits(idx, n)
+        if any(
+            (sum(c * v for c, v in zip(row[:-1], xs)) & 1) != row[-1] for row in rows
+        ):
+            entries.append(ZERO)
+            continue
+        q = sum(l * v for l, v in zip(lin, xs))
+        q += 2 * sum(cb * xs[s] * xs[t] for (s, t), cb in cross.items())
+        entries.append(lam * I ** (q % 4))
+    return entries
+
+
+def random_product_entries(rng, weights, n=4):
+    """The 2^n values of a random product-type signature: blocks tied by
+    equality or disequality to their first member, one unary per block."""
+    labels = [rng.randrange(n) for _ in range(n)]
+    blocks: dict[int, list[int]] = {}
+    for v, lbl in enumerate(labels):
+        blocks.setdefault(lbl, []).append(v)
+    pars = {lbl: [0] + [rng.randint(0, 1) for _ in members[1:]] for lbl, members in blocks.items()}
+    unaries = {lbl: (rng.choice(weights), rng.choice(weights)) for lbl in blocks}
+    entries = []
+    for idx in range(2**n):
+        xs = bits(idx, n)
+        total = ONE
+        for lbl, members in blocks.items():
+            rep = xs[members[0]]
+            if not all(xs[m] == rep ^ p for m, p in zip(members, pars[lbl])):
+                total = ZERO
+                break
+            total = total * unaries[lbl][rep]
+        entries.append(total)
+    return entries
+
+
+def assert_agrees_with_search(sig):
+    """is_affine and the search agree on membership, and the returned
+    witness reconstructs the table; returns whether it is affine."""
+    values, n = _values_of(sig)
+    witness = is_affine(sig)
+    assert (witness is None) == (searched_is_affine(sig) is None), sig
+    if witness is not None:
+        assert [witness.evaluate(bits(idx, n)) for idx in range(2**n)] == list(values)
+    return witness is not None
 
 
 class TestAffine:
@@ -83,6 +238,34 @@ class TestAffine:
         assert is_affine(UnarySignature(ONE, I ** 3)) is not None
         assert is_affine(BinarySignature(ZERO, ONE, ONE, ZERO)) is not None
         assert is_affine(BinarySignature(ONE, ONE, ONE, rational(2))) is None
+
+    def test_unary_and_binary_tables_agree_with_search(self):
+        palette = [ZERO, ONE, -ONE, I, -I, rational(2), W]
+        verdicts = []
+        for pair in product(palette, repeat=2):
+            verdicts.append(assert_agrees_with_search(UnarySignature(*pair)))
+        for quad in product(palette, repeat=4):
+            verdicts.append(assert_agrees_with_search(BinarySignature(*quad)))
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_random_arity4_tables_agree_with_search(self):
+        rng = random.Random(24)
+        palette = [ONE, -ONE, I, -I, rational(2), W]
+        affine, perturbed, product_type = [], [], []
+        for _ in range(150):
+            entries = random_affine_entries(rng)
+            affine.append(assert_agrees_with_search(GeneralSignature4(entries)))
+            idx = rng.randrange(16)
+            if entries[idx].is_zero() or rng.random() < 0.3:
+                entries[idx] = rng.choice(palette) if entries[idx].is_zero() else ZERO
+            else:
+                entries[idx] = entries[idx] * rng.choice(palette[1:])
+            perturbed.append(assert_agrees_with_search(GeneralSignature4(entries)))
+            entries = random_product_entries(rng, [ZERO] + palette)
+            product_type.append(assert_agrees_with_search(GeneralSignature4(entries)))
+        assert all(affine)
+        assert 0 < sum(perturbed) < len(perturbed)
+        assert 0 < sum(product_type) < len(product_type)
 
 
 class TestProduct:
