@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .membership import AffineWitness, ProductWitness, is_affine, is_product
 from .scalar import MU8, ONE, SQRT2, ZERO, Scalar
@@ -46,6 +46,23 @@ class NotProduct(ValueError):
 
 class GaussSumError(RuntimeError):
     """The elimination left a variable unsummed or a term of Q behind."""
+
+
+def once_per_table(
+    membership: Callable[[object], Optional[object]],
+) -> Callable[[object], Optional[object]]:
+    """`membership` run at most once per distinct table (equal tables are
+    one) for as long as the returned function lives."""
+    found: dict[object, Optional[object]] = {}
+
+    def test(table: object) -> Optional[object]:
+        try:
+            return found[table]
+        except KeyError:
+            witness = found[table] = membership(table)
+            return witness
+
+    return test
 
 
 @dataclass
@@ -156,14 +173,15 @@ def affine_eval(
     """Exact sum over {0,1}^n of the product of affine constraints.
 
     A constraint is a signature or its AffineWitness; a witness is used as
-    given, so a caller that has already tested each distinct table (as
-    loopspace.evaluate does, once per table within one call) avoids a
-    second is_affine run here.
+    given, and is_affine runs once per distinct table of the call, so a
+    caller that has already tested each table (as loopspace.evaluate does)
+    avoids a second run here.
     """
+    witness_of = once_per_table(is_affine)
     agg = AffineAggregate.empty(n_vars)
     for sig, var_tuple in constraints:
         sig2, var_tuple = _collapse_repeats(sig, var_tuple)
-        witness = sig2 if isinstance(sig2, AffineWitness) else is_affine(sig2)
+        witness = sig2 if isinstance(sig2, AffineWitness) else witness_of(sig2)
         if witness is None:
             raise NotAffine(f"constraint not affine: {sig!r}")
         agg.add_witness(witness, var_tuple)
@@ -300,10 +318,11 @@ def product_eval(
     """Union-find with parity over =/!= chains, unary weights per component.
 
     A constraint is a signature or its ProductWitness; a witness is used as
-    given, so a caller that has already tested each distinct table (as
-    loopspace.evaluate does, once per table within one call) avoids a
-    second is_product run here.
+    given, and is_product runs once per distinct table of the call, so a
+    caller that has already tested each table (as loopspace.evaluate does)
+    avoids a second run here.
     """
+    witness_of = once_per_table(is_product)
     parent = list(range(n_vars))
     parity = [0] * n_vars  # parity to parent
 
@@ -335,7 +354,7 @@ def product_eval(
 
     for sig, var_tuple in constraints:
         sig2, var_tuple = _collapse_repeats(sig, var_tuple)
-        witness = sig2 if isinstance(sig2, ProductWitness) else is_product(sig2)
+        witness = sig2 if isinstance(sig2, ProductWitness) else witness_of(sig2)
         if witness is None:
             raise NotProduct(f"constraint not product-type: {sig!r}")
         if witness.zero:

@@ -89,13 +89,6 @@ class RotationMap:
         rot = self.vertices[self.vertex_of[h]]
         return rot[(self.slot_of[h] - 1) % len(rot)]
 
-    def opposite(self, h: int) -> int:
-        """The half-edge two slots away (degree-4 vertices only)."""
-        rot = self.vertices[self.vertex_of[h]]
-        if len(rot) != 4:
-            raise MapError("opposite() needs a degree-4 vertex")
-        return rot[(self.slot_of[h] + 2) % 4]
-
     def faces(self) -> list[list[int]]:
         """Face orbits of next = rotation-successor of involution."""
         seen = [False] * self.half_edge_count

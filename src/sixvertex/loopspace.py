@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .cspsolve import NotAffine, NotProduct, affine_eval, product_eval
+from .cspsolve import NotAffine, NotProduct, affine_eval, once_per_table, product_eval
 from .instance import PlanarInstance
 from .membership import is_affine, is_product
 from .oracle import csp_brute
@@ -459,14 +459,10 @@ def _witnessed(
 ) -> Optional[list[tuple[object, tuple[int, ...]]]]:
     """The constraints as (witness, variables) pairs, running `membership`
     once per distinct table; None as soon as one table has no witness."""
-    witness_of: dict[tuple[Scalar, ...], Optional[object]] = {}
+    witness_of = once_per_table(membership)
     out = []
     for table, variables in constraints:
-        key = table.values()
-        if key in witness_of:
-            witness = witness_of[key]
-        else:
-            witness = witness_of[key] = membership(table)
+        witness = witness_of(table)
         if witness is None:
             return None
         out.append((witness, variables))

@@ -12,17 +12,22 @@ Hadamard-transformed evaluation joins them by the signed equality
 (-1, 1, 1) and synthesizes gadgets for the transformed vertex signature
 instead.  _assemble is the one place where gadgets are joined.
 
-Every gadget of fkt_eval is one template, the wheel.  The chain family
-c = z = 0, ax = -by != 0 has no wheel, so fkt_eval splits each such vertex
-of the instance into two vertices joined by two edges, labelled by two
-signatures that do have one and whose composition is the original.
+Every gadget comes from one builder, _build, which takes a template's
+weighted edge list and each vertex's counterclockwise list of neighbours
+and open ports.  Every gadget of fkt_eval is one template, the wheel.  The
+chain family c = z = 0, ax = -by != 0 has no wheel, so fkt_eval splits
+each such vertex of the instance into two vertices joined by two edges,
+labelled by two signatures that do have one and whose composition is the
+original.
 
-The gadget weight formulas below are derived from the perfect-matching
-enumeration of small templates and are re-verified against the matching
-oracle whenever a gadget is synthesized, so a formula slip fails loudly.
-An evaluation synthesizes (and so re-verifies) each distinct label once per
-call and shares that gadget among the vertices carrying the label; nothing
-is kept between calls.
+Both synthesizers follow one quarter-turn rule: a template is built on the
+first quarter turn f^r of its target that it applies to, its externals are
+shifted back by -r, and the gadget is verified once against the matching
+oracle.  The weight formulas are derived from the perfect-matching
+enumeration of the templates, so that verification makes a formula slip
+fail loudly.  An evaluation synthesizes (and so verifies) each distinct
+label once per call and shares that gadget among the vertices carrying the
+label; nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .instance import MapError, PlanarInstance, RotationMap
@@ -54,149 +59,97 @@ class SynthesisError(ValueError):
 
 @dataclass
 class PlaneGadget:
-    """A weighted plane graph under construction.
+    """A weighted plane graph with open ports.
 
     Rotations list ports in counterclockwise order; a port is either
     ("edge", edge_index, end) or ("open", external_index).  Externals lie
     on the outer face in counterclockwise order x1..x4.
     """
 
-    rotations: list[list] = field(default_factory=list)
-    edges: list[tuple[int, int, Scalar]] = field(default_factory=list)
-    externals: list[int] = field(default_factory=list)
-
-    def add_vertex(self) -> int:
-        self.rotations.append([])
-        return len(self.rotations) - 1
-
-    def add_external(self, vertex: int) -> None:
-        self.rotations[vertex].append(("open", len(self.externals)))
-        self.externals.append(vertex)
-
-    def add_edge(self, u: int, v: int, weight: Scalar) -> None:
-        """Append an edge; ports are appended in call order, so callers add
-        the edges around each vertex counterclockwise.  Zero weights are
-        dropped entirely."""
-        if weight.is_zero():
-            return
-        idx = len(self.edges)
-        self.edges.append((u, v, weight))
-        self.rotations[u].append(("edge", idx, 0))
-        self.rotations[v].append(("edge", idx, 1))
-
-    def reorder(self, vertex: int, ports: list) -> None:
-        """Rearrange a vertex's rotation into the given ccw port order."""
-        current = self.rotations[vertex]
-        if sorted(map(str, current)) != sorted(map(str, ports)):
-            raise SynthesisError("reorder must permute the existing ports")
-        self.rotations[vertex] = list(ports)
+    rotations: list[list]
+    edges: list[tuple[int, int, Scalar]]
+    externals: list[int]
 
     @property
     def n(self) -> int:
         return len(self.rotations)
 
-    def signature(self, cap: int = 16) -> list[Scalar]:
-        graph = WeightedGraph(self.n, list(self.edges))
-        return matching_signature(graph, self.externals, cap)
+    def signature(self) -> list[Scalar]:
+        return matching_signature(WeightedGraph(self.n, self.edges), self.externals)
 
     def shifted(self, shift: int) -> "PlaneGadget":
         """Cyclically relabel the externals (a rotation of the signature)."""
-        out = PlaneGadget(
-            [list(r) for r in self.rotations], list(self.edges), list(self.externals)
-        )
         k = len(self.externals)
-        out.externals = [self.externals[(t + shift) % k] for t in range(k)]
-        remap = {(t + shift) % k: t for t in range(k)}
-        for rot in out.rotations:
-            for pos, port in enumerate(rot):
-                if port[0] == "open":
-                    rot[pos] = ("open", remap[port[1]])
-        return out
+        externals = [self.externals[(t + shift) % k] for t in range(k)]
+        rotations = [
+            [("open", (p[1] - shift) % k) if p[0] == "open" else p for p in rot]
+            for rot in self.rotations
+        ]
+        return PlaneGadget(rotations, list(self.edges), externals)
 
 
-# -- gadget templates --------------------------------------------------------------
+def _build(edges: Sequence[tuple[int, int, Scalar]], orders: Sequence[list]) -> PlaneGadget:
+    """The gadget of a template: `edges` lists (u, v, weight), and
+    orders[v] lists v's neighbours and ("open", t) markers counterclockwise;
+    external t is the vertex that carries ("open", t).
 
-
-def _wheel_gadget(f: SixVertexSignature) -> PlaneGadget:
-    """Hub-and-rim template with a parity flip on x1.
-
-    Valid when c != 0 (weights close over c) or when the signature is
-    supported on the (a, b) slots only.  The perfect-matching expansion
-    forces spoke1 = 0 and, via the matchgate identity cz = ax + by, makes
-    the remaining weights consistent.
+    Zero-weight edges are dropped from the edges and from the orders.
+    Raises SynthesisError on a loop or parallel edge, or when a rotation
+    misses or repeats a port.
     """
-    if not f.c.is_zero():
-        spoke2, spoke3, spoke4 = f.a, f.c, f.b
-        rim41, rim12 = f.x / f.c, f.y / f.c
-    elif f.x.is_zero() and f.y.is_zero() and f.z.is_zero():
-        spoke2, spoke3, spoke4 = f.a, ZERO, f.b
-        rim41 = rim12 = ZERO
-    else:
-        raise SynthesisError("wheel template needs c != 0 or support in (a,b)")
-    g = PlaneGadget()
-    e1, e2, e3, e4 = (g.add_vertex() for _ in range(4))
-    hub = g.add_vertex()
-    q1, q2, x_ext = (g.add_vertex() for _ in range(3))
-    # edges; rotations fixed afterwards
-    g.add_edge(e1, e2, rim12)
-    g.add_edge(e4, e1, rim41)
-    g.add_edge(hub, e2, spoke2)
-    g.add_edge(hub, e3, spoke3)
-    g.add_edge(hub, e4, spoke4)
-    g.add_edge(e1, q1, ONE)
-    g.add_edge(q1, q2, ONE)
-    g.add_edge(q2, x_ext, ONE)
-    g.add_external(x_ext)
-    g.add_external(e2)
-    g.add_external(e3)
-    g.add_external(e4)
-    _fix_rotations_ccw(
-        g,
-        {
-            e1: [(e1, e2), (e4, e1), (e1, q1)],
-            e2: [(hub, e2), (e1, e2), ("open", 1)],
-            e3: [("open", 2), (hub, e3)],
-            e4: [(e4, e1), (hub, e4), ("open", 3)],
-            hub: [(hub, e2), (hub, e3), (hub, e4)],
-            q1: [(e1, q1), (q1, q2)],
-            q2: [(q1, q2), (q2, x_ext)],
-            x_ext: [(q2, x_ext), ("open", 0)],
-        },
-    )
-    return g
-
-
-def _fix_rotations_ccw(g: PlaneGadget, orders: dict[int, list]) -> None:
-    """Set each vertex's rotation to the given ccw order of edge endpoints
-    or ("open", k) markers, skipping dropped zero-weight edges."""
-    edge_port: dict[tuple[int, int, int], tuple] = {}
-    counts: dict[tuple[int, int], int] = {}
-    for idx, (u, v, _) in enumerate(g.edges):
-        occurrence = counts.get((u, v), 0)
-        counts[(u, v)] = occurrence + 1
-        edge_port[(u, v, occurrence)] = ("edge", idx, 0)
-        edge_port[(v, u, occurrence)] = ("edge", idx, 1)
-    for vertex, order in orders.items():
-        ports = []
-        used: dict[tuple[int, int], int] = {}
+    port_of: dict[tuple[int, int], Optional[tuple]] = {}
+    kept = []
+    for u, v, w in edges:
+        if u == v or (u, v) in port_of:
+            raise SynthesisError(f"template edge {u}-{v} is a loop or a parallel edge")
+        if w.is_zero():
+            port_of[(u, v)] = port_of[(v, u)] = None
+            continue
+        port_of[(u, v)] = ("edge", len(kept), 0)
+        port_of[(v, u)] = ("edge", len(kept), 1)
+        kept.append((u, v, w))
+    rotations = []
+    external_of: dict[int, int] = {}
+    for v, order in enumerate(orders):
+        rot = []
         for item in order:
-            if item[0] == "open":
-                ports.append(("open", item[1]))
-                continue
-            u, v = item
-            other = v if u == vertex else u
-            key = (vertex, other)
-            occurrence = used.get(key, 0)
-            used[key] = occurrence + 1
-            port = edge_port.get((vertex, other, occurrence))
-            if port is None:
-                port = edge_port.get((other, vertex, occurrence))
-                if port is not None:
-                    port = ("edge", port[1], 1 - port[2])
-            if port is None:
-                continue  # zero-weight edge was dropped
-            ports.append(port)
-        g.reorder(vertex, ports)
+            if isinstance(item, tuple):
+                external_of[item[1]] = v
+                rot.append(item)
+            elif (v, item) not in port_of:
+                raise SynthesisError(f"template vertex {v} has no edge to {item}")
+            elif port_of[(v, item)] is not None:
+                rot.append(port_of[(v, item)])
+        rotations.append(rot)
+    ports = [port for rot in rotations for port in rot]
+    k = len(ports) - 2 * len(kept)
+    if len(set(ports)) != len(ports) or sorted(external_of) != list(range(k)):
+        raise SynthesisError("a template rotation misses or repeats a port")
+    return PlaneGadget(rotations, kept, [external_of[t] for t in range(k)])
+
+
+def add_flip_pigtail(g: PlaneGadget, external_index: int = 0) -> PlaneGadget:
+    """Compose one external with Disequality: a 3-edge pigtail whose far end
+    becomes the new external (flips that variable of the signature)."""
+    old_vertex = g.externals[external_index]
+    q1, q2, x_new = g.n, g.n + 1, g.n + 2
+    e_a, e_b, e_c = (len(g.edges) + t for t in range(3))
+    pigtail = ("edge", e_a, 0)
+    rotations = [
+        [pigtail if p == ("open", external_index) else p for p in rot]
+        for rot in g.rotations
+    ]
+    if pigtail not in rotations[old_vertex]:
+        raise SynthesisError("external slot not found")
+    rotations += [
+        [("edge", e_a, 1), ("edge", e_b, 0)],
+        [("edge", e_b, 1), ("edge", e_c, 0)],
+        [("edge", e_c, 1), ("open", external_index)],
+    ]
+    edges = g.edges + [(old_vertex, q1, ONE), (q1, q2, ONE), (q2, x_new, ONE)]
+    externals = list(g.externals)
+    externals[external_index] = x_new
+    return PlaneGadget(rotations, edges, externals)
 
 
 def _scaled_propto(sig_values: Sequence[Scalar], target: Sequence[Scalar]) -> Optional[Scalar]:
@@ -217,44 +170,86 @@ def _scaled_propto(sig_values: Sequence[Scalar], target: Sequence[Scalar]) -> Op
     return scale
 
 
+def _turned_back(
+    template: PlaneGadget, turn: int, target: Sequence[Scalar]
+) -> tuple[PlaneGadget, Scalar]:
+    """A template built on the quarter turn `turn` of its target, with its
+    externals shifted back by -turn, and the scale with which its matching
+    signature equals the target: the one oracle verification of a gadget.
+    SynthesisError when the signature is not a nonzero multiple."""
+    gadget = template.shifted(-turn % 4)
+    scale = _scaled_propto(gadget.signature(), target)
+    if scale is None or scale.is_zero():
+        raise SynthesisError("the gadget's matching signature is not a multiple of its target")
+    return gadget, scale
+
+
 def _zero_gadget() -> PlaneGadget:
     """Four ports and an isolated vertex, which kills every matching: the
     gadget of a zero signature, with scale 1."""
-    g = PlaneGadget()
-    ports = [g.add_vertex() for _ in range(4)]
-    g.add_vertex()
-    for p in ports:
-        g.add_external(p)
-    return g
+    return _build([], [[("open", t)] for t in range(4)] + [[]])
+
+
+# -- the wheel ----------------------------------------------------------------------
+
+
+def _wheel_applies(f: SixVertexSignature) -> bool:
+    """c != 0, or support on the (a, b) slots only."""
+    return not f.c.is_zero() or (f.x.is_zero() and f.y.is_zero() and f.z.is_zero())
+
+
+def _wheel_core(f: SixVertexSignature) -> PlaneGadget:
+    """Hub-and-rim template: rim vertices e1..e4 carry the externals x1..x4
+    and the hub joins e2, e3, e4.
+
+    With the flip pigtail on x1 it realizes f whenever _wheel_applies(f).
+    The perfect-matching expansion forces spoke1 = 0 and, via the matchgate
+    identity cz = ax + by, makes the remaining weights consistent; with
+    c = 0 only the spokes to e2 and e4 remain.
+    """
+    if f.c.is_zero():
+        spoke2, spoke3, spoke4, rim41, rim12 = f.a, ZERO, f.b, ZERO, ZERO
+    else:
+        spoke2, spoke3, spoke4 = f.a, f.c, f.b
+        rim41, rim12 = f.x / f.c, f.y / f.c
+    e1, e2, e3, e4, hub = range(5)
+    return _build(
+        [
+            (e1, e2, rim12),
+            (e4, e1, rim41),
+            (hub, e2, spoke2),
+            (hub, e3, spoke3),
+            (hub, e4, spoke4),
+        ],
+        [
+            [e2, e4, ("open", 0)],
+            [hub, e1, ("open", 1)],
+            [("open", 2), hub],
+            [e1, hub, ("open", 3)],
+            [e2, e3, e4],
+        ],
+    )
 
 
 def synthesize(f: SixVertexSignature) -> tuple[PlaneGadget, Scalar]:
     """A plane gadget whose matching signature equals scale * f, scale != 0
     (scale 1 for f = 0).  Raises SynthesisError when f is not a matchgate.
 
-    Every gadget is the wheel template, on the first rotation of f and
-    cyclic shift of its externals whose matching signature is a nonzero
-    multiple of f.  The rotations tried are those with c != 0, or, when
-    c = z = 0, those supported on the (a, b) slots.  No wheel realizes the
-    chain family c = z = 0, ax = -by != 0, so fkt_eval splits those
-    vertices in the instance (_split_chain_vertices) and never asks here.
+    Every gadget is the wheel, built on the first quarter turn f^r of f
+    it applies to (c != 0, or support on the (a, b) slots) and shifted
+    back by -r.  No wheel realizes the chain family c = z = 0,
+    ax = -by != 0, so fkt_eval splits those vertices in the instance
+    (_split_chain_vertices) and never asks here.
     """
     if not is_matchgate(f):
         raise SynthesisError("signature violates the matchgate identity")
     if f.is_zero():
         return _zero_gadget(), ONE
-    rotations = [f.rotate(r) for r in range(4)]
-    candidates = [g for g in rotations if not g.c.is_zero()] or [
-        g for g in rotations if g.x.is_zero() and g.y.is_zero() and g.z.is_zero()
-    ]
-    target = f.to_general().entries
-    for rotated in candidates:
-        gadget = _wheel_gadget(rotated)
-        for shift in range(4):
-            shifted = gadget.shifted(shift)
-            scale = _scaled_propto(shifted.signature(), target)
-            if scale is not None and not scale.is_zero():
-                return shifted, scale
+    for turn in range(4):
+        turned = f.rotate(turn)
+        if _wheel_applies(turned):
+            wheel = add_flip_pigtail(_wheel_core(turned), 0)
+            return _turned_back(wheel, turn, f.to_general().entries)
     raise SynthesisError(f"no wheel template applies to {f!r}")
 
 
@@ -282,190 +277,80 @@ def synthesize_even_image(m: GeneralSignature4) -> tuple[PlaneGadget, Scalar]:
     """Gadgets for the even-parity Hadamard images of six-vertex signatures.
 
     These have entries (p, q, r, s) on the complement-symmetric even
-    patterns with either (r, s) = (-p, -q) or (q, s) = (-p, -r); each shape
-    splits into closed-form templates verified against the matching oracle.
-    The gadget's matching signature is scale * m, scale != 0.
+    patterns with either (r, s) = (-p, -q) or (q, s) = (-p, -r).  A quarter
+    turn swaps q and r, so the second shape is the first on turn 1 of m;
+    the first shape splits into three closed-form templates, built on the
+    turn that has it and shifted back.  The gadget's matching signature is
+    scale * m, scale != 0.
     """
     shape = _even_image_entries(m)
     if shape is None:
         raise SynthesisError("not a symmetric even-parity image")
-    p, q, r, s = shape
-    attempts = []
-    if r == -p and s == -q:
-        if not p.is_zero() and not q.is_zero():
-            attempts.append(_image_template_general_b0(p, q))
-        if not p.is_zero() and q.is_zero():
-            attempts.append(_image_template_sides(p, pair="vertical"))
-        if p.is_zero() and not q.is_zero():
-            attempts.append(_image_template_paths(q, split="14-23"))
-    if q == -p and s == -r:
-        if not p.is_zero() and not r.is_zero():
-            attempts.append(_image_template_general_a0(p, r))
-        if not p.is_zero() and r.is_zero():
-            attempts.append(_image_template_sides(p, pair="horizontal"))
-        if p.is_zero() and not r.is_zero():
-            attempts.append(_image_template_paths(r, split="12-34"))
-    if p.is_zero() and q.is_zero() and r.is_zero() and s.is_zero():
+    if all(v.is_zero() for v in shape):
         return _zero_gadget(), ONE
-    for gadget in attempts:
-        scale = _scaled_propto(gadget.signature(), m.entries)
-        if scale is not None and not scale.is_zero():
-            return gadget, scale
+    for turn in (0, 1):
+        p, q, r, s = _even_image_entries(m.rotate(turn))
+        if r == -p and s == -q:
+            if p.is_zero():
+                template = _image_template_paths(q)
+            elif q.is_zero():
+                template = _image_template_sides()
+            else:
+                template = _image_template_general(p, q)
+            return _turned_back(template, turn, m.entries)
     raise SynthesisError("no even-image template matched")
 
 
-def _image_template_general_b0(p: Scalar, q: Scalar) -> PlaneGadget:
+def _image_template_general(p: Scalar, q: Scalar) -> PlaneGadget:
     """Shape [[p,q],[q,p]] outer, [[-p,-q],[-q,-p]] inner; p, q != 0."""
-    g = PlaneGadget()
-    e1, e2, e3, e4, u, v = (g.add_vertex() for _ in range(6))
-    g.add_edge(u, v, p)
-    g.add_edge(e1, e2, q / p)  # r12
-    g.add_edge(e3, e4, q / p)  # r34
-    g.add_edge(e4, e1, (q * q - p * p) / (p * p))  # r41
-    g.add_edge(u, e1, ONE)
-    g.add_edge(u, e2, p / q)
-    g.add_edge(v, e3, -q)
-    g.add_edge(v, e4, -(q * q) / p)
-    for vtx in (e1, e2, e3, e4):
-        g.add_external(vtx)
-    _fix_rotations_ccw(
-        g,
-        {
-            e1: [(e1, e2), (u, e1), (e4, e1), ("open", 0)],
-            e2: [(u, e2), (e1, e2), ("open", 1)],
-            e3: [("open", 2), (e3, e4), (v, e3)],
-            e4: [(e3, e4), ("open", 3), (e4, e1), (v, e4)],
-            u: [(u, v), (u, e1), (u, e2)],
-            v: [(v, e3), (v, e4), (u, v)],
-        },
+    e1, e2, e3, e4, u, v = range(6)
+    return _build(
+        [
+            (u, v, p),
+            (e1, e2, q / p),
+            (e3, e4, q / p),
+            (e4, e1, (q * q - p * p) / (p * p)),
+            (u, e1, ONE),
+            (u, e2, p / q),
+            (v, e3, -q),
+            (v, e4, -(q * q) / p),
+        ],
+        [
+            [e2, u, e4, ("open", 0)],
+            [u, e1, ("open", 1)],
+            [("open", 2), e4, v],
+            [e3, ("open", 3), e1, v],
+            [v, e1, e2],
+            [e3, e4, u],
+        ],
     )
-    return g
 
 
-def _image_template_general_a0(p: Scalar, r: Scalar) -> PlaneGadget:
-    """Shape [[p,-p],[-p,p]] outer, [[r,-r],[-r,r]] inner; p, r != 0."""
-    g = PlaneGadget()
-    e1, e2, e3, e4, u, v = (g.add_vertex() for _ in range(6))
-    rho = (r - p) / p
-    g.add_edge(u, v, p)
-    g.add_edge(e1, e2, rho)  # r12
-    g.add_edge(e2, e3, r / p)  # r23
-    g.add_edge(e3, e4, rho)  # r34
-    g.add_edge(u, e1, ONE)
-    g.add_edge(u, e4, ONE)
-    g.add_edge(v, e2, -r)
-    g.add_edge(v, e3, -r)
-    g.add_edge(v, e4, r)
-    for vtx in (e1, e2, e3, e4):
-        g.add_external(vtx)
-    _fix_rotations_ccw(
-        g,
-        {
-            e1: [(e1, e2), (u, e1), ("open", 0)],
-            e2: [(e2, e3), (v, e2), (e1, e2), ("open", 1)],
-            e3: [("open", 2), (e3, e4), (v, e3), (e2, e3)],
-            e4: [(e3, e4), ("open", 3), (u, e4), (v, e4)],
-            u: [(u, v), (u, e4), (u, e1)],
-            v: [(v, e3), (v, e4), (u, v), (v, e2)],
-        },
+def _image_template_sides() -> PlaneGadget:
+    """Two -1 edges, e4-e1 and e2-e3, on opposite sides: the shape with
+    q = 0, up to the scale."""
+    e1, e2, e3, e4 = range(4)
+    return _build(
+        [(e4, e1, -ONE), (e2, e3, -ONE)],
+        [[e4, ("open", 0)], [e3, ("open", 1)], [("open", 2), e2], [("open", 3), e1]],
     )
-    return g
 
 
-def _image_template_sides(p: Scalar, pair: str) -> PlaneGadget:
-    """Two -1 edges on opposite sides, global scalar p."""
-    g = PlaneGadget()
-    e1, e2, e3, e4 = (g.add_vertex() for _ in range(4))
-    if pair == "vertical":  # edges (e1,e4), (e2,e3)
-        g.add_edge(e4, e1, -ONE)
-        g.add_edge(e2, e3, -ONE)
-        orders = {
-            e1: [(e4, e1), ("open", 0)],
-            e2: [(e2, e3), ("open", 1)],
-            e3: [("open", 2), (e2, e3)],
-            e4: [("open", 3), (e4, e1)],
-        }
-    else:  # horizontal: (e1,e2), (e3,e4)
-        g.add_edge(e1, e2, -ONE)
-        g.add_edge(e3, e4, -ONE)
-        orders = {
-            e1: [(e1, e2), ("open", 0)],
-            e2: [(e1, e2), ("open", 1)],
-            e3: [("open", 2), (e3, e4)],
-            e4: [(e3, e4), ("open", 3)],
-        }
-    for vtx in (e1, e2, e3, e4):
-        g.add_external(vtx)
-    # externals were appended after edges; rebuild orders with open markers
-    _fix_rotations_ccw(g, orders)
-    return g
-
-
-def _image_template_paths(weight: Scalar, split: str) -> PlaneGadget:
-    """Two odd 2-paths carrying (0, w, -w, 0)-type factors."""
-    g = PlaneGadget()
-    e1, e2, e3, e4, mid_a, mid_b = (g.add_vertex() for _ in range(6))
-    if split == "14-23":
-        g.add_edge(e1, mid_a, weight)
-        g.add_edge(mid_a, e4, -weight)
-        g.add_edge(e2, mid_b, ONE)
-        g.add_edge(mid_b, e3, -ONE)
-        orders = {
-            e1: [(e1, mid_a), ("open", 0)],
-            e2: [(e2, mid_b), ("open", 1)],
-            e3: [("open", 2), (mid_b, e3)],
-            e4: [("open", 3), (mid_a, e4)],
-            mid_a: [(e1, mid_a), (mid_a, e4)],
-            mid_b: [(e2, mid_b), (mid_b, e3)],
-        }
-    else:  # "12-34"
-        g.add_edge(e1, mid_a, -weight)
-        g.add_edge(mid_a, e2, weight)
-        g.add_edge(e3, mid_b, ONE)
-        g.add_edge(mid_b, e4, -ONE)
-        orders = {
-            e1: [(e1, mid_a), ("open", 0)],
-            e2: [(mid_a, e2), ("open", 1)],
-            e3: [("open", 2), (e3, mid_b)],
-            e4: [("open", 3), (mid_b, e4)],
-            mid_a: [(e1, mid_a), (mid_a, e2)],
-            mid_b: [(e3, mid_b), (mid_b, e4)],
-        }
-    for vtx in (e1, e2, e3, e4):
-        g.add_external(vtx)
-    _fix_rotations_ccw(g, orders)
-    return g
-
-
-def add_flip_pigtail(g: PlaneGadget, external_index: int = 0) -> PlaneGadget:
-    """Compose one external with Disequality: a 3-edge pigtail whose far end
-    becomes the new external (flips that variable of the signature)."""
-    out = PlaneGadget(
-        [list(r) for r in g.rotations], list(g.edges), list(g.externals)
+def _image_template_paths(weight: Scalar) -> PlaneGadget:
+    """Two odd 2-paths, e1-e4 and e2-e3, carrying (0, w, -w, 0)-type
+    factors: the shape with p = 0."""
+    e1, e2, e3, e4, mid_a, mid_b = range(6)
+    return _build(
+        [(e1, mid_a, weight), (mid_a, e4, -weight), (e2, mid_b, ONE), (mid_b, e3, -ONE)],
+        [
+            [mid_a, ("open", 0)],
+            [mid_b, ("open", 1)],
+            [("open", 2), mid_b],
+            [("open", 3), mid_a],
+            [e1, e4],
+            [e2, e3],
+        ],
     )
-    old_vertex = out.externals[external_index]
-    q1 = out.add_vertex()
-    q2 = out.add_vertex()
-    x_new = out.add_vertex()
-    e_a = len(out.edges)
-    out.edges.append((old_vertex, q1, ONE))
-    e_b = len(out.edges)
-    out.edges.append((q1, q2, ONE))
-    e_c = len(out.edges)
-    out.edges.append((q2, x_new, ONE))
-    # the old open slot becomes the pigtail edge
-    rot = out.rotations[old_vertex]
-    for pos, port in enumerate(rot):
-        if port == ("open", external_index):
-            rot[pos] = ("edge", e_a, 0)
-            break
-    else:
-        raise SynthesisError("external slot not found")
-    out.rotations[q1] = [("edge", e_a, 1), ("edge", e_b, 0)]
-    out.rotations[q2] = [("edge", e_b, 1), ("edge", e_c, 0)]
-    out.rotations[x_new] = [("edge", e_c, 1), ("open", external_index)]
-    out.externals[external_index] = x_new
-    return out
 
 
 # -- Pfaffians --------------------------------------------------------------------

@@ -54,6 +54,14 @@ def _bits(idx: int, n: int) -> tuple[int, ...]:
     return tuple((idx >> (n - 1 - t)) & 1 for t in range(n))
 
 
+def _product_matches(witness: ProductWitness | AffineWitness, values, n) -> bool:
+    """Whether the witness, product or affine, reproduces every entry:
+    is_affine returns None and is_product raises WitnessError when not."""
+    return all(
+        witness.evaluate(_bits(idx, n)) == values[idx] for idx in range(2 ** n)
+    )
+
+
 # -- affine signatures -------------------------------------------------------
 
 
@@ -160,7 +168,7 @@ def is_affine(sig) -> Optional[AffineWitness]:
                 row[n - 1 - p] = 1
         rows.append(tuple(row) + (x0 >> c & 1,))
     witness = AffineWitness(n, values[x0], tuple(rows), tuple(lin), tuple(cross))
-    return witness if _witness_matches(witness, values, n) else None
+    return witness if _product_matches(witness, values, n) else None
 
 
 def _i_multiples(base: Scalar) -> dict[tuple[int, ...], int]:
@@ -174,12 +182,6 @@ def _i_multiples(base: Scalar) -> dict[tuple[int, ...], int]:
         (-n0, -n1, -n2, -n3, den): 2,
         (n2, n3, -n0, -n1, den): 3,
     }
-
-
-def _witness_matches(witness: AffineWitness, values, n) -> bool:
-    return all(
-        witness.evaluate(_bits(idx, n)) == values[idx] for idx in range(2 ** n)
-    )
 
 
 # -- product-type signatures ---------------------------------------------------
@@ -304,12 +306,6 @@ def _try_factor(values, n, blocks, full_pars) -> Optional[ProductWitness]:
         blocks=tuple(tuple(b) for b in blocks),
         parities=tuple(tuple(p) for p in full_pars),
         weights=tuple(weights),
-    )
-
-
-def _product_matches(witness: ProductWitness, values, n) -> bool:
-    return all(
-        witness.evaluate(_bits(idx, n)) == values[idx] for idx in range(2 ** n)
     )
 
 

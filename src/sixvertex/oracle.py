@@ -25,14 +25,21 @@ class OracleCapExceeded(RuntimeError):
     pass
 
 
+HOLANT_CAP = 24  # edges
+CSP_CAP = 20  # variables
+MATCHING_CAP = 16  # matched pairs, so 32 vertices
+
+
 # -- Holant ---------------------------------------------------------------------
 
 
-def holant_brute(inst: PlanarInstance, cap: int = 24) -> Scalar:
+def holant_brute(inst: PlanarInstance) -> Scalar:
     """Exact Holant value by backtracking over edge orientations."""
     m = inst.map
-    if m.edge_count > cap:
-        raise OracleCapExceeded(f"{m.edge_count} edges exceeds the brute-force cap {cap}")
+    if m.edge_count > HOLANT_CAP:
+        raise OracleCapExceeded(
+            f"{m.edge_count} edges exceeds the brute-force cap {HOLANT_CAP}"
+        )
     values: list[Optional[int]] = [None] * m.half_edge_count
     counts = [[0, 0] for _ in range(m.vertex_count)]
     filled = [0] * m.vertex_count
@@ -111,15 +118,14 @@ def holant_brute(inst: PlanarInstance, cap: int = 24) -> Scalar:
 def csp_brute(
     n_vars: int,
     constraints: Sequence[tuple[object, tuple[int, ...]]],
-    cap: int = 20,
 ) -> Scalar:
     """Sum over {0,1}^n of constraint products.
 
     Constraints are (signature, variable tuple) with signatures of arity
     1, 2 or 4; variables may repeat.
     """
-    if n_vars > cap:
-        raise OracleCapExceeded(f"{n_vars} variables exceeds the #CSP cap {cap}")
+    if n_vars > CSP_CAP:
+        raise OracleCapExceeded(f"{n_vars} variables exceeds the #CSP cap {CSP_CAP}")
     for sig, _ in constraints:
         if not isinstance(
             sig, (UnarySignature, BinarySignature, SixVertexSignature, GeneralSignature4)
@@ -150,9 +156,9 @@ class WeightedGraph:
     edges: list[tuple[int, int, Scalar]]
 
 
-def perfect_matching_sum(graph: WeightedGraph, cap: int = 16) -> Scalar:
+def perfect_matching_sum(graph: WeightedGraph) -> Scalar:
     """Weighted count of perfect matchings by branch on the lowest vertex."""
-    if graph.n > 2 * cap:
+    if graph.n > 2 * MATCHING_CAP:
         raise OracleCapExceeded(f"{graph.n} vertices exceeds the matching cap")
     adj: list[list[tuple[int, Scalar]]] = [[] for _ in range(graph.n)]
     for u, v, w in graph.edges:
@@ -189,7 +195,6 @@ def perfect_matching_sum(graph: WeightedGraph, cap: int = 16) -> Scalar:
 def matching_signature(
     graph: WeightedGraph,
     externals: Sequence[int],
-    cap: int = 16,
 ) -> list[Scalar]:
     """Entries of the matchgate signature: entry(S) is the weighted perfect
     matching sum of the gadget with the externals flagged 1 in S removed
@@ -211,5 +216,5 @@ def matching_signature(
                 if u in index and v in index
             ],
         )
-        out.append(perfect_matching_sum(sub, cap))
+        out.append(perfect_matching_sum(sub))
     return out

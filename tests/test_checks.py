@@ -8,7 +8,8 @@ Pfaffian's sign finds no perfect matching, or when the closed form that
 splits a chain-family vertex in two fails.  The library and its tests have
 no unused imports, and every console script that `pyproject.toml` declares
 resolves to a callable.  The library imports nothing outside the standard
-library."""
+library, and every function the benchmark's traced run wraps exists where
+the tracer looks it up."""
 
 import ast
 import importlib
@@ -131,6 +132,32 @@ def test_console_scripts_resolve():
     for name, target in project.get("scripts", {}).items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+def _missing_targets(targets):
+    """The targets whose owner has no attribute of that name in its own
+    namespace, which is where the benchmark's tracer looks them up."""
+    return [f"{t.owner.__name__}.{t.attr}" for t in targets if t.attr not in vars(t.owner)]
+
+
+def test_benchmark_trace_targets_exist(monkeypatch):
+    """Every function perfbench/layers.py wraps for `run.py --trace 1`
+    still exists where it is looked up; tier-1 does not collect
+    perfbench/, so a rename would otherwise break the traced run only."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    layers = importlib.import_module("layers")
+    targets = layers.QUERY_TARGETS + layers.SETUP_TARGETS
+    assert len(targets) > 20
+    assert _missing_targets(targets) == []
+
+
+def test_missing_target_scan(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from tracer import Target
+
+    assert _missing_targets([Target(membership, "no_such_test", "x")]) == [
+        "sixvertex.membership.no_such_test"
+    ]
 
 
 def test_product_witness_check_raises(monkeypatch):

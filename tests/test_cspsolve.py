@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from sixvertex import cspsolve
 from sixvertex.cspsolve import (
     NotAffine,
     NotProduct,
@@ -281,6 +282,40 @@ class TestProductLongChain:
         constraints += [(unary(1, 3), (0,)), (unary(1, 5), (n - 1,))]
         # n - 1 is even, so x_{n-1} = x_0: 1*1 + 3*5
         assert product_eval(constraints, n) == rational(16)
+
+
+class TestOneMembershipRunPerTable:
+    """Given tables, each solver tests each distinct table once per call."""
+
+    def counted(self, monkeypatch, name):
+        seen = []
+        real = getattr(cspsolve, name)
+
+        def counting(table):
+            seen.append(table)
+            return real(table)
+
+        monkeypatch.setattr(cspsolve, name, counting)
+        return seen
+
+    def test_affine_chain_of_one_table(self, monkeypatch):
+        n = 1000
+        g = BinarySignature(ONE, ONE, ONE, -ONE)
+        constraints = [(g, (v, v + 1)) for v in range(n - 1)]
+        seen = self.counted(monkeypatch, "is_affine")
+        assert affine_eval(constraints, n) == rational(2**500)
+        assert seen == [g]
+        # a second call tests again: nothing is kept between calls
+        affine_eval(constraints, n)
+        assert len(seen) == 2
+
+    def test_product_chain_of_two_tables(self, monkeypatch):
+        n = 1000
+        constraints = [(EQ if v % 2 else NEQ, (v, v + 1)) for v in range(n - 1)]
+        constraints.append((unary(2, 3), (0,)))
+        seen = self.counted(monkeypatch, "is_product")
+        assert product_eval(constraints, n) == rational(5)
+        assert sorted(map(repr, seen)) == sorted(map(repr, [EQ, NEQ, unary(2, 3)]))
 
 
 class TestWitnessConstraints:

@@ -16,13 +16,20 @@ from sixvertex.matchgate import (
     _SIGNED_EQ_PATH,
     SynthesisError,
     _assemble,
+    _build,
     _chain_halves,
     _hat_gadget,
+    _image_template_general,
+    _image_template_paths,
+    _image_template_sides,
     _is_chain,
     _kasteleyn_matrix,
     _label_gadgets,
     _matching_sign,
+    _scaled_propto,
     _split_chain_vertices,
+    _wheel_applies,
+    _wheel_core,
     add_flip_pigtail,
     fkt_eval,
     fkt_eval_hat,
@@ -422,6 +429,172 @@ class TestSynthesize:
             if odd:
                 flipped = add_flip_pigtail(gadget, 0)
                 assert flipped.signature() == [scale * v for v in image.entries]
+
+    def test_wheel_realizes_f_only_at_the_back_shift(self):
+        # the wheel on an applicable turn r of f, shifted by -r, realizes
+        # f; the other shifts realize f only where a turn of f is a
+        # multiple of f, which few random matchgates have
+        rng = random.Random(74)
+        asymmetric = ab_supported = 0
+        for _ in range(150):
+            f = random_matchgate(rng)
+            if f.is_zero():
+                continue
+            target = f.to_general().entries
+            symmetry = {
+                t for t in range(4) if nonzero_multiple(f.rotate(t).to_general().entries, target)
+            }
+            for turn in range(4):
+                turned = f.rotate(turn)
+                if not _wheel_applies(turned):
+                    continue
+                ab_supported += turned.c.is_zero()
+                wheel = add_flip_pigtail(_wheel_core(turned), 0)
+                realized = {
+                    shift
+                    for shift in range(4)
+                    if nonzero_multiple(wheel.shifted(shift).signature(), target)
+                }
+                assert realized == {(t - turn) % 4 for t in symmetry}
+            asymmetric += symmetry == {0}
+        assert asymmetric >= 80 and ab_supported >= 20
+
+    def test_wheel_graph_is_the_core_with_the_pigtail(self):
+        gadget, scale = synthesize(sv(1, 1, 2, 1, 1, 1))
+        half, one, two = rational(1, 2), ONE, rational(2)
+        assert gadget.edges == [
+            (0, 1, half), (3, 0, half), (4, 1, one), (4, 2, two), (4, 3, one),
+            (0, 5, one), (5, 6, one), (6, 7, one),
+        ]
+        assert gadget.rotations == [
+            [("edge", 0, 0), ("edge", 1, 1), ("edge", 5, 0)],
+            [("edge", 2, 1), ("edge", 0, 1), ("open", 1)],
+            [("open", 2), ("edge", 3, 1)],
+            [("edge", 1, 0), ("edge", 4, 1), ("open", 3)],
+            [("edge", 2, 0), ("edge", 3, 0), ("edge", 4, 0)],
+            [("edge", 5, 1), ("edge", 6, 0)],
+            [("edge", 6, 1), ("edge", 7, 0)],
+            [("edge", 7, 1), ("open", 0)],
+        ]
+        assert (gadget.externals, scale) == ([7, 1, 2, 3], ONE)
+
+    def test_second_shape_images_use_the_turned_template(self):
+        # (q, s) = (-p, -r), r != -p: turn 1 swaps q and r into the first
+        # shape (r, s) = (-p, -q)
+        w = Scalar(0, 1, 0, 0)
+        cases = [
+            (rational(1), rational(2), _image_template_general(rational(1), rational(2))),
+            (w, rational(-3), _image_template_general(w, rational(-3))),
+            (rational(2), ZERO, _image_template_sides()),
+            (ZERO, rational(3), _image_template_paths(rational(3))),
+        ]
+        for p, r, template in cases:
+            m = even_image(p, -p, r, -r)
+            gadget, scale = synthesize_even_image(m)
+            assert gadget == template.shifted(3)
+            assert gadget.signature() == [scale * v for v in m.entries]
+
+    def test_second_shape_hadamard_images(self):
+        rng = random.Random(76)
+        turned = 0
+        for _ in range(80):
+            image = hadamard_image(random_matchgate_hat(rng))
+            if image.has_parity_support(1):
+                image = image.flip_variable(1)
+            p, q, r, s = (image.value(*bits) for bits in EVEN_PATTERNS)
+            if (r, s) == (-p, -q) or all(v.is_zero() for v in (p, q, r, s)):
+                continue
+            assert (q, s) == (-p, -r)
+            gadget, scale = synthesize_even_image(image)
+            if p.is_zero():
+                template = _image_template_paths(r)
+            elif r.is_zero():
+                template = _image_template_sides()
+            else:
+                template = _image_template_general(p, r)
+            assert gadget == template.shifted(3)
+            assert gadget.signature() == [scale * v for v in image.entries]
+            turned += 1
+        assert turned >= 10
+
+    def test_one_oracle_verification_per_synthesis(self, monkeypatch):
+        checked = count_calls(monkeypatch, matchgate, "matching_signature")
+        # c != 0; (a, b) support on turn 2; c = 0 but z != 0, so turn 1
+        for f in (sv(1, 1, 2, 1, 1, 1), sv(0, 0, 0, 1, 2, 0), sv(1, 1, 0, 1, -1, 3)):
+            before = len(checked)
+            assert_synthesized(f)
+            assert len(checked) == before + 2  # synthesize, then the test's check
+        for m in (
+            even_image(rational(1), rational(2), rational(-1), rational(-2)),
+            even_image(rational(1), rational(-1), rational(2), rational(-2)),
+            even_image(rational(2), rational(-2), ZERO, ZERO),
+            even_image(ZERO, rational(3), ZERO, rational(-3)),
+        ):
+            before = len(checked)
+            synthesize_even_image(m)
+            assert len(checked) == before + 1
+
+    def test_gadget_sizes(self):
+        rng = random.Random(77)
+        for _ in range(60):
+            f = random_matchgate(rng)
+            if not _is_chain(f) and not f.is_zero():
+                assert synthesize(f)[0].n == 8
+            label = random_matchgate_hat(rng)
+            image = hadamard_image(label)
+            odd = image.has_parity_support(1)
+            assert _hat_gadget(label)[0].n <= (9 if odd else 6)
+
+
+EVEN_PATTERNS = ((0, 0, 0, 0), (0, 0, 1, 1), (0, 1, 1, 0), (0, 1, 0, 1))
+
+
+def even_image(p, q, r, s):
+    """The complement-symmetric even-parity signature with entries p, q,
+    r, s on the patterns 0000, 0011, 0110, 0101."""
+    entries = [ZERO] * 16
+    for index, value in zip((0b0000, 0b0011, 0b0110, 0b0101), (p, q, r, s)):
+        entries[index] = entries[index ^ 0b1111] = value
+    return GeneralSignature4(entries)
+
+
+def nonzero_multiple(values, target):
+    scale = _scaled_propto(values, target)
+    return scale is not None and not scale.is_zero()
+
+
+class TestBuilder:
+    EDGES = [(0, 1, ONE), (1, 2, ONE)]
+
+    def test_drops_zero_weight_edges(self):
+        g = _build([(0, 1, ZERO), (1, 2, -ONE)], [[1, ("open", 0)], [0, 2], [1, ("open", 1)]])
+        assert g.edges == [(1, 2, -ONE)]
+        assert g.rotations == [[("open", 0)], [("edge", 0, 0)], [("edge", 0, 1), ("open", 1)]]
+        assert g.externals == [0, 2]
+
+    def test_parallel_edge_raises(self):
+        with pytest.raises(SynthesisError, match="parallel"):
+            _build([(0, 1, ONE), (1, 0, -ONE)], [[1, ("open", 0)], [0, ("open", 1)]])
+
+    def test_rotation_missing_a_port_raises(self):
+        for orders in (
+            [[1, ("open", 0)], [0], [1, ("open", 1)]],  # vertex 1 misses its edge to 2
+            [[1], [0, 2], [1, ("open", 1)]],  # no external 0
+        ):
+            with pytest.raises(SynthesisError, match="misses or repeats"):
+                _build(self.EDGES, orders)
+
+    def test_rotation_repeating_a_port_raises(self):
+        for orders in (
+            [[1, 1, ("open", 0)], [0, 2], [1, ("open", 1)]],
+            [[1, ("open", 0)], [0, 2, ("open", 0)], [1, ("open", 1)]],
+        ):
+            with pytest.raises(SynthesisError, match="misses or repeats"):
+                _build(self.EDGES, orders)
+
+    def test_rotation_naming_a_non_neighbour_raises(self):
+        with pytest.raises(SynthesisError, match="no edge"):
+            _build(self.EDGES, [[1, 2, ("open", 0)], [0, 2], [1, ("open", 1)]])
 
 
 def count_calls(monkeypatch, module, name):

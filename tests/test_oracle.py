@@ -10,6 +10,7 @@ from sixvertex.instance import (
     cycle_graph,
     cycle_medial,
     grid_graph,
+    grid_patch,
     medial,
     path_graph,
     random_plane_graph,
@@ -213,9 +214,10 @@ class TestHolantBrute:
         assert zero_part + one_part == total
 
     def test_cap(self):
-        inst = uniform_instance(cycle_medial(3), ICE)
+        inst = uniform_instance(grid_patch(3, 4), ICE)
+        assert inst.map.edge_count == 34  # past the cap of 24 edges
         with pytest.raises(OracleCapExceeded):
-            holant_brute(inst, cap=2)
+            holant_brute(inst)
 
 
 class TestEulerianStats:
