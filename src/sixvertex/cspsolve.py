@@ -20,6 +20,10 @@ variable) finds it, as in matchgate.pfaffian_sparse.  Cross terms are kept
 as one partner set per variable and linear conditions as sparse variable
 sets, so a step costs in the size of its neighbourhood, not in n.
 
+A constraint is a table or its witness over distinct variables: a
+repeated variable raises RepeatedVariable.  A caller that would repeat one
+sums it out of the table first, as the edge #CSP of route.py does at a loop.
+
 Product-type instances decompose into =/!= relations with unary weights,
 solved by union-find with parity; an inconsistent relation set makes the
 value 0, which is a legitimate partition-function value, not an error.
@@ -33,7 +37,6 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .membership import AffineWitness, ProductWitness, is_affine, is_product
 from .scalar import MU8, ONE, SQRT2, ZERO, Scalar
-from .signature import BinarySignature, UnarySignature
 
 
 class NotAffine(ValueError):
@@ -42,6 +45,11 @@ class NotAffine(ValueError):
 
 class NotProduct(ValueError):
     pass
+
+
+class RepeatedVariable(ValueError):
+    """A constraint names one variable twice; the solvers take distinct
+    variables per constraint."""
 
 
 class GaussSumError(RuntimeError):
@@ -172,7 +180,8 @@ def affine_eval(
 ) -> Scalar:
     """Exact sum over {0,1}^n of the product of affine constraints.
 
-    A constraint is a signature or its AffineWitness; a witness is used as
+    A constraint is a signature or its AffineWitness over distinct
+    variables (RepeatedVariable otherwise); a witness is used as
     given, and is_affine runs once per distinct table of the call, so a
     caller that has already tested each table (as loopspace.evaluate does)
     avoids a second run here.
@@ -180,37 +189,17 @@ def affine_eval(
     witness_of = once_per_table(is_affine)
     agg = AffineAggregate.empty(n_vars)
     for sig, var_tuple in constraints:
-        sig2, var_tuple = _collapse_repeats(sig, var_tuple)
-        witness = sig2 if isinstance(sig2, AffineWitness) else witness_of(sig2)
+        _require_distinct(sig, var_tuple)
+        witness = sig if isinstance(sig, AffineWitness) else witness_of(sig)
         if witness is None:
             raise NotAffine(f"constraint not affine: {sig!r}")
         agg.add_witness(witness, var_tuple)
     return _gauss_sum(agg)
 
 
-def _collapse_repeats(sig, var_tuple):
-    """Replace repeated variables by the diagonal of the constraint, read
-    from a witness through its evaluate and from a signature by value."""
-    if len(set(var_tuple)) == len(var_tuple):
-        return sig, tuple(var_tuple)
-    if isinstance(sig, (AffineWitness, ProductWitness)):
-        read = sig.evaluate
-    else:
-        read = lambda args: sig.value(*args)
-    distinct = sorted(set(var_tuple), key=lambda v: var_tuple.index(v))
-    values = []
-    n = len(distinct)
-    for mask in range(2 ** n):
-        assign = {
-            v: (mask >> (n - 1 - t)) & 1 for t, v in enumerate(distinct)
-        }
-        args = tuple(assign[v] for v in var_tuple)
-        values.append(read(args))
-    if n == 1:
-        return UnarySignature(*values), tuple(distinct)
-    if n == 2:
-        return BinarySignature(*values), tuple(distinct)
-    raise ValueError("only arity <= 2 after collapsing repeats is supported")
+def _require_distinct(sig: object, var_tuple: tuple[int, ...]) -> None:
+    if len(set(var_tuple)) != len(var_tuple):
+        raise RepeatedVariable(f"constraint {sig!r} repeats a variable in {var_tuple}")
 
 
 def _gauss_sum(agg: AffineAggregate) -> Scalar:
@@ -317,7 +306,8 @@ def product_eval(
 ) -> Scalar:
     """Union-find with parity over =/!= chains, unary weights per component.
 
-    A constraint is a signature or its ProductWitness; a witness is used as
+    A constraint is a signature or its ProductWitness over distinct
+    variables (RepeatedVariable otherwise); a witness is used as
     given, and is_product runs once per distinct table of the call, so a
     caller that has already tested each table (as loopspace.evaluate does)
     avoids a second run here.
@@ -353,8 +343,8 @@ def product_eval(
     contradiction = False
 
     for sig, var_tuple in constraints:
-        sig2, var_tuple = _collapse_repeats(sig, var_tuple)
-        witness = sig2 if isinstance(sig2, ProductWitness) else witness_of(sig2)
+        _require_distinct(sig, var_tuple)
+        witness = sig if isinstance(sig, ProductWitness) else witness_of(sig)
         if witness is None:
             raise NotProduct(f"constraint not product-type: {sig!r}")
         if witness.zero:

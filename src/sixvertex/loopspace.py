@@ -38,7 +38,6 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 from .cspsolve import NotAffine, NotProduct, affine_eval, once_per_table, product_eval
 from .instance import PlanarInstance
 from .membership import is_affine, is_product
-from .oracle import csp_brute
 from .scalar import ONE, ZERO, Scalar
 from .signature import BinarySignature, SixVertexSignature, UnarySignature
 
@@ -409,7 +408,7 @@ def entry_exit_audit(dec: CircuitDecomposition) -> bool:
     return not any(balance.values())
 
 
-_METHODS = ("auto", "product", "affine", "brute")
+_METHODS = ("auto", "product", "affine")
 
 
 def evaluate(
@@ -420,8 +419,10 @@ def evaluate(
     """Evaluate the instance through its circuit #CSP.
 
     method: "auto" tries the product-type propagation, then Gauss sums,
-    then brute enumeration, which raises OracleCapExceeded past csp_brute's
-    cap; "product", "affine" and "brute" force one path.
+    and raises NotAffine when the induced tables fit neither; "product"
+    and "affine" force one path, raising NotProduct or NotAffine when its
+    tables do not fit.  Under condition 4 of the trichotomy with one base
+    signature the tables always fit one of the two.
 
     An unknown method raises ValueError before any work is done.
 
@@ -444,13 +445,10 @@ def evaluate(
             return product_eval(witnessed, csp.n_vars)
         if method == "product":
             raise NotProduct("induced tables are not product-type")
-    if method in ("auto", "affine"):
-        witnessed = _witnessed(constraints, is_affine)
-        if witnessed is not None:
-            return affine_eval(witnessed, csp.n_vars)
-        if method == "affine":
-            raise NotAffine("induced tables are not affine")
-    return csp_brute(csp.n_vars, constraints)
+    witnessed = _witnessed(constraints, is_affine)
+    if witnessed is None:
+        raise NotAffine("induced tables are not affine")
+    return affine_eval(witnessed, csp.n_vars)
 
 
 def _witnessed(

@@ -1,0 +1,174 @@
+"""The front door: evaluate a six-vertex instance by the route its
+labels' witnesses allow.
+
+Each distinct label is classified once, and the route must serve every
+vertex, so it is chosen from the intersection of the witness sets, in
+order of measured cost (on grid_patch(24,24), where all three apply:
+loop space 5-9 ms, the C1 affine route 33-50 ms, FKT 1.3 s):
+
+  C4       loop space, when every label is a quarter turn of one base
+           signature (the profile check needs one base),
+  C1_P     product-type propagation over the edge #CSP,
+  C1_A     Gauss sums over the edge #CSP,
+  C3_M     matchgates and the Pfaffian,
+  C3_Mhat  the Hadamard-transformed matchgates.
+
+C2 needs no route of its own: a zero in each pair forces ax = by = cz = 0,
+so ax = cz - by holds and every C2 signature is C3_M.  With no route left,
+evaluate raises NoPolynomialRoute; the brute-force oracles run only when a
+caller asks for them (oracle.holant_brute).
+
+The edge #CSP has one Boolean variable per instance edge, the value of its
+smaller half-edge.  The larger half-edge reads the negation through the
+implicit Disequality, so each vertex's label is flipped on the ports whose
+half-edge is the larger of its pair.  A loop's variable is summed out at
+its vertex, leaving a binary table for one loop and a constant for two, so
+no constraint repeats a variable.  Product-type and affine functions are
+closed under flipping and summing out a variable (Cai-Lu-Xia, complex
+weighted Boolean #CSP), so every table stays in the label's C1 class.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Sequence
+
+from . import loopspace
+from .classify import Condition, classify
+from .cspsolve import affine_eval, product_eval
+from .instance import PlanarInstance
+from .matchgate import fkt_eval, fkt_eval_hat
+from .scalar import ONE, ZERO, Scalar
+from .signature import BinarySignature, SixVertexSignature, format_signature
+
+
+class NoPolynomialRoute(ValueError):
+    """No polynomial-time evaluator serves every vertex of the instance."""
+
+
+def evaluate(inst: PlanarInstance) -> Scalar:
+    """Exact Holant(!= | labels) of a planar six-vertex instance, by the
+    first route in C4, C1_P, C1_A, C3_M, C3_Mhat order that every label
+    admits; NoPolynomialRoute when there is none."""
+    labels = set({id(label): label for label in inst.labels}.values())
+    if not labels:
+        return ONE
+    for label in labels:
+        if not isinstance(label, SixVertexSignature):
+            raise NoPolynomialRoute(f"evaluate takes six-vertex labels only, not {label!r}")
+    verdicts = {label: classify(label).witnesses for label in labels}
+    hard = [label for label, witnesses in verdicts.items() if not witnesses]
+    if hard:
+        raise NoPolynomialRoute(
+            f"#P-hard on planar graphs: ({format_signature(hard[0])}) satisfies no condition"
+        )
+    common = frozenset.intersection(*verdicts.values())
+    if common & {Condition.C4I, Condition.C4II}:
+        base = next(iter(labels))
+        forms = {base.rotate(r) for r in range(4)}
+        if labels <= forms:
+            return loopspace.evaluate(inst, profile_base=base)
+    if Condition.C1_P in common:
+        return _c1_eval(inst, product_eval)
+    if Condition.C1_A in common:
+        return _c1_eval(inst, affine_eval)
+    if Condition.C3_M in common:
+        return fkt_eval(inst)
+    if Condition.C3_MHAT in common:
+        return fkt_eval_hat(inst)
+    raise NoPolynomialRoute(
+        "the labels are each tractable but share no route: "
+        + "; ".join(
+            f"({format_signature(label)}): {' '.join(sorted(c.value for c in witnesses))}"
+            for label, witnesses in verdicts.items()
+        )
+    )
+
+
+def _c1_eval(
+    inst: PlanarInstance,
+    solve: Callable[[Sequence[tuple[object, tuple[int, ...]]], int], Scalar],
+) -> Scalar:
+    """The edge #CSP of `inst` solved by product_eval or affine_eval."""
+    constraints, n_vars, factor = _edge_csp(inst)
+    if factor.is_zero():
+        return ZERO
+    return solve(constraints, n_vars) * factor
+
+
+def _edge_csp(
+    inst: PlanarInstance,
+) -> tuple[list[tuple[object, tuple[int, ...]]], int, Scalar]:
+    """(constraints, variable count, constant factor) of the edge #CSP.
+
+    Edges other than loops are numbered in order of their smaller
+    half-edge; a loop's variable never leaves its vertex's table.  A
+    vertex's table depends only on its label, its flipped ports and its
+    loops, so it is built once per distinct (label, flips, loops) and
+    shared; a vertex with two loops contributes its constant to the factor
+    instead.
+    """
+    m = inst.map
+    involution = m.involution
+    vertex_of = m.vertex_of
+    var = [0] * m.half_edge_count
+    n_vars = 0
+    for h, k in enumerate(involution):
+        if h < k and vertex_of[h] != vertex_of[k]:
+            var[h] = var[k] = n_vars
+            n_vars += 1
+    tables: dict[tuple, object] = {}
+    constraints = []
+    factor = ONE
+    for vid, rot in enumerate(m.vertices):
+        label = inst.labels[vid]
+        flips = tuple(h > involution[h] for h in rot)
+        loops = tuple(
+            (slot, m.slot_of[involution[h]])
+            for slot, h in enumerate(rot)
+            if h < involution[h] and vertex_of[involution[h]] == vid
+        )
+        key = (id(label), flips, loops)
+        table = tables.get(key)
+        if table is None:
+            table = tables[key] = _vertex_table(label, flips, loops)
+        if not loops:
+            constraints.append((table, tuple(var[h] for h in rot)))
+        elif len(loops) == 1:
+            constraints.append((table, tuple(var[rot[slot]] for slot in _free(loops))))
+        else:
+            factor = factor * table
+    return constraints, n_vars, factor
+
+
+def _vertex_table(
+    label: SixVertexSignature,
+    flips: tuple[bool, ...],
+    loops: tuple[tuple[int, int], ...],
+):
+    """The label flipped on `flips` with each loop's variable summed out:
+    the arity-4 table with no loop, a BinarySignature on the two free slots
+    (in slot order) with one, a Scalar with two."""
+    g = label.to_general()
+    for slot, flip in enumerate(flips):
+        if flip:
+            g = g.flip_variable(slot + 1)
+    if not loops:
+        return g
+    free = _free(loops)
+    entries = []
+    for mask in range(1 << len(free)):
+        acc = ZERO
+        for loop_mask in range(1 << len(loops)):
+            args = [0] * 4
+            for t, slot in enumerate(free):
+                args[slot] = mask >> (len(free) - 1 - t) & 1
+            for t, (s1, s2) in enumerate(loops):
+                args[s1] = args[s2] = loop_mask >> t & 1
+            acc = acc + g.value(*args)
+        entries.append(acc)
+    return BinarySignature(*entries) if free else entries[0]
+
+
+def _free(loops: tuple[tuple[int, int], ...]) -> list[int]:
+    """The slots, in order, that no loop occupies."""
+    return [slot for slot in range(4) if not any(slot in loop for loop in loops)]

@@ -5,7 +5,8 @@ synthesis re-verification still runs once per distinct label of an FKT
 call, with `_scaled_propto` forced to fail both FKT routes raise
 `SynthesisError`, and so does `fkt_eval` when the matcher behind the
 Pfaffian's sign finds no perfect matching, or when the closed form that
-splits a chain-family vertex in two fails.  The library and its tests have
+splits a chain-family vertex in two fails; the front door refuses a #P-hard
+label with `NoPolynomialRoute`.  The library and its tests have
 no unused imports, and every console script that `pyproject.toml` declares
 resolves to a callable.  The library imports nothing outside the standard
 library, and every function the benchmark's traced run wraps exists where
@@ -167,6 +168,7 @@ def test_product_witness_check_raises(monkeypatch):
 
 
 OPTIMIZED_CHECKS = """
+import sixvertex
 from sixvertex import loopspace, matchgate, membership
 from sixvertex.instance import grid_patch, uniform_instance
 from sixvertex.membership import WitnessError
@@ -216,6 +218,11 @@ try:
     matchgate.fkt_eval(uniform_instance(grid_patch(2, 2), SixVertexSignature.from_values(1, 1, 0, 1, -1, 0)))
 except matchgate.SynthesisError:
     raised.append("chain")
+
+try:
+    sixvertex.evaluate(uniform_instance(grid_patch(2, 2), SixVertexSignature.from_values(1, 2, 3, 4, 5, 7)))
+except sixvertex.NoPolynomialRoute:
+    raised.append("hard")
 print(",".join(raised))
 """
 
@@ -229,4 +236,4 @@ def test_checks_survive_optimized_mode():
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "witness,profile,fkt,fkt_hat,sign,chain"
+    assert out.stdout.strip() == "witness,profile,fkt,fkt_hat,sign,chain,hard"

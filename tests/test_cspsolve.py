@@ -6,6 +6,7 @@ from sixvertex import cspsolve
 from sixvertex.cspsolve import (
     NotAffine,
     NotProduct,
+    RepeatedVariable,
     affine_eval,
     product_eval,
 )
@@ -28,10 +29,11 @@ NEQ = binary(0, 1, 1, 0)
 
 
 def random_affine_constraint(rng, n_vars):
-    """A random affine unary or binary constraint on random variables."""
+    """A random affine unary or binary constraint on distinct random
+    variables; with one variable, always a unary one."""
     kind = rng.random()
     lam = MU8[rng.randrange(8)] * rational(rng.randint(1, 2))
-    if kind < 0.4:
+    if kind < 0.4 or n_vars < 2:
         v = rng.randrange(n_vars)
         style = rng.randrange(3)
         if style == 0:
@@ -41,7 +43,7 @@ def random_affine_constraint(rng, n_vars):
         else:
             sig = UnarySignature(ZERO, lam)
         return (sig, (v,))
-    u, v = rng.sample(range(n_vars), 2) if n_vars >= 2 else (0, 0)
+    u, v = rng.sample(range(n_vars), 2)
     style = rng.randrange(4)
     if style == 0:
         # full support: lambda i^Q with even cross
@@ -213,7 +215,11 @@ class TestProductBasics:
         assert product_eval(constraints, 2) == rational(3)
 
     def test_self_disequality_zero(self):
-        assert product_eval([(NEQ, (0, 0))], 1) == ZERO
+        # x != x on one variable is refused; its diagonal, the zero unary
+        # a caller sums it down to, gives 0
+        with pytest.raises(RepeatedVariable, match=r"repeats a variable in \(0, 0\)"):
+            product_eval([(NEQ, (0, 0))], 1)
+        assert product_eval([(unary(0, 0), (0,))], 1) == ZERO
 
     def test_chain_with_diseq(self):
         constraints = [
@@ -337,12 +343,22 @@ class TestWitnessConstraints:
         ids=["product", "affine"],
     )
     def test_witness_with_repeated_variables(self, solve, membership):
-        # every table is both product-type and affine; a table read on a
-        # repeated variable contributes only its diagonal
-        constraints = [
+        # every table is both product-type and affine; read on a repeated
+        # variable, a table or its witness is refused, and its diagonal, as
+        # a caller sums it down, takes its place
+        repeated = [
             (EQ, (0, 0)),
             (BinarySignature(ONE, ZERO, ZERO, I), (0, 0)),
             (BinarySignature(ONE, I, I, -ONE), (1, 1)),
+        ]
+        for sig, vars_ in repeated:
+            for constraint in (sig, membership(sig)):
+                with pytest.raises(RepeatedVariable, match="repeats a variable"):
+                    solve([(constraint, vars_), (NEQ, (0, 2))], 3)
+        constraints = [
+            (unary(1, 1), (0,)),
+            (UnarySignature(ONE, I), (0,)),
+            (UnarySignature(ONE, -ONE), (1,)),
             (NEQ, (0, 2)),
             (EQ, (1, 2)),
         ]

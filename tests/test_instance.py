@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 
 import pytest
@@ -235,6 +236,70 @@ class TestValidatePlanar:
         m = RotationMap([[0], [], [1]], {0: 1, 1: 0})
         assert m.component_ids() == ([0, 1, 0], 2)
         m.validate_planar()
+
+    def test_agrees_with_networkx(self):
+        """validate_planar raises exactly when networkx rejects the same
+        rotations as a PlanarEmbedding, on random simple straight-line
+        maps with up to three rotations of degree 3 or more shuffled in
+        half of them."""
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(17)
+        rejected = 0
+        for trial in range(60):
+            rotations, involution = straight_line_map(rng, rng.randint(3, 6))
+            if trial % 2:
+                branching = [rot for rot in rotations if len(rot) >= 3]
+                for rot in rng.sample(branching, min(3, len(branching))):
+                    rng.shuffle(rot)
+            m = RotationMap(rotations, involution)
+            embedding = nx.PlanarEmbedding()
+            # networkx lists neighbours clockwise, the map counterclockwise
+            embedding.set_data(
+                {
+                    v: [m.vertex_of[m.involution[h]] for h in reversed(rot)]
+                    for v, rot in enumerate(m.vertices)
+                }
+            )
+            try:
+                embedding.check_structure()
+                theirs = True
+            except nx.NetworkXException:
+                theirs = False
+            try:
+                m.validate_planar()
+                ours = True
+            except MapError:
+                ours = False
+            assert ours == theirs, trial
+            rejected += not ours
+        assert 10 <= rejected <= 30
+
+
+def straight_line_map(rng, k):
+    """Rotations and involution of a random simple plane map drawn with
+    straight lines on the k x k grid of points: each grid edge and one
+    random diagonal per square is kept with probability 0.7, and each
+    rotation lists a vertex's edges by angle, counterclockwise.  Edge e is
+    the half-edge pair (2e, 2e + 1)."""
+    edges = []
+    for y in range(k):
+        for x in range(k):
+            v = y * k + x
+            candidates = []
+            if x + 1 < k:
+                candidates.append((v, v + 1))
+            if y + 1 < k:
+                candidates.append((v, v + k))
+            if x + 1 < k and y + 1 < k:
+                candidates.append(rng.choice([(v, v + k + 1), (v + 1, v + k)]))
+            edges += [e for e in candidates if rng.random() < 0.7]
+    ends = [[] for _ in range(k * k)]
+    for e, (u, w) in enumerate(edges):
+        for h, a, b in ((2 * e, u, w), (2 * e + 1, w, u)):
+            angle = math.atan2(b // k - a // k, b % k - a % k)
+            ends[a].append((angle, h))
+    rotations = [[h for _, h in sorted(hs)] for hs in ends]
+    return rotations, {h: h ^ 1 for h in range(2 * len(edges))}
 
 
 class TestInstances:

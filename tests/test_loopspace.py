@@ -470,7 +470,7 @@ class TestMethods:
         from sixvertex.cspsolve import NotAffine, NotProduct
 
         rng = random.Random(71)
-        checked = {"product": 0, "affine": 0, "brute": 0}
+        checked = {"product": 0, "affine": 0}
         for trial, m in enumerate(small_medials(72, 12)):
             f = random_c4i(rng) if trial % 2 else random_c4ii(rng)
             inst = uniform_instance(m, f)

@@ -1,0 +1,209 @@
+"""The front door: routing by the labels' witnesses, the C1 route over the
+edge #CSP against the brute-force oracle, the routes against each other
+past the oracle's cap, and the command line."""
+
+import itertools
+import random
+
+import pytest
+
+from sixvertex import NoPolynomialRoute, evaluate, loopspace, matchgate, route
+from sixvertex.classify import Condition, classify
+from sixvertex.cli import main
+from sixvertex.cspsolve import affine_eval, product_eval
+from sixvertex.instance import (
+    PlanarInstance,
+    RotationMap,
+    cycle_medial,
+    grid_patch,
+    medial,
+    medial_of_random_plane_graph,
+    path_graph,
+    serialize_instance,
+    uniform_instance,
+)
+from sixvertex.membership import is_affine
+from sixvertex.oracle import holant_brute
+from sixvertex.scalar import I, ONE, W, ZERO, format_scalar, rational
+from sixvertex.signature import SixVertexSignature
+
+
+def sv(*vals):
+    return SixVertexSignature.from_values(*vals)
+
+
+C1 = {Condition.C1_P, Condition.C1_A}
+C1_SOLVERS = {Condition.C1_P: product_eval, Condition.C1_A: affine_eval}
+
+# small medials with loop edges: one vertex with two loops (the medials of
+# a single loop and of a single edge), then random medials of 8-14 edges
+# with one to four loops
+SMALL_MEDIALS = [
+    cycle_medial(1),
+    medial(path_graph(1)),
+    medial_of_random_plane_graph(4, 4),
+    medial_of_random_plane_graph(5, 1),
+    medial_of_random_plane_graph(6, 2),
+    medial_of_random_plane_graph(7, 11),
+]
+
+
+def loop_count(m):
+    return sum(h < k and m.vertex_of[h] == m.vertex_of[k] for h, k in enumerate(m.involution))
+
+
+def c1_only_palette():
+    """The labels over {0, 1, 2, 3, -1, i, zeta8} whose only witnesses are
+    C1.  A scan of all 117,649 palette signatures finds 116, each nonzero
+    exactly on (a,x), (b,y), (c,z), (b,c,y,z) or (a,c,x,z).  On the two
+    four-entry patterns a product-type label is a matchgate (cz = by and
+    ax = cz respectively), so only affine labels are candidates there,
+    which keeps this scan short."""
+    nonzero = [rational(v) for v in (1, 2, 3, -1)] + [I, W]
+    out = []
+    for pattern in ((0, 3), (1, 4), (2, 5), (1, 2, 4, 5), (0, 2, 3, 5)):
+        for values in itertools.product(nonzero, repeat=len(pattern)):
+            entries = [ZERO] * 6
+            for slot, v in zip(pattern, values):
+                entries[slot] = v
+            f = SixVertexSignature(*entries)
+            if len(pattern) == 4 and is_affine(f) is None:
+                continue
+            witnesses = classify(f).witnesses
+            if witnesses and witnesses <= C1:
+                out.append(f)
+    return out
+
+
+class TestFrontDoor:
+    def test_c1_only_palette_against_brute(self):
+        labels = c1_only_palette()
+        assert len(labels) == 116
+        assert all(loop_count(m) for m in SMALL_MEDIALS)
+        nonzero = 0
+        for f in labels:
+            for m in SMALL_MEDIALS:
+                inst = uniform_instance(m, f)
+                value = evaluate(inst)
+                assert value == holant_brute(inst), (f, m.edge_count)
+                nonzero += not value.is_zero()
+        assert nonzero > len(labels)
+
+    def test_mixed_c1_labels_against_brute(self):
+        rng = random.Random(5)
+        labels = [sv(0, 0, 1, 0, 0, 2), sv(0, 0, 3, 0, 0, -1), sv(0, 0, 2, 0, 0, 1)]
+        nonzero = 0
+        for m in SMALL_MEDIALS[2:]:
+            inst = PlanarInstance(m, tuple(rng.choice(labels) for _ in m.vertices))
+            value = evaluate(inst)
+            assert value == holant_brute(inst)
+            nonzero += not value.is_zero()
+        assert nonzero
+
+    def test_c1_on_a_large_grid(self):
+        value = evaluate(uniform_instance(grid_patch(40, 40), sv(0, 0, 1, 0, 0, 2)))
+        assert not value.is_zero()
+
+    def test_hard_label_refused(self):
+        inst = uniform_instance(grid_patch(2, 2), sv(1, 2, 3, 4, 5, 7))
+        with pytest.raises(NoPolynomialRoute, match=r"#P-hard.*\(1,2,3,4,5,7\)"):
+            evaluate(inst)
+
+    def test_labels_without_a_shared_route_refused(self):
+        m = grid_patch(2, 2)
+        # C1_P only against C3_M only
+        labels = (sv(0, 0, 1, 0, 0, 2), sv(1, 1, 1, 2, 1, 3))
+        inst = PlanarInstance(m, tuple(labels[v % 2] for v in range(m.vertex_count)))
+        with pytest.raises(NoPolynomialRoute, match="share no route"):
+            evaluate(inst)
+
+    def test_mixed_labels_fall_through_to_fkt(self, monkeypatch):
+        chain, fkt_only = sv(1, 1, 0, 1, -1, 0), sv(1, 1, 1, 2, 1, 3)
+        assert classify(chain).witnesses == {
+            Condition.C1_A, Condition.C3_M, Condition.C4I, Condition.C4II
+        }
+        assert classify(fkt_only).witnesses == {Condition.C3_M}
+        calls = []
+        monkeypatch.setattr(
+            route, "fkt_eval", lambda inst: calls.append(inst) or matchgate.fkt_eval(inst)
+        )
+        nonzero = 0
+        for m in SMALL_MEDIALS[2:]:
+            labels = (chain, fkt_only)
+            inst = PlanarInstance(m, tuple(labels[v % 2] for v in range(m.vertex_count)))
+            value = evaluate(inst)
+            assert value == holant_brute(inst)
+            nonzero += not value.is_zero()
+        assert nonzero
+        assert len(calls) == len(SMALL_MEDIALS[2:])
+
+    def test_quarter_turns_of_one_c4_label_go_to_loop_space(self, monkeypatch):
+        f = sv(1, 2, 0, 2, 1, 0)
+        calls = []
+        real = loopspace.evaluate
+        monkeypatch.setattr(
+            loopspace, "evaluate", lambda inst, **kw: calls.append(kw) or real(inst, **kw)
+        )
+        rng = random.Random(3)
+        for m in SMALL_MEDIALS[2:]:
+            inst = PlanarInstance(m, tuple(f.rotate(rng.randrange(4)) for _ in m.vertices))
+            assert evaluate(inst) == holant_brute(inst)
+        assert len(calls) == len(SMALL_MEDIALS[2:])
+
+    def test_empty_instance(self):
+        assert evaluate(uniform_instance(RotationMap([], {}), sv(1, 2, 3, 4, 5, 7))) == ONE
+
+
+# (label, the route it is checked against): each label is C1 and has that
+# second polynomial route, so the two must agree past the brute-force cap
+CROSS_ROUTES = [
+    (sv(0, 1, 1, 0, 2, 2), matchgate.fkt_eval),  # C3_M and C1, not C4
+    (sv(0, 0, 1, 0, 0, 1), matchgate.fkt_eval_hat),  # C3_Mhat and C1 only
+    (sv(1, 1, 0, 1, -1, 0), None),  # loop space
+    (SixVertexSignature(ONE, I, ZERO, ONE, I, ZERO), None),
+]
+
+
+@pytest.fixture(scope="module")
+def large_maps():
+    return [grid_patch(12, 12), medial_of_random_plane_graph(150, 0)]
+
+
+@pytest.mark.parametrize(
+    "f, other", CROSS_ROUTES, ids=["fkt", "fkt_hat", "loopspace", "loopspace_i"]
+)
+def test_c1_route_against_a_second_route(f, other, large_maps):
+    solvers = [C1_SOLVERS[c] for c in C1 if c in classify(f).witnesses]
+    assert solvers
+    nonzero = 0
+    for m in large_maps:
+        assert m.edge_count >= 300
+        inst = uniform_instance(m, f)
+        expected = other(inst) if other else loopspace.evaluate(inst, profile_base=f)
+        for solve in solvers:
+            assert route._c1_eval(inst, solve) == expected
+        nonzero += not expected.is_zero()
+    assert nonzero
+
+
+class TestCommandLine:
+    def test_eval_matches_evaluate(self, tmp_path, capsys):
+        inst = uniform_instance(grid_patch(3, 3), sv(0, 0, 1, 0, 0, 2))
+        path = tmp_path / "grid.txt"
+        path.write_text(serialize_instance(inst))
+        assert main(["eval", str(path)]) == 0
+        assert capsys.readouterr().out == format_scalar(evaluate(inst)) + "\n"
+
+    def test_eval_hard_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "hard.txt"
+        path.write_text(serialize_instance(uniform_instance(grid_patch(2, 2), sv(1, 2, 3, 4, 5, 7))))
+        assert main(["eval", str(path)]) == 2
+        assert "#P-hard" in capsys.readouterr().err
+
+    def test_classify(self, capsys):
+        assert main(["classify", "1,1,0,1,-1,0"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "planar: PTimeAll",
+            "general: PTime",
+            "witnesses: C1_A C3_M C4i C4ii",
+        ]
