@@ -17,15 +17,20 @@ leader assignments along both circuits, and through the entry/exit
 exponent profiles; the two must agree entrywise, which pins down the
 combinatorial chirality conventions.
 
-Per record, `induced_csp` does integer bookkeeping only: it files the
-vertex under its class (label object, slot of x1, entry or exit, self or
-intersection).  Circuits run straight through a degree-4 vertex, so the
-class fixes the vertex's factor under every assignment of its circuits;
-the factors and the class's rotated form of the base are computed once per
-class.  A pair's or a circuit's table depends only on how many of its
-vertices fall in each class, so the direct table is built once per distinct
-count vector and the profile table once per distinct exponent vector, and
-every pair and every circuit is still compared against its profile.
+The per-vertex work is one pass over integers.  `decompose` tags each
+half-edge with its circuit and whether it enters or leaves its vertex, then
+reads every vertex off the tags of its half-edges as two integers: the key
+i * k + j of its circuit pair (i == j at a self-intersection) and its local
+code, slot of x1 * 4 + entry * 2 + self.  No per-vertex object is made.
+`induced_csp` adds 16 times the index of the vertex's distinct label object
+to the local code to get its class, and counts classes per pair key.
+Circuits run straight through a degree-4 vertex, so the class fixes the
+vertex's factor under every assignment of its circuits; the factors and the
+class's rotated form of the base are computed once per class.  A pair's or a
+circuit's table depends only on its class counts, so the direct table is
+built once per distinct count vector and the profile table once per distinct
+exponent vector, and every pair and every circuit is still compared against
+its profile.
 """
 
 from __future__ import annotations
@@ -33,7 +38,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from operator import add
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .cspsolve import NotAffine, NotProduct, affine_eval, once_per_table, product_eval
 from .instance import PlanarInstance
@@ -46,23 +52,41 @@ class LoopSpaceError(ValueError):
     pass
 
 
-class VertexRecord(NamedTuple):
-    vertex: int
-    kind: str  # "intersection" or "self"
-    i: int
-    j: int  # equals i for self-intersections
-    x1: int  # the half-edge labeled x1 (an entering half of circuit i)
-    rotation: int  # slot index of x1 in the vertex's rotation
-    entry: bool  # meaningful for intersections only
+# A vertex's local code is SLOT * (the slot of x1 in its rotation), plus
+# ENTRY when circuit j enters through the ccw-successor of x1, plus SELF at
+# a self-intersection.  x1 is the entering half-edge of circuit i, the lower
+# circuit; at a self-intersection, the enter whose ccw-successor is the
+# other enter.
+SLOT, ENTRY, SELF = 4, 2, 1
+LOCAL_CODES = 16
+
+
+def _local_code(leaves: int, order: int) -> int:
+    """The local code of a vertex whose half-edges at slots 0 and 1 leave it
+    as the bits of `leaves` (leave0 * 2 + leave1), so that its enters sit at
+    slots 2 * leave0 and 1 + 2 * leave1.  `order` is -1 when the circuit
+    through slots 0 and 2 is the lower one, 1 when it is the higher one and
+    0 at a self-intersection."""
+    even, odd = 2 * (leaves >> 1), 1 + 2 * (leaves & 1)
+    x1, other = (odd, even) if order > 0 else (even, odd)
+    follows = (x1 + 1) % 4 == other
+    if order == 0:
+        return (x1 if follows else other) * SLOT + SELF
+    return x1 * SLOT + (ENTRY if follows else 0)
+
+
+# decompose reads a vertex's local code from one of these by its `leaves`
+_CODES_EVEN_LOWER, _CODES_ODD_LOWER, _CODES_SELF = (
+    tuple(_local_code(leaves, order) for leaves in range(4)) for order in (-1, 1, 0)
+)
 
 
 @dataclass(frozen=True)
 class CircuitDecomposition:
     circuits: tuple[tuple[int, ...], ...]  # even positions enter their vertex
     leaders: tuple[int, ...]
-    circuit_of: tuple[int, ...]  # per half-edge
-    enters: tuple[bool, ...]  # per half-edge: entering its vertex
-    records: tuple[VertexRecord, ...]
+    pairs: tuple[int, ...]  # per vertex: i * k + j for its circuits i <= j
+    codes: tuple[int, ...]  # per vertex: its local code
 
     @property
     def k(self) -> int:
@@ -70,17 +94,33 @@ class CircuitDecomposition:
 
 
 def _require_loop_labels(inst: PlanarInstance) -> None:
-    for label in {id(label): label for label in inst.labels}.values():
+    for label in dict(zip(map(id, inst.labels), inst.labels)).values():
         if not isinstance(label, SixVertexSignature):
             raise LoopSpaceError("loop space needs degree-4 six-vertex labels only")
         if not (label.c.is_zero() and label.z.is_zero()):
             raise LoopSpaceError("loop space needs labels with zero inner pair")
 
 
+def _unvisited(tag: list[int]) -> Iterator[int]:
+    """The lowest half-edge still untagged, looked up afresh at each step."""
+    h = 0
+    while True:
+        try:
+            h = tag.index(-1, h)
+        except ValueError:
+            return
+        yield h
+
+
 def decompose(
     inst: PlanarInstance, leaders: Optional[Sequence[int]] = None
 ) -> CircuitDecomposition:
     """Partition the half-edges into circuits and classify every vertex.
+
+    The walk tags each half-edge 2 * circuit if it enters its vertex and
+    2 * circuit + 1 if it leaves it.  Each vertex is then read off the tags
+    of its four half-edges into its pair key and local code (see the module
+    docstring); nothing is made per vertex but those two integers.
 
     `leaders` optionally lists one half-edge per circuit to anchor its
     traversal (the anchored half-edge enters its vertex first); by default
@@ -99,67 +139,59 @@ def decompose(
                 f"leader {h!r} is not a half-edge of the instance (0..{n_half - 1})"
             )
     opposite = [0] * n_half
-    successor = [0] * n_half  # ccw-successor around the vertex
     try:
         for h0, h1, h2, h3 in m.vertices:
             opposite[h0], opposite[h1], opposite[h2], opposite[h3] = h2, h3, h0, h1
-            successor[h0], successor[h1], successor[h2], successor[h3] = h1, h2, h3, h0
     except ValueError:  # a rotation of other than four half-edges
         raise LoopSpaceError("loop space needs degree-4 six-vertex labels only") from None
     involution = m.involution
-    circuit_of = [-1] * n_half
-    enters = [False] * n_half
+    tag = [-1] * n_half
     circuits: list[tuple[int, ...]] = []
     chosen_leaders: list[int] = []
 
-    for start in chain(preferred, range(n_half)):
-        if circuit_of[start] != -1:
+    for start in chain(preferred, _unvisited(tag)):
+        if tag[start] != -1:
             continue
-        cid = len(circuits)
+        enter = 2 * len(circuits)
+        leave = enter + 1
         seq: list[int] = []
+        push = seq.append
         h = start
         # an entering half-edge leaves through its opposite, whose twin
         # enters the next vertex
-        while circuit_of[h] == -1:
+        while tag[h] == -1:
             out = opposite[h]
-            circuit_of[h] = circuit_of[out] = cid
-            enters[h] = True
-            seq += (h, out)
+            tag[h] = enter
+            tag[out] = leave
+            push(h)
+            push(out)
             h = involution[out]
         if h != start:
             raise LoopSpaceError("twin closure failed to close a circuit")
         circuits.append(tuple(seq))
         chosen_leaders.append(start)
 
-    slot_of = m.slot_of
-    records = []
-    for vid, (h0, h1, h2, h3) in enumerate(m.vertices):
-        if enters[h0] == enters[h2] or enters[h1] == enters[h3]:
+    k = len(circuits)
+    pairs: list[int] = []
+    codes: list[int] = []
+    for h0, h1, h2, h3 in m.vertices:
+        t0, t1 = tag[h0], tag[h1]
+        # opposite half-edges share a circuit, one entering and one leaving
+        if t0 ^ tag[h2] != 1 or t1 ^ tag[h3] != 1:
             raise LoopSpaceError("each vertex must be entered exactly twice")
-        # the two enters, in adjacent slots
-        e1 = h0 if enters[h0] else h2
-        e2 = h1 if enters[h1] else h3
-        c1, c2 = circuit_of[e1], circuit_of[e2]
-        if c1 == c2:
-            # self-intersection: x1 is the enter whose ccw-successor is the
-            # other enter
-            x1 = e1 if successor[e1] == e2 else e2
-            records.append(VertexRecord(vid, "self", c1, c1, x1, slot_of[x1], False))
+        c0, c1 = t0 >> 1, t1 >> 1
+        leaves = (t0 & 1) << 1 | t1 & 1
+        if c0 < c1:
+            pairs.append(c0 * k + c1)
+            codes.append(_CODES_EVEN_LOWER[leaves])
+        elif c1 < c0:
+            pairs.append(c1 * k + c0)
+            codes.append(_CODES_ODD_LOWER[leaves])
         else:
-            if c1 > c2:
-                e1, e2, c1, c2 = e2, e1, c2, c1
-            # entry vertex: circuit j enters through the ccw-successor of x1
-            records.append(
-                VertexRecord(
-                    vid, "intersection", c1, c2, e1, slot_of[e1], successor[e1] == e2
-                )
-            )
+            pairs.append(c0 * k + c0)
+            codes.append(_CODES_SELF[leaves])
     return CircuitDecomposition(
-        tuple(circuits),
-        tuple(chosen_leaders),
-        tuple(circuit_of),
-        tuple(enters),
-        tuple(records),
+        tuple(circuits), tuple(chosen_leaders), tuple(pairs), tuple(codes)
     )
 
 
@@ -178,37 +210,37 @@ class InducedCSP:
         return out
 
 
-def _vertex_factor(inst: PlanarInstance, dec: CircuitDecomposition, vid: int, bits) -> Scalar:
-    m = inst.map
-    args = []
-    for h in m.vertices[vid]:
-        b = bits[dec.circuit_of[h]]
-        args.append(b if dec.enters[h] else 1 - b)
-    return inst.labels[vid].value(*args)
+def _class_factors(label: SixVertexSignature, code: int) -> tuple[Scalar, ...]:
+    """The factor of a vertex with `label` and local `code` under each
+    assignment of its circuits, in table order: (i, j) = 00, 01, 10, 11, or
+    i = 0, 1 at a self-intersection.
 
+    Circuit i enters at x1 and leaves through the opposite slot; circuit j
+    enters through the slot after x1 at an entry vertex or a
+    self-intersection, through the slot before it at an exit vertex."""
+    x1 = code // SLOT
+    other = x1 + 1 if code & (ENTRY | SELF) else x1 + 3
 
-def _class_factors(
-    inst: PlanarInstance, dec: CircuitDecomposition, rec: VertexRecord
-) -> tuple[Scalar, ...]:
-    """The factor of `rec`'s vertex under each assignment of its circuits,
-    in table order: (i, j) = 00, 01, 10, 11, or i = 0, 1 at a
-    self-intersection."""
-    if rec.kind == "self":
-        return tuple(_vertex_factor(inst, dec, rec.vertex, {rec.i: b}) for b in (0, 1))
-    return tuple(
-        _vertex_factor(inst, dec, rec.vertex, {rec.i: b, rec.j: bp})
-        for b in (0, 1)
-        for bp in (0, 1)
-    )
+    def factor(b: int, bp: int) -> Scalar:
+        args = [0, 0, 0, 0]
+        args[x1], args[(x1 + 2) % 4] = b, 1 - b
+        args[other % 4], args[(other + 2) % 4] = bp, 1 - bp
+        return label.value(*args)
+
+    if code & SELF:
+        return tuple(factor(b, b) for b in (0, 1))
+    return tuple(factor(b, bp) for b in (0, 1) for bp in (0, 1))
 
 
 class _PowerTable:
     """The powers one induced_csp call needs, each distinct (value,
     exponent) computed once.  Values are interned as small ints, so the
-    per-entry bookkeeping hashes ints rather than Scalars."""
+    per-entry bookkeeping hashes ints rather than Scalars.  A root of unity
+    repeats with its order, so its exponents are taken modulo the order."""
 
     def __init__(self) -> None:
         self._values: list[Scalar] = []
+        self._orders: list[Optional[int]] = []
         self._ids: dict[Scalar, int] = {}
         self._powers: dict[tuple[int, int], Scalar] = {}
 
@@ -217,6 +249,7 @@ class _PowerTable:
         if vid is None:
             vid = self._ids[value] = len(self._values)
             self._values.append(value)
+            self._orders.append(value.is_root_of_unity())
         return vid
 
     def monomial(self, terms: Iterable[tuple[int, int]]) -> Scalar:
@@ -229,28 +262,34 @@ class _PowerTable:
                 merged[vid] = merged.get(vid, 0) + e
         out = ONE
         for vid, e in merged.items():
+            order = self._orders[vid]
+            if order:
+                e %= order
             power = self._powers.get((vid, e))
             if power is None:
                 value = self._values[vid]
                 if value.is_zero():
                     return ZERO
-                power = self._powers[vid, e] = ONE if value == ONE else value**e
+                power = self._powers[vid, e] = value**e
             if power is not ONE:
                 out = power if out is ONE else out * power
         return out
 
 
 def _table_entries(
-    counts: Counter, factors: Sequence[tuple[int, ...]], size: int, powers: _PowerTable
+    row: Sequence[tuple[int, int]],
+    factors: dict[int, tuple[int, ...]],
+    size: int,
+    powers: _PowerTable,
 ) -> list[Scalar]:
     """Each table entry as the product of the class factors (interned in
-    `powers`) raised to the class counts."""
-    return [powers.monomial((factors[c][e], n) for c, n in counts.items()) for e in range(size)]
+    `powers`) raised to the class counts of `row`, (class, count) pairs."""
+    return [powers.monomial((factors[c][e], n) for c, n in row) for e in range(size)]
 
 
-def _outer_ids(powers: _PowerTable, base: SixVertexSignature) -> list[int]:
+def _outer_ids(powers: _PowerTable, base: SixVertexSignature) -> tuple[int, ...]:
     """The base's outer values interned, in the profiles' order a, y, x, b."""
-    return [powers.intern(v) for v in (base.a, base.y, base.x, base.b)]
+    return tuple(powers.intern(v) for v in (base.a, base.y, base.x, base.b))
 
 
 def induced_csp(
@@ -261,58 +300,75 @@ def induced_csp(
     """Build the circuit #CSP, verifying the direct tables against the
     entry/exit exponent profiles when a base signature is available.
 
-    Per record, the vertex is filed under its class and its pair or circuit.
-    Per class, the vertex factors and the form index are computed once.  Per
-    distinct class-count vector, the direct table is built and compared
-    with the profile table, which is computed once per distinct (k, l) or m
-    exponent vector.  Both sides read their powers from one table per call,
-    so each distinct (value, exponent) power is computed once, and neither
-    multiplies by ONE.  Nothing is kept between calls.
+    Each vertex's class is its local code plus LOCAL_CODES times the index
+    of its label object among the distinct ones, and the classes are
+    counted per pair key in one pass.  Per class, the vertex factors and the
+    form index are computed once.  Per distinct class-count vector, the
+    direct table is built and compared with the profile table, which is
+    computed once per distinct (k, l) or m exponent vector.  Both sides read
+    their powers from one table per call, so each distinct (value, exponent)
+    power is computed once, and neither multiplies by ONE.  Nothing is kept
+    between calls.
     """
     labels = inst.labels
-    # the class memo keys on the label's id, which is unique while `inst`
-    # keeps every label alive, and cheaper than hashing its six scalars
-    class_of: dict[tuple[int, int, bool, str], int] = {}
-    reps: list[VertexRecord] = []
-    pair_classes: dict[tuple[int, int], list[int]] = {}
-    self_classes: dict[int, list[int]] = {}
-    for rec in dec.records:
-        key = (id(labels[rec.vertex]), rec.rotation, rec.entry, rec.kind)
-        c = class_of.get(key)
-        if c is None:
-            c = class_of[key] = len(reps)
-            reps.append(rec)
-        if rec.kind == "intersection":
-            pair_classes.setdefault((rec.i, rec.j), []).append(c)
+    # labels are told apart by id, which is unique while `inst` keeps every
+    # label alive, and cheaper than hashing their six scalars
+    distinct = dict(zip(map(id, labels), labels))
+    if len(distinct) == 1:
+        # a uniform instance: its classes are its codes, and the offset
+        # lookups would add about a tenth to this function's time
+        classes: Iterable[int] = dec.codes
+    else:
+        offset = {key: n * LOCAL_CODES for n, key in enumerate(distinct)}
+        classes = map(add, map(offset.__getitem__, map(id, labels)), dec.codes)
+    distinct_labels = list(distinct.values())
+    n_circuits = dec.k
+    # class counts per pair and per circuit, in order of first vertex
+    pair_rows: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    self_rows: dict[int, list[tuple[int, int]]] = {}
+    for (pair, c), n in Counter(zip(dec.pairs, classes)).items():
+        i, j = divmod(pair, n_circuits)
+        if i == j:
+            self_rows.setdefault(i, []).append((c, n))
         else:
-            self_classes.setdefault(rec.i, []).append(c)
+            pair_rows.setdefault((i, j), []).append((c, n))
+    # each class once, as its (label, local code)
+    class_keys = {
+        c: (distinct_labels[c // LOCAL_CODES], c % LOCAL_CODES)
+        for row in chain(pair_rows.values(), self_rows.values())
+        for c, _ in row
+    }
     powers = _PowerTable()
-    factors = [
-        tuple(powers.intern(v) for v in _class_factors(inst, dec, rec)) for rec in reps
-    ]
+    factors = {
+        c: tuple(map(powers.intern, _class_factors(label, code)))
+        for c, (label, code) in class_keys.items()
+    }
 
     check = profile_base is not None
     if check:
         base_forms = [profile_base.rotate(r) for r in range(4)]
-        form = [_form_indexer(base_forms, labels[rec.vertex], rec.rotation) for rec in reps]
+        outer = _outer_ids(powers, profile_base)
+        form = {
+            c: _form_indexer(base_forms, label, code // SLOT)
+            for c, (label, code) in class_keys.items()
+        }
         binary_profiles: dict[tuple[tuple[int, ...], tuple[int, ...]], BinarySignature] = {}
         unary_profiles: dict[tuple[int, ...], UnarySignature] = {}
 
     binary = {}
-    binary_tables: dict[tuple[int, ...], BinarySignature] = {}
-    for pair, classes in pair_classes.items():
-        key = tuple(sorted(classes))
+    binary_tables: dict[tuple[tuple[int, int], ...], BinarySignature] = {}
+    for pair, row in pair_rows.items():
+        key = tuple(sorted(row))
         table = binary_tables.get(key)
         if table is None:
-            counts = Counter(key)
             table = binary_tables[key] = BinarySignature(
-                *_table_entries(counts, factors, 4, powers)
+                *_table_entries(key, factors, 4, powers)
             )
             if check:
                 k = [0, 0, 0, 0]
                 l = [0, 0, 0, 0]
-                for c, n in counts.items():
-                    if reps[c].entry:
+                for c, n in key:
+                    if c & ENTRY:
                         k[form[c]] += n
                     else:
                         # exit columns are shifted: forms f^{pi/2},f^{pi},f^{3pi/2},f
@@ -321,36 +377,33 @@ def induced_csp(
                 profile = binary_profiles.get(exponents)
                 if profile is None:
                     profile = binary_profiles[exponents] = _profile_binary(
-                        k, l, profile_base, powers
+                        k, l, outer, powers
                     )
                 if profile.values() != table.values():
                     raise LoopSpaceError(f"direct and profile tables disagree on pair {pair}")
         binary[pair] = table
 
     unary = {}
-    unary_tables: dict[tuple[int, ...], UnarySignature] = {}
-    for i, classes in self_classes.items():
-        key = tuple(sorted(classes))
+    unary_tables: dict[tuple[tuple[int, int], ...], UnarySignature] = {}
+    for i, row in self_rows.items():
+        key = tuple(sorted(row))
         table = unary_tables.get(key)
         if table is None:
-            counts = Counter(key)
             table = unary_tables[key] = UnarySignature(
-                *_table_entries(counts, factors, 2, powers)
+                *_table_entries(key, factors, 2, powers)
             )
             if check:
                 m = [0, 0, 0, 0]
-                for c, n in counts.items():
+                for c, n in key:
                     m[form[c]] += n
                 exponents = tuple(m)
                 profile = unary_profiles.get(exponents)
                 if profile is None:
-                    profile = unary_profiles[exponents] = _profile_unary(
-                        m, profile_base, powers
-                    )
+                    profile = unary_profiles[exponents] = _profile_unary(m, outer, powers)
                 if profile.values() != table.values():
                     raise LoopSpaceError(f"direct and profile tables disagree on h_{i}")
         unary[i] = table
-    return InducedCSP(dec.k, binary, unary)
+    return InducedCSP(n_circuits, binary, unary)
 
 
 def _form_indexer(
@@ -367,16 +420,15 @@ def _form_indexer(
 
 
 def _profile_binary(
-    k: Sequence[int], l: Sequence[int], base: SixVertexSignature, powers: _PowerTable
+    k: Sequence[int], l: Sequence[int], outer: Sequence[int], powers: _PowerTable
 ) -> BinarySignature:
     """Def-4.3 monomial evaluation from the (k, l) exponent profile: k counts
     the entry vertices in each form, l the exit vertices in each shifted
-    form."""
+    form; `outer` is the base's outer values as `_outer_ids` interns them."""
     if sum(k) != sum(l):
         raise LoopSpaceError("entry/exit imbalance in a pairwise profile")
     k1, k2, k3, k4 = k
     l1, l2, l3, l4 = l
-    outer = _outer_ids(powers, base)
     return BinarySignature(
         powers.monomial(zip(outer, (k1 + l1, k2 + l2, k3 + l3, k4 + l4))),
         powers.monomial(zip(outer, (k2 + l4, k3 + l1, k4 + l2, k1 + l3))),
@@ -386,11 +438,11 @@ def _profile_binary(
 
 
 def _profile_unary(
-    m: Sequence[int], base: SixVertexSignature, powers: _PowerTable
+    m: Sequence[int], outer: Sequence[int], powers: _PowerTable
 ) -> UnarySignature:
-    """The unary profile table from m, the self-intersections in each form."""
+    """The unary profile table from m, the self-intersections in each form,
+    over the base's interned outer values."""
     m1, m2, m3, m4 = m
-    outer = _outer_ids(powers, base)
     return UnarySignature(
         powers.monomial(zip(outer, (m1, m2, m3, m4))),
         powers.monomial(zip(outer, (m3, m4, m1, m2))),
@@ -400,11 +452,10 @@ def _profile_unary(
 def entry_exit_audit(dec: CircuitDecomposition) -> bool:
     """Whether every pair of circuits has as many entries as exits; a
     plane circuit leaves another as often as it enters it."""
-    balance: dict[tuple[int, int], int] = {}
-    for rec in dec.records:
-        if rec.kind == "intersection":
-            key = (rec.i, rec.j)
-            balance[key] = balance.get(key, 0) + (1 if rec.entry else -1)
+    balance: dict[int, int] = {}
+    for pair, code in zip(dec.pairs, dec.codes):
+        if not code & SELF:
+            balance[pair] = balance.get(pair, 0) + (1 if code & ENTRY else -1)
     return not any(balance.values())
 
 

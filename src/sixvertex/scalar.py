@@ -209,13 +209,10 @@ class Scalar:
     def is_root_of_unity(self) -> Optional[int]:
         """Order of self if self is in mu_8 = {w^k}, else None.
 
-        In Q(zeta_8) the torsion units are exactly mu_8, so the 8-way
-        comparison is a complete test.
+        In Q(zeta_8) the torsion units are exactly mu_8, so looking self
+        up among the eight elements of MU8 is a complete test.
         """
-        for k in range(8):
-            if self == W ** k:
-                return 1 if k == 0 else 8 // gcd(k, 8)
-        return None
+        return _MU8_ORDER.get(self)
 
     # -- hashing / comparison / display -----------------------------------
 
@@ -279,6 +276,7 @@ W = Scalar(0, 1)          # zeta_8 = sqrt(i)
 I = Scalar(0, 0, 1)       # w^2
 SQRT2 = Scalar(0, 1, 0, -1)  # w + w^-1 = w - w^3
 MU8 = tuple(W ** k for k in range(8))
+_MU8_ORDER = {root: 8 // gcd(k, 8) for k, root in enumerate(MU8)}  # gcd(0, 8) = 8
 
 
 # -- scalar literal grammar ------------------------------------------------

@@ -87,6 +87,39 @@ def random_product_constraint(rng, n_vars):
     return (sig, (u, v))
 
 
+def nonzero_affine_instance(seed, n_vars, n_cross, n_rows, weighted=False):
+    """A seeded affine instance whose sum is mostly nonzero: i^{x_v} on
+    every variable, n_cross cross terms (-1)^{x_u x_v} on random pairs and
+    n_rows < n_vars weighted equalities or disequalities, row t joining
+    variable t + 1 to a random lower one, so the rows form a forest and
+    never contradict each other.  With `weighted`, every variable also
+    gets a unary lam [1, i^k], lam a random eighth root of unity or 2 and
+    k in {0, 2, 3}.
+
+    Random affine constraints alone (random_affine_constraint) almost
+    always sum to 0 past a few dozen variables, since pins, zero-support
+    tables and even linear terms kill the sum; these do not.  Without cross
+    terms every constraint is product-type as well, and each tree of rows
+    sums to 1 + w for one phase w, which is 0 only when w = -1."""
+    rng = random.Random(seed)
+    constraints = [(UnarySignature(ONE, I), (v,)) for v in range(n_vars)]
+    if weighted:
+        for v in range(n_vars):
+            lam = rng.choice((*MU8, rational(2)))
+            ramp = I ** rng.choice((0, 2, 3))
+            constraints.append((UnarySignature(lam, lam * ramp), (v,)))
+    for _ in range(n_cross):
+        constraints.append((binary(1, 1, 1, -1), tuple(rng.sample(range(n_vars), 2))))
+    for t in range(n_rows):
+        lam, ramp = MU8[rng.randrange(8)], I ** rng.randrange(4)
+        sig = rng.choice([
+            BinarySignature(lam, ZERO, ZERO, lam * ramp),
+            BinarySignature(ZERO, lam, lam * ramp, ZERO),
+        ])
+        constraints.append((sig, (rng.randrange(t + 1), t + 1)))
+    return constraints
+
+
 class TestAffineBasics:
     def test_two_free_variables(self):
         assert affine_eval([], 2) == rational(4)
@@ -180,24 +213,12 @@ class TestAffinePastTheCap:
         assert affine_eval(constraints, n) == rational(expected)
 
     def test_variable_order_invariance_at_300(self):
-        # i^{x_v} on every variable, random cross terms and a few
-        # (dis)equalities: random affine constraints alone almost always
-        # sum to 0 at this size, which would hide an order dependence
         n = 300
         values = []
         for seed in (53, 54, 55):
             for n_cross, n_rows in ((300, 30), (600, 0)):
                 rng = random.Random(seed)
-                constraints = [(UnarySignature(ONE, I), (v,)) for v in range(n)]
-                for _ in range(n_cross):
-                    constraints.append((binary(1, 1, 1, -1), tuple(rng.sample(range(n), 2))))
-                for _ in range(n_rows):
-                    lam, ramp = MU8[rng.randrange(8)], I ** rng.randrange(4)
-                    sig = rng.choice([
-                        BinarySignature(lam, ZERO, ZERO, lam * ramp),
-                        BinarySignature(ZERO, lam, lam * ramp, ZERO),
-                    ])
-                    constraints.append((sig, tuple(rng.sample(range(n), 2))))
+                constraints = nonzero_affine_instance(seed, n, n_cross, n_rows)
                 base = affine_eval(constraints, n)
                 for _ in range(3):
                     perm = list(range(n))
@@ -207,6 +228,19 @@ class TestAffinePastTheCap:
                     assert affine_eval(permuted, n) == base
                 values.append(base)
         assert sum(not v.is_zero() for v in values) >= 3
+
+    def test_affine_against_product_past_300(self):
+        """Without cross terms every constraint is product-type as well,
+        so the Gauss sum and the product propagation must agree."""
+        values = []
+        for seed, n, n_trees in ((60, 300, 1), (61, 300, 2), (62, 400, 1), (63, 500, 3)):
+            for weighted in (False, True):
+                constraints = nonzero_affine_instance(seed, n, 0, n - n_trees, weighted=weighted)
+                value = affine_eval(constraints, n)
+                assert product_eval(constraints, n) == value, (seed, weighted)
+                values.append(value)
+        assert sum(not v.is_zero() for v in values) >= 6
+
 
 class TestProductBasics:
     def test_equality_chain(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 
@@ -12,6 +13,9 @@ from sixvertex.instance import (
     uniform_instance,
 )
 from sixvertex.loopspace import (
+    ENTRY,
+    SELF,
+    SLOT,
     LoopSpaceError,
     decompose,
     entry_exit_audit,
@@ -61,8 +65,9 @@ class TestDecompose:
         inst = uniform_instance(two_loop_map(), sv(1, 1, 0, 1, 1, 0))
         dec = decompose(inst)
         assert dec.k == 1
-        assert len(dec.records) == 1
-        assert dec.records[0].kind == "self"
+        assert dec.pairs == (0,)  # circuit pair (0, 0)
+        assert len(dec.codes) == 1
+        assert dec.codes[0] & SELF
 
     def test_disjoint_cycles_no_records(self):
         # two squares sharing no vertex: build 2 disjoint doubled cycles?
@@ -76,6 +81,15 @@ class TestDecompose:
         inst = uniform_instance(cycle_medial(3), sv(1, 1, 0, 1, 1, 0))
         dec = decompose(inst)
         assert entry_exit_audit(dec)
+
+    def test_audit_catches_an_unbalanced_pair(self):
+        inst = uniform_instance(grid_patch(3, 3), sv(1, 1, 0, 1, 1, 0))
+        dec = decompose(inst)
+        assert entry_exit_audit(dec)
+        v = next(v for v, code in enumerate(dec.codes) if not code & SELF)
+        codes = list(dec.codes)
+        codes[v] ^= ENTRY  # one entry read as an exit, or the reverse
+        assert not entry_exit_audit(dataclasses.replace(dec, codes=tuple(codes)))
 
     def test_rejects_nonzero_inner(self):
         inst = uniform_instance(cycle_medial(3), sv(1, 1, 1, 1, 1, 1))
@@ -296,24 +310,44 @@ class TestWitnessReuse:
         assert len(seen["product"]) == 2 * first
 
 
-def assert_tables_equal_plain_factor_products(inst, f):
-    """The induced tables of `inst` equal, entrywise, the per-record products
-    of the vertex factors, multiplied one vertex at a time."""
-    from sixvertex.loopspace import _vertex_factor
+def circuit_sides(dec):
+    """Per half-edge, its circuit and whether it enters its vertex, read
+    off dec.circuits alone (even positions enter)."""
+    circuit_of, enters = {}, set()
+    for cid, seq in enumerate(dec.circuits):
+        for pos, h in enumerate(seq):
+            circuit_of[h] = cid
+            if pos % 2 == 0:
+                enters.add(h)
+    return circuit_of, enters
 
+
+def assert_tables_equal_plain_factor_products(inst, f):
+    """The induced tables of `inst` equal, entrywise, the per-vertex
+    products of the vertex factors, multiplied one vertex at a time.  The
+    reference reads only the circuits and the labels: which circuits meet
+    at each vertex and each half-edge's direction, not the decomposition's
+    pair keys or local codes."""
     dec = decompose(inst)
     csp = induced_csp(dec, inst, profile_base=f)
+    circuit_of, enters = circuit_sides(dec)
+    rotations = inst.map.vertices
     by_pair, by_self = {}, {}
-    for rec in dec.records:
-        if rec.kind == "intersection":
-            by_pair.setdefault((rec.i, rec.j), []).append(rec.vertex)
+    for vid, rot in enumerate(rotations):
+        met = sorted({circuit_of[h] for h in rot})
+        if len(met) == 2:
+            by_pair.setdefault(tuple(met), []).append(vid)
         else:
-            by_self.setdefault(rec.i, []).append(rec.vertex)
+            by_self.setdefault(met[0], []).append(vid)
 
     def plain(vertices, bits):
         acc = ONE
         for vid in vertices:
-            acc = acc * _vertex_factor(inst, dec, vid, bits)
+            args = [
+                bits[circuit_of[h]] if h in enters else 1 - bits[circuit_of[h]]
+                for h in rotations[vid]
+            ]
+            acc = acc * inst.labels[vid].value(*args)
         return acc
 
     assert set(csp.binary) == set(by_pair)
@@ -328,12 +362,80 @@ def assert_tables_equal_plain_factor_products(inst, f):
         assert csp.unary[i].values() == expected
 
 
+def reference_vertex_fields(inst, dec):
+    """Each vertex's pair key and local code by the definition: x1 is the
+    enter of the lower circuit (at a self-intersection, the enter whose
+    ccw-successor is the other enter), and the vertex is an entry when
+    the other enter is the ccw-successor of x1."""
+    circuit_of, enters = circuit_sides(dec)
+    pairs, codes = [], []
+    for rot in inst.map.vertices:
+        e1 = rot[0] if rot[0] in enters else rot[2]
+        e2 = rot[1] if rot[1] in enters else rot[3]
+        c1, c2 = circuit_of[e1], circuit_of[e2]
+        if c1 > c2:
+            e1, e2, c1, c2 = e2, e1, c2, c1
+        s1, s2 = rot.index(e1), rot.index(e2)
+        follows = (s1 + 1) % 4 == s2
+        if c1 == c2:
+            x1 = s1 if follows else s2
+            codes.append(x1 * SLOT + SELF)
+        else:
+            codes.append(s1 * SLOT + (ENTRY if follows else 0))
+        pairs.append(c1 * dec.k + c2)
+    return tuple(pairs), tuple(codes)
+
+
+# random medials of 5 to 1200 edges and grids, for the checks against the
+# plain references
+REFERENCE_MAPS = [
+    *(medial_of_random_plane_graph(n, seed) for seed, n in enumerate((5, 9, 17, 40, 150, 600, 1200))),
+    grid_patch(2, 2),
+    grid_patch(5, 7),
+    grid_patch(12, 12),
+]
+
+
 class TestInducedTables:
     def test_tables_equal_plain_factor_products(self):
         rng = random.Random(69)
         for trial, m in enumerate(small_medials(70, 10, max_edges=40)):
             f = random_c4i(rng) if trial % 2 else random_c4ii(rng)
             assert_tables_equal_plain_factor_products(uniform_instance(m, f), f)
+
+    def test_plain_factor_products_up_to_1200_edges(self):
+        rng = random.Random(75)
+        for trial, m in enumerate(REFERENCE_MAPS):
+            f = random_c4i(rng) if trial % 2 else random_c4ii(rng)
+            assert_tables_equal_plain_factor_products(uniform_instance(m, f), f)
+
+    def test_plain_factor_products_with_mixed_label_objects(self):
+        """Quarter turns of one base and value-equal copies, as separate
+        label objects: the class code holds the label's index among the
+        distinct objects, so each must still give the plain products."""
+        rng = random.Random(76)
+        for trial, m in enumerate(REFERENCE_MAPS):
+            f = random_c4i(rng) if trial % 2 else random_c4ii(rng)
+            turns = [f.rotate(r) for r in range(4)]
+            copies = [SixVertexSignature(*f.tuple()), SixVertexSignature(*f.tuple())]
+            if trial % 3 == 0:  # only value-equal copies of f
+                pool = copies
+            elif trial % 3 == 1:  # only quarter turns
+                pool = turns
+            else:
+                pool = turns + copies
+            labels = tuple(rng.choice(pool) for _ in range(m.vertex_count))
+            assert_tables_equal_plain_factor_products(PlanarInstance(m, labels), f)
+
+    def test_vertex_fields_follow_the_circuits(self):
+        seen = set()
+        for m in REFERENCE_MAPS + [two_loop_map(), cycle_medial(2), cycle_medial(5)]:
+            inst = uniform_instance(m, sv(1, 2, 0, 2, 1, 0))
+            dec = decompose(inst)
+            assert (dec.pairs, dec.codes) == reference_vertex_fields(inst, dec)
+            seen.update(dec.codes)
+        # every slot, entry and exit vertices and self-intersections
+        assert len(seen) == 12
 
     def test_mixed_rotation_labels(self):
         """Vertices labeled by different rotations of one base, as distinct
@@ -358,13 +460,13 @@ class TestInducedTables:
         assert equal_but_distinct
 
     def test_work_per_class_and_per_distinct_profile(self, monkeypatch):
-        """_vertex_factor runs at most 4 times per vertex class and
-        _profile_binary once per distinct (k, l) vector, however many
-        vertices the instance has."""
+        """_class_factors runs once per vertex class and _profile_binary
+        once per distinct (k, l) vector, however many vertices the instance
+        has."""
         from sixvertex import loopspace
 
         calls = {"factor": 0, "profile": []}
-        real_factor = loopspace._vertex_factor
+        real_factor = loopspace._class_factors
         real_profile = loopspace._profile_binary
 
         def factor(*args):
@@ -375,7 +477,7 @@ class TestInducedTables:
             calls["profile"].append((tuple(k), tuple(l)))
             return real_profile(k, l, base, powers)
 
-        monkeypatch.setattr(loopspace, "_vertex_factor", factor)
+        monkeypatch.setattr(loopspace, "_class_factors", factor)
         monkeypatch.setattr(loopspace, "_profile_binary", profile)
         f = sv(1, 2, 0, 2, 1, 0)
         forms = [f.rotate(r) for r in range(4)]
@@ -386,19 +488,16 @@ class TestInducedTables:
             calls["factor"] = 0
             calls["profile"].clear()
             induced_csp(dec, inst, profile_base=f)
-            classes = {
-                (id(inst.labels[rec.vertex]), rec.rotation, rec.entry, rec.kind)
-                for rec in dec.records
-            }
-            assert calls["factor"] <= 4 * len(classes)
+            classes = {(id(inst.labels[v]), code) for v, code in enumerate(dec.codes)}
+            assert calls["factor"] == len(classes)
             factor_calls.append(calls["factor"])
             profiles = {}
-            for rec in dec.records:
-                if rec.kind != "intersection":
+            for v, (pair, code) in enumerate(zip(dec.pairs, dec.codes)):
+                if code & SELF:
                     continue
-                k, l = profiles.setdefault((rec.i, rec.j), ([0] * 4, [0] * 4))
-                r = forms.index(inst.labels[rec.vertex].rotate(rec.rotation))
-                if rec.entry:
+                k, l = profiles.setdefault(pair, ([0] * 4, [0] * 4))
+                r = forms.index(inst.labels[v].rotate(code // SLOT))
+                if code & ENTRY:
                     k[r] += 1
                 else:
                     l[(r - 1) % 4] += 1
@@ -439,7 +538,7 @@ class TestInducedTables:
         inst = uniform_instance(grid_patch(3, 3), f)
         dec = decompose(inst)
         real = loopspace._form_indexer
-        rotations = {rec.rotation for rec in dec.records}
+        rotations = {code // SLOT for code in dec.codes}
         assert len(rotations) > 1
         for target in rotations:
 

@@ -186,6 +186,65 @@ def test_c1_route_against_a_second_route(f, other, large_maps):
     assert nonzero
 
 
+# labels whose only witness is C3_M: FKT is their one polynomial route, so
+# past the brute-force cap it is checked under two Kasteleyn orientations
+FKT_ONLY = [sv(1, 1, 1, 2, 1, 3), sv(1, 1, 1, 1, 1, 2), sv(1, 1, 2, 2, 2, 2), sv(1, 1, 1, 2, -1, 1)]
+# labels that both FKT and FKT-hat serve
+FKT_AND_HAT = [sv(0, 1, 1, 0, 1, 1), sv(0, 1, -1, 0, 1, -1), sv(0, 2, 2, 0, 2, 2)]
+
+
+def renumbered(inst, rng):
+    """The same plane instance written differently: vertices listed in a
+    random order, half-edges renamed at random, and each rotation read from
+    a random slot with its label turned to match.  FKT then builds another
+    spanning tree, face order and Kasteleyn matrix for the same value."""
+    m = inst.map
+    order = list(range(m.vertex_count))
+    rng.shuffle(order)
+    name = list(range(m.half_edge_count))
+    rng.shuffle(name)
+    vertices, labels = [], []
+    for v in order:
+        r = rng.randrange(4)
+        rot = m.vertices[v]
+        vertices.append([name[h] for h in rot[r:] + rot[:r]])
+        labels.append(inst.labels[v].rotate(r))
+    involution = {name[h]: name[k] for h, k in enumerate(m.involution)}
+    return PlanarInstance(RotationMap(vertices, involution), tuple(labels))
+
+
+def test_fkt_only_labels_past_the_cap(large_maps):
+    """FKT is the only route of these labels, so past the brute-force cap
+    it is checked against itself: under orientation seeds 0 and 1, and on
+    the instance renumbered.  The two seeds give the same orientation on
+    these maps, so the renumbered instance is the independent check."""
+    rng = random.Random(77)
+    small = uniform_instance(SMALL_MEDIALS[3], FKT_ONLY[0])
+    assert holant_brute(renumbered(small, rng)) == holant_brute(small)
+    medial_300 = large_maps[1]
+    nonzero = 0
+    for f in FKT_ONLY:
+        assert classify(f).witnesses == {Condition.C3_M}
+        inst = uniform_instance(medial_300, f)
+        value = matchgate.fkt_eval(inst, orientation_seed=0)
+        assert matchgate.fkt_eval(inst, orientation_seed=1) == value
+        assert matchgate.fkt_eval(renumbered(inst, rng)) == value
+        nonzero += not value.is_zero()
+    assert nonzero >= 3
+
+
+def test_fkt_against_fkt_hat(large_maps):
+    nonzero = 0
+    for f in FKT_AND_HAT:
+        assert {Condition.C3_M, Condition.C3_MHAT} <= classify(f).witnesses
+        for m in large_maps:
+            inst = uniform_instance(m, f)
+            value = matchgate.fkt_eval(inst)
+            assert matchgate.fkt_eval_hat(inst) == value
+            nonzero += not value.is_zero()
+    assert nonzero >= 4
+
+
 class TestCommandLine:
     def test_eval_matches_evaluate(self, tmp_path, capsys):
         inst = uniform_instance(grid_patch(3, 3), sv(0, 0, 1, 0, 0, 2))

@@ -109,6 +109,11 @@ class TestRootsOfUnity:
     def test_two_is_not(self):
         assert rational(2).is_root_of_unity() is None
 
+    def test_mu8_orders_and_non_roots(self):
+        assert [root.is_root_of_unity() for root in MU8] == [1, 8, 4, 8, 2, 8, 4, 8]
+        for v in (rational(2), ONE + I, SQRT2):
+            assert v.is_root_of_unity() is None
+
     def test_orders_match_powers(self):
         for s in MU8:
             n = s.is_root_of_unity()
