@@ -39,7 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from operator import add
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .cspsolve import NotAffine, NotProduct, affine_eval, once_per_table, product_eval
 from .instance import PlanarInstance
@@ -94,22 +94,11 @@ class CircuitDecomposition:
 
 
 def _require_loop_labels(inst: PlanarInstance) -> None:
-    for label in dict(zip(map(id, inst.labels), inst.labels)).values():
+    for label in {id(label): label for label in inst.labels}.values():
         if not isinstance(label, SixVertexSignature):
             raise LoopSpaceError("loop space needs degree-4 six-vertex labels only")
         if not (label.c.is_zero() and label.z.is_zero()):
             raise LoopSpaceError("loop space needs labels with zero inner pair")
-
-
-def _unvisited(tag: list[int]) -> Iterator[int]:
-    """The lowest half-edge still untagged, looked up afresh at each step."""
-    h = 0
-    while True:
-        try:
-            h = tag.index(-1, h)
-        except ValueError:
-            return
-        yield h
 
 
 def decompose(
@@ -149,7 +138,7 @@ def decompose(
     circuits: list[tuple[int, ...]] = []
     chosen_leaders: list[int] = []
 
-    for start in chain(preferred, _unvisited(tag)):
+    for start in chain(preferred, range(n_half)):
         if tag[start] != -1:
             continue
         enter = 2 * len(circuits)
@@ -314,13 +303,8 @@ def induced_csp(
     # labels are told apart by id, which is unique while `inst` keeps every
     # label alive, and cheaper than hashing their six scalars
     distinct = dict(zip(map(id, labels), labels))
-    if len(distinct) == 1:
-        # a uniform instance: its classes are its codes, and the offset
-        # lookups would add about a tenth to this function's time
-        classes: Iterable[int] = dec.codes
-    else:
-        offset = {key: n * LOCAL_CODES for n, key in enumerate(distinct)}
-        classes = map(add, map(offset.__getitem__, map(id, labels)), dec.codes)
+    offset = {key: n * LOCAL_CODES for n, key in enumerate(distinct)}
+    classes = map(add, map(offset.__getitem__, map(id, labels)), dec.codes)
     distinct_labels = list(distinct.values())
     n_circuits = dec.k
     # class counts per pair and per circuit, in order of first vertex
