@@ -61,7 +61,6 @@ class Verdict:
     planar_class: PlanarClass
     general_class: GeneralClass
     witnesses: frozenset[Condition]
-    case_tag: str  # "I".."IV"
 
 
 def _zero_in_each_pair(f: SixVertexSignature) -> bool:
@@ -95,25 +94,6 @@ def _condition4(f: SixVertexSignature) -> tuple[bool, bool]:
     return c4i, c4ii
 
 
-def case_of(f: SixVertexSignature) -> str:
-    """The Case I-IV partition by zero pattern."""
-    zeros = [v.is_zero() for v in f.tuple()]
-    count = sum(zeros)
-    az, bz, cz, xz, yz, zz = zeros
-    pair_zero = (az and xz) or (bz and yz) or (cz and zz)
-    one_per_pair = (az != xz) and (bz != yz) and (cz != zz)
-    if count == 3 and one_per_pair:
-        return "I"
-    if pair_zero:
-        return "II"
-    if count == 2:
-        return "III"
-    if count == 1:
-        inner_zero = cz or zz
-        return "IV" if inner_zero else "III"
-    return "IV"  # count == 0
-
-
 def classify(f: SixVertexSignature) -> Verdict:
     witnesses = set()
     if is_product(f) is not None:
@@ -145,5 +125,4 @@ def classify(f: SixVertexSignature) -> Verdict:
         planar_class=planar,
         general_class=GeneralClass.PTIME if general_ok else GeneralClass.SHARP_P_HARD,
         witnesses=_WITNESS_SETS[frozenset(witnesses)],
-        case_tag=case_of(f),
     )

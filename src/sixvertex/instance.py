@@ -186,29 +186,10 @@ def uniform_instance(map_: RotationMap, f: SixVertexSignature) -> PlanarInstance
     return PlanarInstance(map_, tuple(f for _ in range(map_.vertex_count)))
 
 
-# -- plain graphs and medials -------------------------------------------------
+# -- medials ------------------------------------------------------------------
 
 
-class PlainGraph:
-    """A connected plane multigraph given by vertex rotations over edge-end ids.
-
-    Edge-end ids follow the same half-edge discipline as RotationMap but no
-    labels are attached; used as input to medial construction.
-    """
-
-    def __init__(self, vertices: Sequence[Sequence[int]], involution: Mapping[int, int]):
-        self.map = RotationMap(vertices, involution)
-
-    @property
-    def vertex_count(self):
-        return self.map.vertex_count
-
-    @property
-    def edge_count(self):
-        return self.map.edge_count
-
-
-def medial(graph: PlainGraph) -> RotationMap:
+def medial(graph: RotationMap) -> RotationMap:
     """The medial map: one degree-4 vertex per edge of the input graph.
 
     Corners (h, next h) of the input become medial edges; around the medial
@@ -216,26 +197,25 @@ def medial(graph: PlainGraph) -> RotationMap:
 
         (prev h, h), (h', next h'), (prev h', h'), (h, next h).
     """
-    gm = graph.map
-    if gm.component_ids()[1] != 1:
+    if graph.component_ids()[1] != 1:
         raise MapError("medial construction needs a connected graph")
-    gm.validate_planar()
+    graph.validate_planar()
     # A corner (g, sigma g) of the input joins the medial vertices of
     # edge(g) and edge(sigma g); the slot keyed (corner, 0) belongs to the
     # first component's medial vertex and (corner, 1) to the second's.
     half_ids: dict[tuple[tuple[int, int], int], int] = {}
     counter = 0
     vertices: list[list[int]] = []
-    for h0 in range(gm.half_edge_count):
-        if h0 > gm.involution[h0]:
+    for h0 in range(graph.half_edge_count):
+        if h0 > graph.involution[h0]:
             continue
-        h, hp = h0, gm.involution[h0]
+        h, hp = h0, graph.involution[h0]
         slots = []
         for c, side in (
-            ((gm.rotation_prev(h), h), 1),
-            ((hp, gm.rotation_next(hp)), 0),
-            ((gm.rotation_prev(hp), hp), 1),
-            ((h, gm.rotation_next(h)), 0),
+            ((graph.rotation_prev(h), h), 1),
+            ((hp, graph.rotation_next(hp)), 0),
+            ((graph.rotation_prev(hp), hp), 1),
+            ((h, graph.rotation_next(h)), 0),
         ):
             half_ids[(c, side)] = counter
             slots.append(counter)
@@ -254,12 +234,12 @@ def medial(graph: PlainGraph) -> RotationMap:
 # -- generators ---------------------------------------------------------------
 
 
-def cycle_graph(n: int) -> PlainGraph:
+def cycle_graph(n: int) -> RotationMap:
     """The n-cycle as a plane graph (n >= 1; n = 1 is a single loop)."""
     if n < 1:
         raise ValueError("cycle needs n >= 1")
     if n == 1:
-        return PlainGraph([[0, 1]], {0: 1, 1: 0})
+        return RotationMap([[0, 1]], {0: 1, 1: 0})
     vertices = []
     involution = {}
     for v in range(n):
@@ -268,10 +248,10 @@ def cycle_graph(n: int) -> PlainGraph:
         vertices.append([fwd, back])
         involution[fwd] = 2 * v + 1
         involution[2 * v + 1] = fwd
-    return PlainGraph(vertices, involution)
+    return RotationMap(vertices, involution)
 
 
-def path_graph(n_edges: int) -> PlainGraph:
+def path_graph(n_edges: int) -> RotationMap:
     if n_edges < 1:
         raise ValueError("path needs at least one edge")
     vertices: list[list[int]] = [[] for _ in range(n_edges + 1)]
@@ -282,10 +262,10 @@ def path_graph(n_edges: int) -> PlainGraph:
         vertices[e + 1].append(b)
         involution[a] = b
         involution[b] = a
-    return PlainGraph(vertices, involution)
+    return RotationMap(vertices, involution)
 
 
-def grid_graph(rows: int, cols: int) -> PlainGraph:
+def grid_graph(rows: int, cols: int) -> RotationMap:
     """The rows x cols grid as a plane graph with ccw rotations."""
     if rows < 1 or cols < 1 or rows * cols < 2:
         raise ValueError("grid needs at least two vertices")
@@ -320,7 +300,7 @@ def grid_graph(rows: int, cols: int) -> PlainGraph:
                 if (r, c, d) in slots:
                     rot.append(slots[(r, c, d)])
             vertices.append(rot)
-    return PlainGraph(vertices, involution)
+    return RotationMap(vertices, involution)
 
 
 def cycle_medial(n: int) -> RotationMap:
@@ -333,7 +313,7 @@ def grid_patch(rows: int, cols: int) -> RotationMap:
     return medial(grid_graph(rows, cols))
 
 
-def random_plane_graph(n_edges: int, seed: int) -> PlainGraph:
+def random_plane_graph(n_edges: int, seed: int) -> RotationMap:
     """A random connected plane multigraph with n_edges edges, grown edge by edge.
 
     It starts from a single loop.  Each step draws a face and then adds one
@@ -411,8 +391,8 @@ def random_plane_graph(n_edges: int, seed: int) -> PlainGraph:
         del faces[i], minima[i]
         if h2 not in add_face(h1):
             add_face(h2)
-    graph = PlainGraph(vertices, {h: h ^ 1 for h in range(len(vertex_of))})
-    graph.map.validate_planar()
+    graph = RotationMap(vertices, {h: h ^ 1 for h in range(len(vertex_of))})
+    graph.validate_planar()
     return graph
 
 

@@ -7,10 +7,13 @@ graph is evaluated exactly with one Pfaffian under a Kasteleyn
 orientation.  Every perfect matching has the same term sign sigma under
 that orientation, so sigma is read off one reference perfect matching,
 found by Edmonds' blossom algorithm and checked to be a perfect matching
-of the graph.  fkt_eval joins gadgets by the Disequality path (1, 1); the
-Hadamard-transformed evaluation joins them by the signed equality
-(-1, 1, 1) and synthesizes gadgets for the transformed vertex signature
-instead.  _assemble is the one place where gadgets are joined.
+of the graph.  The orientation seed sets the direction of every
+spanning-forest edge, so seeds 0 and 1 give two different orientations
+whose Pfaffians may differ in sign, and one value.  fkt_eval joins gadgets
+by the Disequality path (1, 1); the Hadamard-transformed evaluation joins
+them by the signed equality (-1, 1, 1) and synthesizes gadgets for the
+transformed vertex signature instead.  _assemble is the one place where
+gadgets are joined.
 
 Every gadget comes from one builder, _build, which takes a template's
 weighted edge list and each vertex's counterclockwise list of neighbours
@@ -528,124 +531,80 @@ def _augment_from(root: int, adjacency: Sequence[Sequence[int]], mate: list[int]
 # -- Kasteleyn orientation -----------------------------------------------------------
 
 
-def kasteleyn_orient(
-    map_: RotationMap, outer_choice: int = 0
-) -> dict[tuple[int, int], int]:
+def kasteleyn_orient(map_: RotationMap, orientation_seed: int = 0) -> list[int]:
     """An orientation where every inner face has an odd number of edges
     agreeing with its traversal direction.
 
-    Returns a direction per edge keyed by the sorted half-edge pair: 0
-    keeps (low half -> high half), 1 reverses it.  Tree edges are oriented
-    arbitrarily; the non-tree edges form a spanning tree of the dual, so
-    processing inner faces from the deepest inward always finds exactly
-    one undecided edge per face.  `outer_choice` rotates which face of each
-    component plays the outer role, giving genuinely different orientations
-    for self-checks.
+    Returns a list indexed by half-edge: at the lower half-edge h of each
+    edge, 0 orients the edge from h's vertex to its partner's and 1 the
+    other way (higher half-edges hold -1).  Every spanning-forest edge gets
+    the direction orientation_seed & 1, so seeds 0 and 1 give two different
+    orientations.  The other edges span the dual: one BFS over the faces
+    crosses only them, from each component's first face, and then each
+    face fixes the edge it was reached through, deepest face first.
+    MapError when such an edge borders one face twice or is never crossed,
+    or when an inner face fails the parity check.
     """
-    faces = map_.faces()
-    if not faces:
-        return {}
-    edge_of = {}
-    for h in range(map_.half_edge_count):
-        edge_of[h] = (min(h, map_.involution[h]), max(h, map_.involution[h]))
-    face_of_half = {}
-    for idx, face in enumerate(faces):
-        for h in face:
-            face_of_half[h] = idx
-    # spanning forest over vertices
-    tree_edges: set[tuple[int, int]] = set()
-    seen = set()
+    inv = map_.involution
+    direction = [-1] * len(inv)
+    reached = [False] * map_.vertex_count
     for root in range(map_.vertex_count):
-        if root in seen:
+        if reached[root]:
             continue
-        seen.add(root)
+        reached[root] = True
         stack = [root]
         while stack:
-            v = stack.pop()
-            for h in map_.vertices[v]:
-                u = map_.vertex_of[map_.involution[h]]
-                if u not in seen:
-                    seen.add(u)
-                    tree_edges.add(edge_of[h])
+            for h in map_.vertices[stack.pop()]:
+                u = map_.vertex_of[inv[h]]
+                if not reached[u]:
+                    reached[u] = True
+                    direction[min(h, inv[h])] = orientation_seed & 1
                     stack.append(u)
-    direction: dict[tuple[int, int], int] = {e: 0 for e in tree_edges}
-    # dual adjacency through non-tree edges
-    dual: dict[int, list[tuple[int, tuple[int, int]]]] = {i: [] for i in range(len(faces))}
-    for h, hp in map_.edges():
-        e = edge_of[h]
-        if e in tree_edges:
-            continue
-        fa, fb = face_of_half[h], face_of_half[hp]
-        dual[fa].append((fb, e))
-        dual[fb].append((fa, e))
-    # find dual components, then BFS each from its chosen outer face
-    face_seen = [False] * len(faces)
-    components: list[list[int]] = []
-    for start in range(len(faces)):
-        if face_seen[start]:
-            continue
-        comp = [start]
-        face_seen[start] = True
-        queue = deque([start])
-        while queue:
-            fa = queue.popleft()
-            for fb, _ in dual[fa]:
-                if not face_seen[fb]:
-                    face_seen[fb] = True
-                    comp.append(fb)
-                    queue.append(fb)
-        components.append(comp)
-    process_order: list[tuple[int, tuple[int, int]]] = []  # (face, parent edge)
-    for comp in components:
-        outer = comp[outer_choice % len(comp)]
-        parents: dict[int, tuple[int, int]] = {}
-        order = [outer]
-        visited = {outer}
-        queue = deque([outer])
-        while queue:
-            fa = queue.popleft()
-            for fb, e in dual[fa]:
-                if fb not in visited:
-                    visited.add(fb)
-                    parents[fb] = e
-                    order.append(fb)
-                    queue.append(fb)
-        for f in reversed(order):
-            if f in parents:
-                process_order.append((f, parents[f]))
-    for face_idx, parent_edge in process_order:
-        face = faces[face_idx]
-        agree = 0
-        for hh in face:
-            ee = edge_of[hh]
-            if ee == parent_edge or ee not in direction:
-                continue
-            if hh == (ee[0] if direction[ee] == 0 else ee[1]):
-                agree += 1
-        # count the parent edge as many times as the face traverses it
-        h_occurrences = [hh for hh in face if edge_of[hh] == parent_edge]
-        if len(h_occurrences) != 1:
-            raise MapError("non-tree edge must border two faces")
-        h = h_occurrences[0]
-        direction[parent_edge] = 0 if h == parent_edge[0] else 1
-        if agree % 2 == 1:
-            direction[parent_edge] = 1 - direction[parent_edge]
-    for e in edge_of.values():
-        direction.setdefault(e, 0)
-    _verify_kasteleyn(map_, faces, edge_of, direction, process_order)
+    faces = map_.faces()
+    face_of = [0] * len(inv)
+    for idx, face in enumerate(faces):
+        for h in face:
+            face_of[h] = idx
+    # order: the faces as the BFS reaches them, order[head:] its queue;
+    # entry[f]: f's half-edge on the edge it was reached through, -1 at a root
+    entry: list[Optional[int]] = [None] * len(faces)
+    order: list[int] = []
+    head = 0
+    for root in range(len(faces)):
+        if entry[root] is None:
+            entry[root] = -1
+            order.append(root)
+        while head < len(order):
+            fa = order[head]
+            head += 1
+            for h in faces[fa]:
+                k = inv[h]
+                if direction[min(h, k)] < 0:
+                    if face_of[k] == fa:
+                        raise MapError("non-tree edge must border two faces")
+                    if entry[face_of[k]] is None:
+                        entry[face_of[k]] = k
+                        order.append(face_of[k])
+
+    def agreeing(face: list[int], skip: int = -1) -> int:
+        """How many half-edges of face, skip aside, run along their edge."""
+        count = 0
+        for g in face:
+            if g != skip:
+                k = inv[g]
+                count += direction[g] == 0 if g < k else direction[k] == 1
+        return count
+
+    for fa in reversed(order):
+        h = entry[fa]
+        if h >= 0:
+            # h agrees exactly when the other half-edges agree an even number of times
+            direction[min(h, inv[h])] = int((h < inv[h]) == (agreeing(faces[fa], h) % 2 == 1))
+    if any(direction[h] < 0 for h in range(len(inv)) if h < inv[h]):
+        raise MapError("an edge is left undecided: the non-tree edges close a cycle of faces")
+    if any(entry[fa] >= 0 and agreeing(faces[fa]) % 2 == 0 for fa in order):
+        raise MapError("Kasteleyn orientation failed on an inner face")
     return direction
-
-
-def _verify_kasteleyn(map_, faces, edge_of, direction, process_order):
-    inner = {f for f, _ in process_order}
-    for idx in inner:
-        agree = 0
-        for h in faces[idx]:
-            e = edge_of[h]
-            if h == (e[0] if direction[e] == 0 else e[1]):
-                agree += 1
-        if agree % 2 == 0:
-            raise MapError("Kasteleyn orientation failed on an inner face")
 
 
 # -- full evaluation -----------------------------------------------------------------
@@ -654,7 +613,7 @@ def _verify_kasteleyn(map_, faces, edge_of, direction, process_order):
 @dataclass
 class AssembledGraph:
     map: RotationMap
-    weights: dict[tuple[int, int], Scalar]  # by sorted half-edge pair
+    weights: dict[int, Scalar]  # by each edge's lower half-edge
     scale: Scalar  # product of gadget scales
 
 
@@ -696,12 +655,12 @@ def _assemble(
                     open_half[(vid, port[1])] = counter
                 counter += 1
     involution: dict[int, int] = {}
-    weights: dict[tuple[int, int], Scalar] = {}
+    weights: dict[int, Scalar] = {}
 
     def bind(h1: int, h2: int, w: Scalar) -> None:
         involution[h1] = h2
         involution[h2] = h1
-        weights[(min(h1, h2), max(h1, h2))] = w
+        weights[min(h1, h2)] = w
 
     for vid, g in enumerate(gadget_of):
         for eidx, (_, _, w) in enumerate(g.edges):
@@ -722,7 +681,7 @@ def _assemble(
     return AssembledGraph(assembled, weights, scale)
 
 
-def _pfaffian_value(assembled: AssembledGraph, outer_choice: int = 0) -> Scalar:
+def _pfaffian_value(assembled: AssembledGraph, orientation_seed: int = 0) -> Scalar:
     """Signed perfect-matching sum through a Kasteleyn orientation.
 
     Under a valid orientation every perfect matching's Pfaffian term carries
@@ -736,7 +695,7 @@ def _pfaffian_value(assembled: AssembledGraph, outer_choice: int = 0) -> Scalar:
     n = assembled.map.vertex_count
     if n == 0:
         return ONE
-    entries, forward, adjacency = _kasteleyn_matrix(assembled, outer_choice)
+    entries, forward, adjacency = _kasteleyn_matrix(assembled, orientation_seed)
     pf = pfaffian_sparse(n, entries)
     if pf.is_zero():
         return ZERO
@@ -745,13 +704,13 @@ def _pfaffian_value(assembled: AssembledGraph, outer_choice: int = 0) -> Scalar:
 
 
 def _kasteleyn_matrix(
-    assembled: AssembledGraph, outer_choice: int = 0
+    assembled: AssembledGraph, orientation_seed: int = 0
 ) -> tuple[dict[tuple[int, int], Scalar], dict[tuple[int, int], bool], list[list[int]]]:
     """The weighted skew matrix of a Kasteleyn orientation as upper entries
     A[u][v], u < v; whether each pair is oriented from u to v; and the
     adjacency lists of the graph."""
     amap = assembled.map
-    direction = kasteleyn_orient(amap, outer_choice)
+    direction = kasteleyn_orient(amap, orientation_seed)
     entries: dict[tuple[int, int], Scalar] = {}
     forward: dict[tuple[int, int], bool] = {}
     adjacency: list[list[int]] = [[] for _ in range(amap.vertex_count)]
@@ -759,13 +718,11 @@ def _kasteleyn_matrix(
         u, v = amap.vertex_of[h], amap.vertex_of[hp]
         if u == v:
             raise SynthesisError("assembled graphs must be loop-free")
-        e = (min(h, hp), max(h, hp))
-        w = assembled.weights[e]
-        tail = amap.vertex_of[e[0]] if direction[e] == 0 else amap.vertex_of[e[1]]
+        w = assembled.weights[h]
         key = (min(u, v), max(u, v))
         if key in entries:
             raise SynthesisError("assembled graphs must have no parallel edges")
-        forward[key] = tail == key[0]
+        forward[key] = (direction[h] == 0) == (u < v)
         entries[key] = w if forward[key] else -w
         adjacency[u].append(v)
         adjacency[v].append(u)
@@ -898,7 +855,9 @@ def fkt_eval(
     Every vertex label must be a matchgate six-vertex signature.
     Chain-family vertices are split in two first; then each distinct label
     is synthesized, and its gadget re-verified against the matching oracle,
-    once per call."""
+    once per call.  orientation_seed & 1 orients every spanning-forest edge
+    of the assembled graph (kasteleyn_orient): seeds 0 and 1 may give
+    Pfaffians of opposite sign, and the reference matching's sign follows."""
     inst = _split_chain_vertices(inst)
     gadgets, scales = _label_gadgets(inst, synthesize, "fkt_eval")
     assembled = _assemble(inst, gadgets, scales, _DISEQ_PATH)

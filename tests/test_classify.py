@@ -5,7 +5,6 @@ from sixvertex.classify import (
     Condition,
     GeneralClass,
     PlanarClass,
-    case_of,
     classify,
 )
 from sixvertex.membership import is_matchgate, is_product
@@ -24,7 +23,6 @@ class TestFixtures:
     def test_ice_point(self):
         v = classify(sv(1, 1, 1, 1, 1, 1))
         assert v.planar_class is PlanarClass.SHARP_P_HARD_PLANAR
-        assert v.case_tag == "IV"
         assert not v.witnesses
 
     def test_tutte_weights(self):
@@ -54,29 +52,6 @@ class TestFixtures:
     def test_mhat_point(self):
         v = classify(sv(0, 1, 2, 0, 1, 2))
         assert Condition.C3_MHAT in v.witnesses
-
-
-class TestCaseTags:
-    def test_one_zero_per_pair(self):
-        assert case_of(sv(1, 0, 2, 0, 3, 0)) == "I"
-
-    def test_zero_pair(self):
-        assert case_of(sv(0, 1, 2, 0, 3, 4)) == "II"
-
-    def test_inner_zero_case_iv(self):
-        assert case_of(sv(1, 1, 0, 2, 3, 4)) == "IV"
-
-    def test_outer_single_zero_case_iii(self):
-        assert case_of(sv(0, 1, 2, 3, 4, 5)) == "III"
-
-    def test_two_zeros_no_pair(self):
-        assert case_of(sv(0, 0, 1, 2, 3, 4)) == "III"
-
-    def test_partition_is_total(self):
-        rng = random.Random(31)
-        for _ in range(500):
-            f = sv(*(rng.choice([0, 0, 1, 2]) for _ in range(6)))
-            assert case_of(f) in {"I", "II", "III", "IV"}
 
 
 class TestInvariance:

@@ -6,7 +6,6 @@ import pytest
 
 from sixvertex.instance import (
     MapError,
-    PlainGraph,
     PlanarInstance,
     RotationMap,
     cycle_graph,
@@ -31,7 +30,7 @@ ICE = SixVertexSignature.from_values(1, 1, 1, 1, 1, 1)
 class TestRotationMap:
     def test_triangle_faces(self):
         g = cycle_graph(3)
-        assert len(g.map.faces()) == 2
+        assert len(g.faces()) == 2
 
     def test_nested_loops_three_faces(self):
         m = RotationMap([[0, 1, 2, 3]], {0: 1, 1: 0, 2: 3, 3: 2})
@@ -45,10 +44,10 @@ class TestRotationMap:
 
     def test_grid_euler(self):
         g = grid_graph(2, 2)
-        assert g.map.vertex_count == 4
-        assert g.map.edge_count == 4
-        assert len(g.map.faces()) == 2
-        g.map.validate_planar()
+        assert g.vertex_count == 4
+        assert g.edge_count == 4
+        assert len(g.faces()) == 2
+        g.validate_planar()
 
     def test_involution_validation(self):
         with pytest.raises(MapError):
@@ -127,8 +126,8 @@ def rebuilding_random_plane_graph(n_edges, seed):
             v, pos = m.vertex_of[h], m.slot_of[h]
             vertices[v].insert(pos, h1)
             vertices[v].insert(pos, h2)
-    graph = PlainGraph(vertices, involution)
-    graph.map.validate_planar()
+    graph = RotationMap(vertices, involution)
+    graph.validate_planar()
     return graph
 
 
@@ -143,8 +142,8 @@ class TestGenerators:
     def test_seed_stability(self):
         a = random_plane_graph(8, 42)
         b = random_plane_graph(8, 42)
-        assert a.map.vertices == b.map.vertices
-        assert a.map.involution == b.map.involution
+        assert a.vertices == b.vertices
+        assert a.involution == b.involution
 
     def test_random_medials_valid(self):
         for seed in range(8):
@@ -160,8 +159,8 @@ class TestGenerators:
     def test_matches_rebuilding_reference(self, sizes, seeds):
         for n in sizes:
             for seed in seeds:
-                got = random_plane_graph(n, seed).map
-                want = rebuilding_random_plane_graph(n, seed).map
+                got = random_plane_graph(n, seed)
+                want = rebuilding_random_plane_graph(n, seed)
                 assert got.vertices == want.vertices, (n, seed)
                 assert got.involution == want.involution, (n, seed)
 

@@ -5,6 +5,7 @@ import pytest
 from sixvertex import loopspace, matchgate
 from sixvertex.cspsolve import NotAffine
 from sixvertex.instance import (
+    MapError,
     RotationMap,
     cycle_medial,
     grid_patch,
@@ -346,6 +347,36 @@ class TestPfaffian:
             assert inverted == want
 
 
+def is_kasteleyn(m, direction):
+    """Whether every face of m but the first of each connected component
+    has an odd number of half-edges running along their edge."""
+    comp_of, _ = m.component_ids()
+    rooted = set()
+    for face in m.faces():
+        comp = comp_of[m.vertex_of[face[0]]]
+        if comp not in rooted:
+            rooted.add(comp)
+            continue
+        agree = 0
+        for h in face:
+            k = m.involution[h]
+            agree += (h < k) == (direction[min(h, k)] == 0)
+        if agree % 2 == 0:
+            return False
+    return True
+
+
+def disjoint_union(*maps):
+    """One map with each of maps as a component, half-edges renumbered in
+    order."""
+    vertices, involution, shift = [], {}, 0
+    for m in maps:
+        vertices += [[h + shift for h in rot] for rot in m.vertices]
+        involution.update({h + shift: k + shift for h, k in enumerate(m.involution)})
+        shift += m.half_edge_count
+    return RotationMap(vertices, involution)
+
+
 class TestKasteleyn:
     def test_c4_counts_matchings(self):
         # C4 as a plane map
@@ -353,22 +384,59 @@ class TestKasteleyn:
             [[0, 7], [1, 2], [3, 4], [5, 6]],
             {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4, 6: 7, 7: 6},
         )
-        direction = kasteleyn_orient(m)
-        entries = {}
-        for h, hp in m.edges():
-            u, v = m.vertex_of[h], m.vertex_of[hp]
-            e = (min(h, hp), max(h, hp))
-            tail = m.vertex_of[e[0]] if direction[e] == 0 else m.vertex_of[e[1]]
-            key = (min(u, v), max(u, v))
-            entries[key] = ONE if tail == key[0] else -ONE
-        pf = pfaffian_sparse(4, entries)
-        assert pf * pf == rational(4)  # |PM(C4)| = 2
+        directions = [kasteleyn_orient(m, seed) for seed in (0, 1)]
+        # seed 1 reverses the three tree edges and so the fourth as well:
+        # every vertex switched, which keeps the 4 x 4 Pfaffian
+        assert all(directions[1][h] == 1 - directions[0][h] for h, _ in m.edges())
+        pfaffians = []
+        for direction in directions:
+            entries = {}
+            for h, hp in m.edges():
+                u, v = m.vertex_of[h], m.vertex_of[hp]
+                tail = u if direction[h] == 0 else v
+                key = (min(u, v), max(u, v))
+                entries[key] = ONE if tail == key[0] else -ONE
+            pfaffians.append(pfaffian_sparse(4, entries))
+        assert pfaffians[0] * pfaffians[0] == rational(4)  # |PM(C4)| = 2
+        assert pfaffians[1] == pfaffians[0]
 
     def test_orientation_valid_on_medials(self):
         for seed in range(4):
             m = medial_of_random_plane_graph(6, seed)
-            kasteleyn_orient(m)  # raises if any inner face fails
-            kasteleyn_orient(m, outer_choice=1)
+            for orientation_seed in (0, 1):
+                assert is_kasteleyn(m, kasteleyn_orient(m, orientation_seed))
+
+    @pytest.mark.parametrize(
+        "m", [grid_patch(4, 4), medial_of_random_plane_graph(150, 0)], ids=["grid4", "medial300"]
+    )
+    def test_seeds_give_two_orientations(self, m):
+        first, second = kasteleyn_orient(m, 0), kasteleyn_orient(m, 1)
+        assert first != second
+        assert is_kasteleyn(m, first) and is_kasteleyn(m, second)
+
+    def test_each_component_rooted_at_its_first_face(self):
+        m = disjoint_union(cycle_medial(3), grid_patch(3, 3), cycle_medial(1))
+        assert m.component_ids()[1] == 3
+        for seed in (0, 1):
+            assert is_kasteleyn(m, kasteleyn_orient(m, seed))
+
+    def test_edge_on_one_face_raises(self):
+        # two crossing loops: a torus map, whose one face borders both loops twice
+        m = RotationMap([[0, 1, 2, 3]], {0: 2, 2: 0, 1: 3, 3: 1})
+        with pytest.raises(MapError, match="border two faces"):
+            kasteleyn_orient(m)
+
+    def test_undecided_edge_raises(self, monkeypatch):
+        """The two triangles of the doubled triangle merged into one face
+        hand the BFS a cycle of faces, so one edge is never crossed, and the
+        pass refuses it instead of orienting it at random."""
+        m = cycle_medial(3)  # the doubled triangle: three digons, two triangles
+        faces = m.faces()
+        inner, outer = [face for face in faces if len(face) == 3]
+        merged = [face for face in faces if len(face) == 2] + [inner + outer]
+        monkeypatch.setattr(RotationMap, "faces", lambda self: merged)
+        with pytest.raises(MapError, match="undecided"):
+            kasteleyn_orient(m)
 
 
 def assert_synthesized(f):
@@ -707,6 +775,12 @@ class TestFkt:
         _assemble(inst, [gadget] * count, [scale] * count, _DISEQ_PATH)
         assert (gadget.rotations, gadget.edges, gadget.externals) == before
 
+    def test_weights_keyed_by_lower_half_edge(self):
+        inst = uniform_instance(grid_patch(2, 3), sv(1, 1, 2, 1, 1, 1))
+        gadgets, scales = _label_gadgets(inst, synthesize, "test")
+        assembled = _assemble(inst, gadgets, scales, _DISEQ_PATH)
+        assert sorted(assembled.weights) == [h for h, _ in assembled.map.edges()]
+
 
 CHAIN, WHEEL = sv(1, 1, 0, 2, -2, 0), sv(1, 1, 2, 1, 1, 1)
 
@@ -810,24 +884,29 @@ def assembled_graph(inst, joiner):
     return _assemble(inst, gadgets, scales, path)
 
 
-def ones_pfaffian(assembled, outer_choice):
+def ones_pfaffian(assembled, orientation_seed):
     """The Pfaffian of the orientation with every weight 1: sigma times the
     number of perfect matchings.  The reference for the matching sign."""
-    _, forward, _ = _kasteleyn_matrix(assembled, outer_choice)
+    _, forward, _ = _kasteleyn_matrix(assembled, orientation_seed)
     ones = {key: ONE if fwd else -ONE for key, fwd in forward.items()}
     return pfaffian_sparse(assembled.map.vertex_count, ones)
 
 
 def assert_sign_is_reference(assembled):
     """The reference matching's sign is the all-ones Pfaffian's, under the
-    orientations of seeds 0 and 1."""
+    orientations of seeds 0 and 1; returns those two Pfaffians, which
+    count the same matchings."""
     n = assembled.map.vertex_count
+    refs = []
     for seed in (0, 1):
         ref = ones_pfaffian(assembled, seed).as_rational()
         assert ref != 0
         _, forward, adjacency = _kasteleyn_matrix(assembled, seed)
         sign = _matching_sign(n, forward, perfect_matching(n, adjacency))
         assert sign == (1 if ref > 0 else -1)
+        refs.append(ref)
+    assert abs(refs[0]) == abs(refs[1])
+    return refs
 
 
 JOINER_LABELS = {
@@ -848,12 +927,32 @@ class TestMatchingSign:
     def test_equals_all_ones_pfaffian_on_random_medials(self, joiner):
         rng = random.Random(81)
         edges = []
+        flips = 0
         for trial in range(12):
             m = medial_of_random_plane_graph(rng.randint(3, 30), 4000 + trial)
             edges.append(m.edge_count)
             f, g = JOINER_LABELS[joiner]
-            assert_sign_is_reference(assembled_graph(two_label_instance(m, f, g, trial), joiner))
+            inst = two_label_instance(m, f, g, trial)
+            refs = assert_sign_is_reference(assembled_graph(inst, joiner))
+            flips += refs[0] != refs[1]
         assert max(edges) >= 50
+        assert flips  # the seeds are two orientations, not one
+
+    def test_seeds_flip_the_pfaffian_not_the_value(self):
+        """Under seeds 0 and 1 the weighted Pfaffian of an assembled graph
+        is one value up to sign, the sign differs on some graphs, and
+        fkt_eval gives one value."""
+        flips = 0
+        for trial in range(8):
+            m = medial_of_random_plane_graph(4 + 3 * trial, 4100 + trial)
+            inst = two_label_instance(m, *JOINER_LABELS["diseq"], trial)
+            assembled = assembled_graph(inst, "diseq")
+            n = assembled.map.vertex_count
+            pf = [pfaffian_sparse(n, _kasteleyn_matrix(assembled, seed)[0]) for seed in (0, 1)]
+            assert not pf[0].is_zero() and pf[1] in (pf[0], -pf[0])
+            flips += pf[1] == -pf[0]
+            assert fkt_eval(inst, orientation_seed=1) == fkt_eval(inst, orientation_seed=0)
+        assert flips
 
     @pytest.mark.parametrize(
         "joiner, evaluate", [("diseq", fkt_eval), ("minus-eq", fkt_eval_hat)]

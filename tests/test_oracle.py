@@ -5,7 +5,6 @@ import pytest
 
 from sixvertex.instance import (
     MapError,
-    PlainGraph,
     RotationMap,
     cycle_graph,
     cycle_medial,
@@ -112,13 +111,12 @@ def eulerian_stats(map_: RotationMap, cap: int = 24) -> OrientationStats:
     return OrientationStats(total, histogram)
 
 
-def edge_list(graph: PlainGraph) -> list[tuple[int, int]]:
+def edge_list(graph: RotationMap) -> list[tuple[int, int]]:
     """Edges as (vertex, vertex) pairs, loops included."""
-    m = graph.map
-    return [(m.vertex_of[h], m.vertex_of[k]) for h, k in m.edges()]
+    return [(graph.vertex_of[h], graph.vertex_of[k]) for h, k in graph.edges()]
 
 
-def tutte(graph: PlainGraph, x: Scalar, y: Scalar, cap: int = 14) -> Scalar:
+def tutte(graph: RotationMap, x: Scalar, y: Scalar, cap: int = 14) -> Scalar:
     """Deletion-contraction with loop/bridge base cases."""
     edges = edge_list(graph)
     n = graph.vertex_count

@@ -215,9 +215,9 @@ def renumbered(inst, rng):
 
 def test_fkt_only_labels_past_the_cap(large_maps):
     """FKT is the only route of these labels, so past the brute-force cap
-    it is checked against itself: under orientation seeds 0 and 1, and on
-    the instance renumbered.  The two seeds give the same orientation on
-    these maps, so the renumbered instance is the independent check."""
+    it is checked against itself: under orientation seeds 0 and 1, which
+    orient every spanning-forest edge of the assembled graph the other
+    way, and on the instance renumbered, which builds another forest."""
     rng = random.Random(77)
     small = uniform_instance(SMALL_MEDIALS[3], FKT_ONLY[0])
     assert holant_brute(renumbered(small, rng)) == holant_brute(small)
