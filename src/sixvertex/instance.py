@@ -91,9 +91,14 @@ class RotationMap:
 
     def faces(self) -> list[list[int]]:
         """Face orbits of next = rotation-successor of involution."""
-        seen = [False] * self.half_edge_count
+        inv = self.involution
+        successor = [0] * len(inv)
+        for rot in self.vertices:
+            for slot, h in enumerate(rot):
+                successor[rot[slot - 1]] = h
+        seen = [False] * len(inv)
         out = []
-        for start in range(self.half_edge_count):
+        for start in range(len(inv)):
             if seen[start]:
                 continue
             cycle = []
@@ -101,7 +106,7 @@ class RotationMap:
             while not seen[h]:
                 seen[h] = True
                 cycle.append(h)
-                h = self.rotation_next(self.involution[h])
+                h = successor[inv[h]]
             out.append(cycle)
         return out
 

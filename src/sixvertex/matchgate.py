@@ -15,6 +15,18 @@ them by the signed equality (-1, 1, 1) and synthesizes gadgets for the
 transformed vertex signature instead.  _assemble is the one place where
 gadgets are joined.
 
+The Pfaffian runs over the integers whenever it can.  Each label f is
+built as f / u, u its first nonzero entry, with 1 / u folded into its
+scale, so a label that is a multiple of a rational signature (a rational
+signature times a root of unity, say) gets a gadget of rational weights,
+and every Kasteleyn entry is rational.  pfaffian_sparse then clears the
+denominators with one integer D, Pf(D A) = D^(n/2) Pf(A), and eliminates
+on plain ints, fraction-free: each touched entry becomes
+(piv A[u][v] + A[i][v] A[j][u] - A[i][u] A[j][v]) divided by the previous
+pivot, and the division is exact because every entry stays a Pfaffian of
+a principal submatrix (Sylvester's identity for Pfaffians; Bareiss 1968,
+Knuth 1996).  Other matrices are eliminated on Scalars by the same loop.
+
 Every gadget comes from one builder, _build, which takes a template's
 weighted edge list and each vertex's counterclockwise list of neighbours
 and open ports.  Every gadget of fkt_eval is one template, the wheel.  The
@@ -39,6 +51,7 @@ import heapq
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from math import lcm
 from typing import Callable, Optional, Sequence
 
 from .instance import MapError, PlanarInstance, RotationMap
@@ -156,21 +169,13 @@ def add_flip_pigtail(g: PlaneGadget, external_index: int = 0) -> PlaneGadget:
 
 
 def _scaled_propto(sig_values: Sequence[Scalar], target: Sequence[Scalar]) -> Optional[Scalar]:
-    """The scalar s with sig = s * target, if one exists."""
-    scale = None
-    for got, want in zip(sig_values, target):
-        if want.is_zero():
-            if not got.is_zero():
-                return None
-            continue
-        ratio = got / want
-        if scale is None:
-            scale = ratio
-        elif scale != ratio:
-            return None
-    if scale is None:
-        scale = ZERO if all(v.is_zero() for v in sig_values) else None
-    return scale
+    """The scalar s with sig = s * target, if one exists: the ratio at the
+    first nonzero target entry, checked against every entry by one product."""
+    pairs = list(zip(sig_values, target))
+    first = next((got / want for got, want in pairs if not want.is_zero()), ZERO)
+    if any(got != first * want if want else got for got, want in pairs):
+        return None
+    return first
 
 
 def _turned_back(
@@ -364,38 +369,76 @@ def pfaffian_sparse(n: int, entries: dict[tuple[int, int], Scalar]) -> Scalar:
 
     `entries` holds A[u][v] for u < v; A[v][u] = -A[u][v] implied.
 
-    Each step eliminates the live vertex i of least (degree, index) together
-    with its neighbour j of least (degree, index): the Pfaffian gains the
-    factor A[i][j] and the sign of moving i, then j, to the front of the live
-    vertices in index order.  A lazy heap of (degree, vertex) finds i (stale
-    entries are dropped on pop), ranks in a sorted list of the live vertices
-    give the sign, and row i is scaled once by 1 / A[i][j], so a pivot costs
-    one inverse and each Schur entry one product.
+    Eliminating the pivot pair (i, j), piv = A[i][j], updates every entry
+    it touches to
+
+        A'[u][v] = (piv A[u][v] + A[i][v] A[j][u] - A[i][u] A[j][v]) / q.
+
+    With q = piv this is the Schur complement, and the Pfaffian is the
+    product of the pivots and the pivot-order sign.  When every entry is
+    rational (fkt_eval builds each label on its first nonzero entry, so any
+    multiple of a rational signature gets here), the denominators are
+    cleared with one integer D, Pf(D A) = D^(n/2) Pf(A), and the
+    elimination runs on plain ints with q the previous step's pivot (1 at
+    the first): fraction-free, like Bareiss's determinant.  After k steps
+    every entry is then, up to sign, the Pfaffian of the principal
+    submatrix on the k pivot pairs and {u, v}, an integer, so by the
+    Pfaffian form of Sylvester's identity (Knuth, "Overlapping Pfaffians")
+    every division is exact, no gcd is taken, and the last pivot is the
+    Pfaffian.  An entry a step leaves untouched is scaled by piv / q, also
+    exactly; that is done only when the entry is next read.  Other
+    matrices are eliminated on Scalars by the same loop (_eliminate).
     """
     if n % 2:
         return ZERO
-    rows: dict[int, dict[int, Scalar]] = {i: {} for i in range(n)}
+    for w in entries.values():
+        if not w.is_rational():
+            return _eliminate(n, entries, ZERO)
+    den = lcm(*{w.den for w in entries.values()})
+    cleared = {key: w.n0 * (den // w.den) for key, w in entries.items()}
+    return Scalar(_eliminate(n, cleared, 0), 0, 0, 0, den ** (n // 2))
+
+
+def _partner(i: int, rows: dict[int, dict]) -> int:
+    """The neighbour of the pivot row i of least (degree, index)."""
+    return min(rows[i], key=lambda v: (len(rows[v]), v))
+
+
+def _eliminate(n: int, entries: dict[tuple[int, int], Scalar | int], zero: Scalar | int):
+    """The Pfaffian of an even-order skew matrix of Scalars or of ints
+    (`zero` names the type) by the update of pfaffian_sparse.
+
+    Each step eliminates the live vertex i of least (degree, index) together
+    with its neighbour j of least (degree, index) (_partner): the Pfaffian
+    gains the sign of moving i, then j, to the front of the live vertices in
+    index order.  A lazy heap of (degree, vertex) finds i (stale entries are
+    dropped on pop), and ranks in a sorted list of the live vertices give
+    the sign.  Heap, pivot choice, sign and fill-in are shared; each touched
+    pair is updated once, and only that arithmetic depends on the type.  On
+    Scalars row i is scaled once by 1 / piv, so a pivot costs one inverse
+    and each term one product.  On ints each entry keeps the pivot it was
+    written under, its stamp, and is read as value * q // stamp.
+    """
+    integral = isinstance(zero, int)
+    rows: dict[int, dict] = {i: {} for i in range(n)}
     for (u, v), w in entries.items():
-        if w.is_zero():
-            continue
-        rows[u][v] = rows[u].get(v, ZERO) + w
-        rows[v][u] = rows[v].get(u, ZERO) - w
-    for i in list(rows):
-        for j in [j for j, w in rows[i].items() if w.is_zero()]:
-            del rows[i][j]
+        if w:
+            rows[u][v] = w
+            rows[v][u] = -w
+    stamps = {i: dict.fromkeys(row, 1) for i, row in rows.items()} if integral else {}
     heap = [(len(rows[v]), v) for v in range(n)]
     heapq.heapify(heap)
     live = list(range(n))  # sorted, so a vertex's rank is its position
     sign_flips = 0
-    result = ONE
+    result = 1 if integral else ONE  # on ints, the previous pivot q
     while live:
         degree, i = heapq.heappop(heap)
         row_i = rows.get(i)
         if row_i is None or len(row_i) != degree:
             continue  # i was eliminated or its degree has changed since
         if not row_i:
-            return ZERO
-        j = min(row_i, key=lambda v: (len(rows[v]), v))
+            return zero
+        j = _partner(i, rows)
         rank_i = bisect_left(live, i)
         rank_j = bisect_left(live, j)
         # i moves to the front past rank_i vertices, then j to second place
@@ -403,31 +446,63 @@ def pfaffian_sparse(n: int, entries: dict[tuple[int, int], Scalar]) -> Scalar:
         sign_flips += rank_i + rank_j - (rank_i < rank_j)
         del live[max(rank_i, rank_j)]
         del live[min(rank_i, rank_j)]
+        row_j = rows[j]
         piv = row_i[j]
-        result = result * piv
-        inv_piv = piv.inv()
-        neighbors_i = [(u, w * inv_piv) for u, w in row_i.items() if u != j]
-        neighbors_j = [(u, w) for u, w in rows[j].items() if u != i]
-        # Schur update: A'[u][v] += (A[i][v] A[j][u] - A[i][u] A[j][v]) / piv
-        for u, wju in neighbors_j:
+        if integral:
+            q = result
+            stamp_i, stamp_j = stamps[i], stamps[j]
+            if stamp_i[j] is not q:
+                piv = piv * q // stamp_i[j]
+            from_i = {
+                v: w if stamp_i[v] is q else w * q // stamp_i[v]
+                for v, w in row_i.items() if v != j
+            }
+            from_j = {
+                u: w if stamp_j[u] is q else w * q // stamp_j[u]
+                for u, w in row_j.items() if u != i
+            }
+            result = piv
+        else:
+            result = result * piv
+            inv_piv = piv.inv()
+            from_i = {v: w * inv_piv for v, w in row_i.items() if v != j}
+            from_j = {u: w for u, w in row_j.items() if u != i}
+        for u, wju in from_j.items():
+            wiu = from_i.get(u)
             row_u = rows[u]
-            for v, wiv in neighbors_i:
+            stamp_u = stamps.get(u)
+            for v, wiv in from_i.items():
                 if u == v:
                     continue
-                old = row_u.get(v)
-                cur = wiv * wju if old is None else old + wiv * wju
-                if cur.is_zero():
-                    del row_u[v]
-                    del rows[v][u]
+                if wiu is None or (wjv := from_j.get(v)) is None:
+                    term = wiv * wju
+                elif u < v:
+                    term = wiv * wju - wiu * wjv
                 else:
+                    continue  # the pair (v, u) takes both terms
+                old = row_u.get(v)
+                if not integral:
+                    cur = term if old is None else old + term
+                elif old is None:
+                    cur = term // q
+                elif stamp_u[v] is q:
+                    cur = (piv * old + term) // q
+                else:
+                    cur = (piv * (old * q // stamp_u[v]) + term) // q
+                if cur:
                     row_u[v] = cur
                     rows[v][u] = -cur
-        for u, _ in neighbors_i:
+                    if integral:
+                        stamp_u[v] = stamps[v][u] = piv
+                elif old is not None:
+                    del row_u[v]
+                    del rows[v][u]
+        for u in from_i:
             rows[u].pop(i, None)
-        for u, _ in neighbors_j:
+        for u in from_j:
             rows[u].pop(j, None)
         del rows[i], rows[j]
-        for u in {u for u, _ in neighbors_i} | {u for u, _ in neighbors_j}:
+        for u in from_i.keys() | from_j.keys():
             heapq.heappush(heap, (len(rows[u]), u))
     return -result if sign_flips % 2 else result
 
@@ -542,16 +617,26 @@ def kasteleyn_orient(map_: RotationMap, orientation_seed: int = 0) -> list[int]:
     orientations.  The other edges span the dual: one BFS over the faces
     crosses only them, from each component's first face, and then each
     face fixes the edge it was reached through, deepest face first.
-    MapError when such an edge borders one face twice or is never crossed,
-    or when an inner face fails the parity check.
+
+    The faces are walked once, and that walk is also the planarity check.
+    The BFS crosses F - R edges, R its roots, and the forest holds V - C, C
+    the components, so every edge is decided exactly when V - E + F = C + R.
+    Each component has V - E + F <= 2 (1 for an isolated vertex), with
+    equality exactly when it is planar, and each component with an edge
+    roots at least one BFS, so that count holds exactly when every
+    component is planar.  MapError when a non-tree edge borders one face
+    twice, when the count fails (an edge is left undecided), or when an
+    inner face fails the parity check.
     """
     inv = map_.involution
     direction = [-1] * len(inv)
     reached = [False] * map_.vertex_count
+    components = 0
     for root in range(map_.vertex_count):
         if reached[root]:
             continue
         reached[root] = True
+        components += 1
         stack = [root]
         while stack:
             for h in map_.vertices[stack.pop()]:
@@ -569,11 +654,12 @@ def kasteleyn_orient(map_: RotationMap, orientation_seed: int = 0) -> list[int]:
     # entry[f]: f's half-edge on the edge it was reached through, -1 at a root
     entry: list[Optional[int]] = [None] * len(faces)
     order: list[int] = []
-    head = 0
+    head = roots = 0
     for root in range(len(faces)):
         if entry[root] is None:
             entry[root] = -1
             order.append(root)
+            roots += 1
         while head < len(order):
             fa = order[head]
             head += 1
@@ -585,6 +671,12 @@ def kasteleyn_orient(map_: RotationMap, orientation_seed: int = 0) -> list[int]:
                     if entry[face_of[k]] is None:
                         entry[face_of[k]] = k
                         order.append(face_of[k])
+    euler = map_.vertex_count - map_.edge_count + len(faces)
+    if euler != components + roots:
+        raise MapError(
+            f"an edge is left undecided: V - E + F = {euler}, not {components + roots};"
+            " the map is not planar"
+        )
 
     def agreeing(face: list[int], skip: int = -1) -> int:
         """How many half-edges of face, skip aside, run along their edge."""
@@ -600,8 +692,6 @@ def kasteleyn_orient(map_: RotationMap, orientation_seed: int = 0) -> list[int]:
         if h >= 0:
             # h agrees exactly when the other half-edges agree an even number of times
             direction[min(h, inv[h])] = int((h < inv[h]) == (agreeing(faces[fa], h) % 2 == 1))
-    if any(direction[h] < 0 for h in range(len(inv)) if h < inv[h]):
-        raise MapError("an edge is left undecided: the non-tree edges close a cycle of faces")
     if any(entry[fa] >= 0 and agreeing(faces[fa]) % 2 == 0 for fa in order):
         raise MapError("Kasteleyn orientation failed on an inner face")
     return direction
@@ -674,7 +764,6 @@ def _assemble(
             counter += 2
         bind(tail, open_half[(m.vertex_of[hp], m.slot_of[hp])], path[-1])
     assembled = RotationMap(rotations, involution)
-    assembled.validate_planar()
     scale = ONE
     for s in scales:
         scale = scale * s
@@ -767,8 +856,11 @@ def _label_gadgets(
 ) -> tuple[list[PlaneGadget], list[Scalar]]:
     """The (gadget, scale) of every vertex, built once per distinct label.
 
-    The table lives for this call only; the assembly reads a shared gadget
-    and never mutates it.
+    Each label f is built as f / u, u its first nonzero entry, and 1 / u is
+    folded into its scale, so a label that is a multiple of a rational
+    signature gets rational weights and pfaffian_sparse its integer path;
+    the zero label is built as it is.  The table lives for this call only;
+    the assembly reads a shared gadget and never mutates it.
     """
     built: dict[SixVertexSignature, tuple[PlaneGadget, Scalar]] = {}
     gadgets = []
@@ -778,7 +870,14 @@ def _label_gadgets(
             raise SynthesisError(f"{caller} needs six-vertex labels")
         entry = built.get(label)
         if entry is None:
-            entry = built[label] = build(label)
+            unit = next((v for v in label.tuple() if not v.is_zero()), ONE)
+            if unit == ONE:
+                entry = build(label)
+            else:
+                inverse = unit.inv()
+                gadget, scale = build(label.scale(inverse))
+                entry = gadget, scale * inverse
+            built[label] = entry
         gadgets.append(entry[0])
         scales.append(entry[1])
     return gadgets, scales

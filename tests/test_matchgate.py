@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sixvertex import loopspace, matchgate
 from sixvertex.cspsolve import NotAffine
@@ -15,6 +16,7 @@ from sixvertex.instance import (
 from sixvertex.matchgate import (
     _DISEQ_PATH,
     _SIGNED_EQ_PATH,
+    PlaneGadget,
     SynthesisError,
     _assemble,
     _build,
@@ -42,7 +44,7 @@ from sixvertex.matchgate import (
 )
 from sixvertex.membership import is_matchgate, is_matchgate_hat
 from sixvertex.oracle import holant_brute
-from sixvertex.scalar import ONE, ZERO, Scalar, rational
+from sixvertex.scalar import I, ONE, W, ZERO, Scalar, rational
 from sixvertex.signature import (
     GeneralSignature4,
     SixVertexSignature,
@@ -188,20 +190,22 @@ def congruent_entries(k, m):
 
 
 def min_degree_pivots(n, entries):
-    """The pivots A[i][j] of min-degree elimination, found the plain way:
-    i is the live vertex of least (degree, index), j its neighbour of least
-    (degree, index).  The reference for pfaffian_sparse's pivot order."""
+    """The pivot pairs (i, j) and pivots A[i][j] of min-degree elimination,
+    found the plain way on the Schur complements: i is the live vertex of
+    least (degree, index), j its neighbour of least (degree, index).  The
+    reference for pfaffian_sparse's pivot order."""
     rows = {v: {} for v in range(n)}
     for (u, v), w in entries.items():
         if not w.is_zero():
             rows[u][v], rows[v][u] = w, -w
-    pivots = []
+    pairs, pivots = [], []
     while rows:
         i = min(rows, key=lambda v: (len(rows[v]), v))
         if not rows[i]:
             break
         j = min(rows[i], key=lambda v: (len(rows[v]), v))
         piv = rows[i][j]
+        pairs.append((i, j))
         pivots.append(piv)
         row_i, row_j = rows.pop(i), rows.pop(j)
         for row in rows.values():
@@ -217,15 +221,20 @@ def min_degree_pivots(n, entries):
                     rows[v].pop(u, None)
                 else:
                     rows[u][v], rows[v][u] = cur, -cur
-    return pivots
+    return pairs, pivots
 
 
-def random_skew(rng, n, density):
+def rand_rational(rng):
+    """A random nonzero rational, mostly not a unit, over mixed denominators."""
+    return rational(rng.choice([-5, -3, -2, -1, 1, 2, 3, 4]), rng.choice([1, 1, 2, 3, 4, 6]))
+
+
+def random_skew(rng, n, density, value=rand_field):
     entries = {}
     for u in range(n):
         for v in range(u + 1, n):
             if rng.random() < density:
-                entries[(u, v)] = rand_field(rng)
+                entries[(u, v)] = value(rng)
     return entries
 
 
@@ -314,20 +323,18 @@ class TestPfaffian:
             assert pfaffian_sparse(n, entries) == ZERO
             assert pfaffian_dense(dense_from_sparse(n, entries)) == ZERO
 
-    def test_one_inverse_per_min_degree_pivot(self, monkeypatch):
-        """Scalar.inv runs once per pivot (at most n/2 times), on the pivots
-        plain min-degree elimination picks, in its order, so the heap leaves
-        pivot order and fill-in unchanged."""
-        inverted = []
-        real_inv = Scalar.inv
-
-        def recording_inv(self):
-            inverted.append(self)
-            return real_inv(self)
-
+    def test_pivots_in_min_degree_order(self, monkeypatch):
+        """Both number types eliminate the pivots plain min-degree
+        elimination picks, in its order, so the heap leaves pivot order and
+        fill-in unchanged.  The Scalar path inverts each pivot once (at most
+        n/2 inverses); the integer path inverts nothing."""
         rng = random.Random(80)
-        cases = [
+        scalar_cases = [
             (n, random_skew(rng, n, d))
+            for n, d in [(12, 0.3), (16, 0.3), (24, 0.2), (24, 0.4)]
+        ]
+        rational_cases = [
+            (n, random_skew(rng, n, d, rand_rational))
             for n, d in [(12, 0.3), (16, 0.3), (24, 0.2), (24, 0.4)]
         ]
         # a ladder: many degree ties, and degrees change as rungs fill in
@@ -336,15 +343,115 @@ class TestPfaffian:
             ladder[(2 * t, 2 * t + 1)] = ONE
             ladder[(2 * t, 2 * t + 2)] = ONE
             ladder[(2 * t + 1, 2 * t + 3)] = -ONE
-        cases.append((24, ladder))
-        for n, entries in cases:
-            want = min_degree_pivots(n, entries)
+        rational_cases.append((24, ladder))
+        scalar_cases.append((24, {key: w * W for key, w in ladder.items()}))
+        cases = [(n, e, True) for n, e in rational_cases] + [(n, e, False) for n, e in scalar_cases]
+        wants = [min_degree_pivots(n, entries) for n, entries, _ in cases]
+
+        pairs = []
+        real_partner = matchgate._partner
+
+        def recording_partner(i, rows):
+            j = real_partner(i, rows)
+            pairs.append((i, j))
+            return j
+
+        inverted = []
+        real_inv = Scalar.inv
+
+        def recording_inv(self):
+            inverted.append(self)
+            return real_inv(self)
+
+        monkeypatch.setattr(matchgate, "_partner", recording_partner)
+        monkeypatch.setattr(Scalar, "inv", recording_inv)
+        for (n, entries, rational_entries), (want_pairs, want_pivots) in zip(cases, wants):
+            pairs.clear()
             inverted.clear()
-            monkeypatch.setattr(Scalar, "inv", recording_inv)
             pfaffian_sparse(n, entries)
-            monkeypatch.setattr(Scalar, "inv", real_inv)
-            assert 0 < len(inverted) <= n // 2
-            assert inverted == want
+            assert 0 < len(pairs) <= n // 2
+            assert pairs == want_pairs
+            assert inverted == ([] if rational_entries else want_pivots)
+
+    def test_rational_square_equals_det(self):
+        """The integer path: mixed denominators, non-unit pivots, odd n."""
+        rng = random.Random(81)
+        for _ in range(40):
+            n = rng.choice([2, 3, 4, 6, 8, 9, 10, 12, 16, 20, 24])
+            entries = random_skew(rng, n, rng.choice([0.1, 0.25, 0.5, 0.9]), rand_rational)
+            m = dense_from_sparse(n, entries)
+            pf = pfaffian_sparse(n, entries)
+            assert pf == pfaffian_dense(m)
+            if n <= 12:
+                assert pf * pf == det_exact(m)
+        assert pfaffian_sparse(5, {(0, 1): rational(2, 3), (2, 3): rational(5)}) == ZERO
+
+    def test_rational_unimodular_congruence_cancels(self):
+        """Pf(M^T K M) = Pf(K) for unit upper triangular M over Q: on the
+        integer path, Schur updates cancel to exact zero mid-elimination."""
+        rng = random.Random(82)
+        nonzero = 0
+        for n, density in [(8, 0.3), (12, 0.25), (16, 0.2), (24, 0.2), (24, 0.3)]:
+            k_entries = random_skew(rng, n, density, rand_rational)
+            k = dense_from_sparse(n, k_entries)
+            m = [
+                [
+                    ONE if a == u
+                    else rational(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2]))
+                    if a < u and rng.random() < density
+                    else ZERO
+                    for u in range(n)
+                ]
+                for a in range(n)
+            ]
+            entries = congruent_entries(k, m)
+            pf = pfaffian_sparse(n, entries)
+            assert pf == pfaffian_sparse(n, k_entries)
+            assert pf == pfaffian_dense(dense_from_sparse(n, entries))
+            nonzero += not pf.is_zero()
+        assert nonzero >= 1
+
+    def test_rational_low_rank_is_singular(self):
+        """A complete rational skew matrix of rank 2m < n, odd n included:
+        every integer entry left after m pivots cancels to exact zero."""
+        rng = random.Random(83)
+        for n, half_rank in [(6, 2), (9, 3), (12, 3), (20, 6), (24, 11)]:
+            k = dense_from_sparse(2 * half_rank, random_skew(rng, 2 * half_rank, 1.0, rand_rational))
+            m = [
+                [rational(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 5])) for _ in range(n)]
+                for _ in range(2 * half_rank)
+            ]
+            entries = congruent_entries(k, m)
+            assert len(entries) == n * (n - 1) // 2
+            assert pfaffian_sparse(n, entries) == ZERO
+            assert pfaffian_dense(dense_from_sparse(n, entries)) == ZERO
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_rational_matches_dense_reference(self, data):
+        n = data.draw(st.integers(0, 24), label="n")
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        support = data.draw(st.lists(st.sampled_from(pairs), unique=True), label="support") if pairs else []
+        entries = {
+            key: Scalar.from_rational(
+                data.draw(st.fractions(min_value=-4, max_value=4, max_denominator=6))
+            )
+            for key in support
+        }
+        assert pfaffian_sparse(n, entries) == pfaffian_dense(dense_from_sparse(n, entries))
+
+
+def torus_grid(k):
+    """The k x k grid on the torus: at vertex (r, c) the half-edges
+    4v .. 4v+3 run right, up, left and down, counterclockwise."""
+    vertex = lambda r, c: (r % k) * k + c % k
+    involution = {}
+    for r in range(k):
+        for c in range(k):
+            v = vertex(r, c)
+            right, up = 4 * vertex(r, c + 1) + 2, 4 * vertex(r + 1, c) + 3
+            involution.update({4 * v: right, right: 4 * v, 4 * v + 1: up, up: 4 * v + 1})
+    return RotationMap([[4 * v + t for t in range(4)] for v in range(k * k)], involution)
 
 
 def is_kasteleyn(m, direction):
@@ -436,6 +543,14 @@ class TestKasteleyn:
         merged = [face for face in faces if len(face) == 2] + [inner + outer]
         monkeypatch.setattr(RotationMap, "faces", lambda self: merged)
         with pytest.raises(MapError, match="undecided"):
+            kasteleyn_orient(m)
+
+    def test_torus_grid_fails_the_euler_count(self):
+        """Every edge of the 3 x 3 torus grid borders two faces, so only the
+        count V - E + F = C + R can refuse it: 9 - 18 + 9 = 0, not 2."""
+        m = torus_grid(3)
+        assert len(m.faces()) == 9
+        with pytest.raises(MapError, match=r"V - E \+ F = 0, not 2; the map is not planar"):
             kasteleyn_orient(m)
 
 
@@ -780,6 +895,125 @@ class TestFkt:
         gadgets, scales = _label_gadgets(inst, synthesize, "test")
         assembled = _assemble(inst, gadgets, scales, _DISEQ_PATH)
         assert sorted(assembled.weights) == [h for h, _ in assembled.map.edges()]
+
+
+    def test_non_planar_assembled_map_raises(self, monkeypatch):
+        """One gadget with a reversed rotation makes the assembled map
+        non-planar (V - E + F = 0 on grid_patch(2, 2)); the Kasteleyn pass,
+        which now walks the faces alone, still refuses it."""
+        f, g = sv(1, 1, 2, 1, 1, 1), sv(1, 1, 1, 2, 1, 3)
+        real_synthesize = matchgate.synthesize
+
+        def twisting(label):
+            gadget, scale = real_synthesize(label)
+            if label != f:
+                return gadget, scale
+            rotations = [list(rot) for rot in gadget.rotations]
+            rotations[0].reverse()
+            return PlaneGadget(rotations, gadget.edges, gadget.externals), scale
+
+        inst = two_label_instance(grid_patch(2, 2), f, g, 0)
+        assert fkt_eval(inst) == holant_brute(inst)
+        monkeypatch.setattr(matchgate, "synthesize", twisting)
+        gadgets, scales = _label_gadgets(inst, twisting, "test")
+        with pytest.raises(MapError, match="not planar"):
+            _assemble(inst, gadgets, scales, _DISEQ_PATH).map.validate_planar()
+        with pytest.raises(MapError):
+            fkt_eval(inst)
+
+    def test_one_face_walk_per_evaluation(self, monkeypatch):
+        walks = []
+        real_faces = RotationMap.faces
+
+        def counting(self):
+            walks.append(self.vertex_count)
+            return real_faces(self)
+
+        grid = grid_patch(2, 3)
+        cases = [
+            (fkt_eval, uniform_instance(grid, sv(1, 1, 2, 1, 1, 1))),
+            (fkt_eval_hat, uniform_instance(grid, sv(0, 1, 2, 0, 1, 2))),
+        ]
+        monkeypatch.setattr(RotationMap, "faces", counting)
+        for evaluate, inst in cases:
+            walks.clear()
+            evaluate(inst)
+            assert len(walks) == 1
+
+
+# scales u with value(u f) = u^|V| value(f); 1 + i is not a root of unity
+UNIT_SCALES = (W, W**3, I, rational(2), rational(-1, 3), ONE + I)
+# a C3_M-only label that is no multiple of a rational signature
+COMPLEX_LABEL = SixVertexSignature(ONE, I, ONE, ONE, I, ZERO)
+
+
+def record_number_types(monkeypatch):
+    """Record whether each elimination runs on ints (True) or Scalars."""
+    integral = []
+    real = matchgate._eliminate
+
+    def recording(n, entries, zero):
+        integral.append(isinstance(zero, int))
+        return real(n, entries, zero)
+
+    monkeypatch.setattr(matchgate, "_eliminate", recording)
+    return integral
+
+
+class TestUnitNormalization:
+    @pytest.mark.parametrize(
+        "evaluate, label",
+        [(fkt_eval, sv(1, 1, 2, 1, 1, 1)), (fkt_eval, sv(2, 1, 3, 1, 4, 2)), (fkt_eval_hat, sv(0, 1, 2, 0, 1, 2))],
+        ids=["wheel", "wheel-fractions", "hat"],
+    )
+    def test_scaled_labels_against_brute(self, monkeypatch, evaluate, label):
+        """value(u f) = u^|V| value(f) for every u, each value checked
+        against holant_brute, and every multiple of a rational signature
+        eliminated on ints."""
+        integral = record_number_types(monkeypatch)
+        for m in (cycle_medial(3), grid_patch(2, 3), medial_of_random_plane_graph(5, 1)):
+            assert m.edge_count <= 24
+            base = evaluate(uniform_instance(m, label))
+            assert not base.is_zero()
+            for u in UNIT_SCALES:
+                inst = uniform_instance(m, label.scale(u))
+                value = evaluate(inst)
+                assert value == u ** m.vertex_count * base
+                assert value == holant_brute(inst)
+        assert integral and all(integral)
+
+    def test_label_built_on_its_first_nonzero_entry(self, monkeypatch):
+        seen = count_calls(monkeypatch, matchgate, "synthesize")
+        f = sv(0, 2, 3, 0, 3, 2)  # c z = b y and a = 0: a matchgate
+        assert is_matchgate(f)
+        fkt_eval(uniform_instance(cycle_medial(3), f.scale(ONE + I)))
+        assert seen == [f.scale(rational(1, 2))]
+
+
+class TestScalarPath:
+    def test_complex_label_against_brute(self, monkeypatch):
+        integral = record_number_types(monkeypatch)
+        rng = random.Random(90)
+        checked = 0
+        for trial in range(30):
+            m = medial_of_random_plane_graph(rng.randint(3, 7), trial + 3000)
+            if m.edge_count > 16:
+                continue
+            inst = uniform_instance(m, COMPLEX_LABEL)
+            value = fkt_eval(inst)
+            assert value == holant_brute(inst)
+            checked += not value.is_zero()
+        assert checked >= 5
+        assert integral and not any(integral)
+
+    def test_complex_label_orientation_seeds_agree_at_300_edges(self, monkeypatch):
+        integral = record_number_types(monkeypatch)
+        inst = uniform_instance(medial_of_random_plane_graph(150, 0), COMPLEX_LABEL)
+        assert inst.map.edge_count == 300
+        value = fkt_eval(inst, orientation_seed=0)
+        assert not value.is_zero()
+        assert fkt_eval(inst, orientation_seed=1) == value
+        assert integral == [False, False]
 
 
 CHAIN, WHEEL = sv(1, 1, 0, 2, -2, 0), sv(1, 1, 2, 1, 1, 1)
