@@ -22,7 +22,7 @@ sets, so a step costs in the size of its neighbourhood, not in n.
 
 A constraint is a table or its witness over distinct variables: a
 repeated variable raises RepeatedVariable.  A caller that would repeat one
-sums it out of the table first, as the edge #CSP of route.py does at a loop.
+splits it first, as the edge #CSP of route.py splits a loop.
 
 Product-type instances decompose into =/!= relations with unary weights,
 solved by union-find with parity; an inconsistent relation set makes the
@@ -339,7 +339,6 @@ def product_eval(
         return True
 
     unary_factors: list[list[tuple[Scalar, Scalar]]] = [[] for _ in range(n_vars)]
-    scalar = ONE
     contradiction = False
 
     for sig, var_tuple in constraints:
@@ -364,7 +363,7 @@ def product_eval(
     for v in range(n_vars):
         root, _ = find(v)
         components.setdefault(root, []).append(v)
-    total = scalar
+    total = ONE
     for root, members in components.items():
         acc0, acc1 = ONE, ONE
         for v in members:

@@ -170,9 +170,6 @@ class PlanarInstance:
                     f"label arity {arity} does not match vertex degree {len(rot)}"
                 )
 
-    def validate(self) -> None:
-        self.map.validate_planar()
-
     def relabel(self, labels: Sequence) -> "PlanarInstance":
         return PlanarInstance(self.map, tuple(labels))
 
@@ -481,7 +478,7 @@ def parse_instance(text: str) -> PlanarInstance:
         labels.append(signatures[name])
     rotation = RotationMap([slots for _, _, slots in vertex_rows], involution)
     inst = PlanarInstance(rotation, tuple(labels))
-    inst.validate()
+    rotation.validate_planar()
     return inst
 
 

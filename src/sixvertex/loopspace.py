@@ -84,7 +84,6 @@ _CODES_EVEN_LOWER, _CODES_ODD_LOWER, _CODES_SELF = (
 @dataclass(frozen=True)
 class CircuitDecomposition:
     circuits: tuple[tuple[int, ...], ...]  # even positions enter their vertex
-    leaders: tuple[int, ...]
     pairs: tuple[int, ...]  # per vertex: i * k + j for its circuits i <= j
     codes: tuple[int, ...]  # per vertex: its local code
 
@@ -101,9 +100,7 @@ def _require_loop_labels(inst: PlanarInstance) -> None:
             raise LoopSpaceError("loop space needs labels with zero inner pair")
 
 
-def decompose(
-    inst: PlanarInstance, leaders: Optional[Sequence[int]] = None
-) -> CircuitDecomposition:
+def decompose(inst: PlanarInstance) -> CircuitDecomposition:
     """Partition the half-edges into circuits and classify every vertex.
 
     The walk tags each half-edge 2 * circuit if it enters its vertex and
@@ -111,22 +108,13 @@ def decompose(
     of its four half-edges into its pair key and local code (see the module
     docstring); nothing is made per vertex but those two integers.
 
-    `leaders` optionally lists one half-edge per circuit to anchor its
-    traversal (the anchored half-edge enters its vertex first); by default
-    the lowest half-edge id of each circuit leads it.  A leader that is not
-    a half-edge of the instance, a vertex of degree other than 4 or a label
-    that is not a six-vertex signature with zero inner pair raises
-    LoopSpaceError.
+    The lowest half-edge id of each circuit leads it: it enters its vertex
+    first.  A vertex of degree other than 4 or a label that is not a
+    six-vertex signature with zero inner pair raises LoopSpaceError.
     """
     _require_loop_labels(inst)
     m = inst.map
     n_half = m.half_edge_count
-    preferred = list(leaders) if leaders else []
-    for h in preferred:
-        if not 0 <= h < n_half:
-            raise LoopSpaceError(
-                f"leader {h!r} is not a half-edge of the instance (0..{n_half - 1})"
-            )
     opposite = [0] * n_half
     try:
         for h0, h1, h2, h3 in m.vertices:
@@ -136,9 +124,8 @@ def decompose(
     involution = m.involution
     tag = [-1] * n_half
     circuits: list[tuple[int, ...]] = []
-    chosen_leaders: list[int] = []
 
-    for start in chain(preferred, range(n_half)):
+    for start in range(n_half):
         if tag[start] != -1:
             continue
         enter = 2 * len(circuits)
@@ -158,7 +145,6 @@ def decompose(
         if h != start:
             raise LoopSpaceError("twin closure failed to close a circuit")
         circuits.append(tuple(seq))
-        chosen_leaders.append(start)
 
     k = len(circuits)
     pairs: list[int] = []
@@ -179,9 +165,7 @@ def decompose(
         else:
             pairs.append(c0 * k + c0)
             codes.append(_CODES_SELF[leaves])
-    return CircuitDecomposition(
-        tuple(circuits), tuple(chosen_leaders), tuple(pairs), tuple(codes)
-    )
+    return CircuitDecomposition(tuple(circuits), tuple(pairs), tuple(codes))
 
 
 @dataclass(frozen=True)
@@ -284,10 +268,11 @@ def _outer_ids(powers: _PowerTable, base: SixVertexSignature) -> tuple[int, ...]
 def induced_csp(
     dec: CircuitDecomposition,
     inst: PlanarInstance,
-    profile_base: Optional[SixVertexSignature] = None,
+    profile_base: SixVertexSignature,
 ) -> InducedCSP:
-    """Build the circuit #CSP, verifying the direct tables against the
-    entry/exit exponent profiles when a base signature is available.
+    """Build the circuit #CSP, verifying every direct table against the
+    entry/exit exponent profiles of `profile_base` (Def. 4.3), whose
+    quarter turns every label must be; a mismatch raises LoopSpaceError.
 
     Each vertex's class is its local code plus LOCAL_CODES times the index
     of its label object among the distinct ones, and the classes are
@@ -328,16 +313,14 @@ def induced_csp(
         for c, (label, code) in class_keys.items()
     }
 
-    check = profile_base is not None
-    if check:
-        base_forms = [profile_base.rotate(r) for r in range(4)]
-        outer = _outer_ids(powers, profile_base)
-        form = {
-            c: _form_indexer(base_forms, label, code // SLOT)
-            for c, (label, code) in class_keys.items()
-        }
-        binary_profiles: dict[tuple[tuple[int, ...], tuple[int, ...]], BinarySignature] = {}
-        unary_profiles: dict[tuple[int, ...], UnarySignature] = {}
+    base_forms = [profile_base.rotate(r) for r in range(4)]
+    outer = _outer_ids(powers, profile_base)
+    form = {
+        c: _form_indexer(base_forms, label, code // SLOT)
+        for c, (label, code) in class_keys.items()
+    }
+    binary_profiles: dict[tuple[tuple[int, ...], tuple[int, ...]], BinarySignature] = {}
+    unary_profiles: dict[tuple[int, ...], UnarySignature] = {}
 
     binary = {}
     binary_tables: dict[tuple[tuple[int, int], ...], BinarySignature] = {}
@@ -348,23 +331,20 @@ def induced_csp(
             table = binary_tables[key] = BinarySignature(
                 *_table_entries(key, factors, 4, powers)
             )
-            if check:
-                k = [0, 0, 0, 0]
-                l = [0, 0, 0, 0]
-                for c, n in key:
-                    if c & ENTRY:
-                        k[form[c]] += n
-                    else:
-                        # exit columns are shifted: forms f^{pi/2},f^{pi},f^{3pi/2},f
-                        l[(form[c] - 1) % 4] += n
-                exponents = (tuple(k), tuple(l))
-                profile = binary_profiles.get(exponents)
-                if profile is None:
-                    profile = binary_profiles[exponents] = _profile_binary(
-                        k, l, outer, powers
-                    )
-                if profile.values() != table.values():
-                    raise LoopSpaceError(f"direct and profile tables disagree on pair {pair}")
+            k = [0, 0, 0, 0]
+            l = [0, 0, 0, 0]
+            for c, n in key:
+                if c & ENTRY:
+                    k[form[c]] += n
+                else:
+                    # exit columns are shifted: forms f^{pi/2},f^{pi},f^{3pi/2},f
+                    l[(form[c] - 1) % 4] += n
+            exponents = (tuple(k), tuple(l))
+            profile = binary_profiles.get(exponents)
+            if profile is None:
+                profile = binary_profiles[exponents] = _profile_binary(k, l, outer, powers)
+            if profile.values() != table.values():
+                raise LoopSpaceError(f"direct and profile tables disagree on pair {pair}")
         binary[pair] = table
 
     unary = {}
@@ -376,16 +356,15 @@ def induced_csp(
             table = unary_tables[key] = UnarySignature(
                 *_table_entries(key, factors, 2, powers)
             )
-            if check:
-                m = [0, 0, 0, 0]
-                for c, n in key:
-                    m[form[c]] += n
-                exponents = tuple(m)
-                profile = unary_profiles.get(exponents)
-                if profile is None:
-                    profile = unary_profiles[exponents] = _profile_unary(m, outer, powers)
-                if profile.values() != table.values():
-                    raise LoopSpaceError(f"direct and profile tables disagree on h_{i}")
+            m = [0, 0, 0, 0]
+            for c, n in key:
+                m[form[c]] += n
+            exponents = tuple(m)
+            profile = unary_profiles.get(exponents)
+            if profile is None:
+                profile = unary_profiles[exponents] = _profile_unary(m, outer, powers)
+            if profile.values() != table.values():
+                raise LoopSpaceError(f"direct and profile tables disagree on h_{i}")
         unary[i] = table
     return InducedCSP(n_circuits, binary, unary)
 
@@ -448,10 +427,12 @@ _METHODS = ("auto", "product", "affine")
 
 def evaluate(
     inst: PlanarInstance,
-    profile_base: Optional[SixVertexSignature] = None,
+    profile_base: SixVertexSignature,
     method: str = "auto",
 ) -> Scalar:
-    """Evaluate the instance through its circuit #CSP.
+    """Evaluate the instance through its circuit #CSP.  Every label must be
+    a quarter turn of `profile_base`: each induced table is checked against
+    its entry/exit profile (see induced_csp) on every call.
 
     method: "auto" tries the product-type propagation, then Gauss sums,
     and raises NotAffine when the induced tables fit neither; "product"

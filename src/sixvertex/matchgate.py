@@ -144,15 +144,15 @@ def _build(edges: Sequence[tuple[int, int, Scalar]], orders: Sequence[list]) -> 
     return PlaneGadget(rotations, kept, [external_of[t] for t in range(k)])
 
 
-def add_flip_pigtail(g: PlaneGadget, external_index: int = 0) -> PlaneGadget:
-    """Compose one external with Disequality: a 3-edge pigtail whose far end
-    becomes the new external (flips that variable of the signature)."""
-    old_vertex = g.externals[external_index]
+def add_flip_pigtail(g: PlaneGadget) -> PlaneGadget:
+    """Compose external 0 with Disequality: a 3-edge pigtail whose far end
+    becomes the new external 0 (flips the first variable of the signature)."""
+    old_vertex = g.externals[0]
     q1, q2, x_new = g.n, g.n + 1, g.n + 2
     e_a, e_b, e_c = (len(g.edges) + t for t in range(3))
     pigtail = ("edge", e_a, 0)
     rotations = [
-        [pigtail if p == ("open", external_index) else p for p in rot]
+        [pigtail if p == ("open", 0) else p for p in rot]
         for rot in g.rotations
     ]
     if pigtail not in rotations[old_vertex]:
@@ -160,11 +160,11 @@ def add_flip_pigtail(g: PlaneGadget, external_index: int = 0) -> PlaneGadget:
     rotations += [
         [("edge", e_a, 1), ("edge", e_b, 0)],
         [("edge", e_b, 1), ("edge", e_c, 0)],
-        [("edge", e_c, 1), ("open", external_index)],
+        [("edge", e_c, 1), ("open", 0)],
     ]
     edges = g.edges + [(old_vertex, q1, ONE), (q1, q2, ONE), (q2, x_new, ONE)]
     externals = list(g.externals)
-    externals[external_index] = x_new
+    externals[0] = x_new
     return PlaneGadget(rotations, edges, externals)
 
 
@@ -256,7 +256,7 @@ def synthesize(f: SixVertexSignature) -> tuple[PlaneGadget, Scalar]:
     for turn in range(4):
         turned = f.rotate(turn)
         if _wheel_applies(turned):
-            wheel = add_flip_pigtail(_wheel_core(turned), 0)
+            wheel = add_flip_pigtail(_wheel_core(turned))
             return _turned_back(wheel, turn, f.to_general().entries)
     raise SynthesisError(f"no wheel template applies to {f!r}")
 
@@ -975,7 +975,7 @@ def _hat_gadget(label: SixVertexSignature) -> tuple[PlaneGadget, Scalar]:
     if not image.has_parity_support(1):
         return synthesize_even_image(image)
     gadget, scale = synthesize_even_image(image.flip_variable(1))
-    return add_flip_pigtail(gadget, 0), scale
+    return add_flip_pigtail(gadget), scale
 
 
 def fkt_eval_hat(inst: PlanarInstance) -> Scalar:

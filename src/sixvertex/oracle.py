@@ -1,5 +1,4 @@
-"""Brute-force ground truth: Holant sums, #CSP enumeration and
-perfect-matching signatures.
+"""Brute-force ground truth: Holant sums and perfect-matching signatures.
 
 Everything here is exponential-time and capped; the point is exactness.
 The backtracking over edge orientations orders edges along a search tree
@@ -13,12 +12,7 @@ from typing import Optional, Sequence
 
 from .instance import PlanarInstance
 from .scalar import ONE, ZERO, Scalar
-from .signature import (
-    BinarySignature,
-    GeneralSignature4,
-    SixVertexSignature,
-    UnarySignature,
-)
+from .signature import SixVertexSignature
 
 
 class OracleCapExceeded(RuntimeError):
@@ -26,7 +20,6 @@ class OracleCapExceeded(RuntimeError):
 
 
 HOLANT_CAP = 24  # edges
-CSP_CAP = 20  # variables
 MATCHING_CAP = 16  # matched pairs, so 32 vertices
 
 
@@ -110,39 +103,6 @@ def holant_brute(inst: PlanarInstance) -> Scalar:
         return total
 
     return run(0, ONE)
-
-
-# -- #CSP enumeration -------------------------------------------------------------------
-
-
-def csp_brute(
-    n_vars: int,
-    constraints: Sequence[tuple[object, tuple[int, ...]]],
-) -> Scalar:
-    """Sum over {0,1}^n of constraint products.
-
-    Constraints are (signature, variable tuple) with signatures of arity
-    1, 2 or 4; variables may repeat.
-    """
-    if n_vars > CSP_CAP:
-        raise OracleCapExceeded(f"{n_vars} variables exceeds the #CSP cap {CSP_CAP}")
-    for sig, _ in constraints:
-        if not isinstance(
-            sig, (UnarySignature, BinarySignature, SixVertexSignature, GeneralSignature4)
-        ):
-            raise TypeError(f"unsupported constraint {sig!r}")
-    total = ZERO
-    for mask in range(2 ** n_vars):
-        assign = [(mask >> (n_vars - 1 - t)) & 1 for t in range(n_vars)]
-        term = ONE
-        for sig, var_tuple in constraints:
-            val = sig.value(*(assign[v] for v in var_tuple))
-            if val.is_zero():
-                term = ZERO
-                break
-            term = term * val
-        total = total + term
-    return total
 
 
 # -- perfect matchings --------------------------------------------------------------------

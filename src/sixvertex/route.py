@@ -23,16 +23,15 @@ caller asks for them (oracle.holant_brute).
 The edge #CSP has one Boolean variable per instance edge, the value of its
 smaller half-edge.  The larger half-edge reads the negation through the
 implicit Disequality, so each vertex's label is flipped on the ports whose
-half-edge is the larger of its pair.  A loop's variable is summed out at
-its vertex, leaving a binary table for one loop and a constant for two, so
-no constraint repeats a variable.  Product-type and affine functions are
-closed under flipping and summing out a variable (Cai-Lu-Xia, complex
-weighted Boolean #CSP), so every table stays in the label's C1 class.
+half-edge is the larger of its pair.  A loop would repeat its variable in
+its vertex's table, so each end of a loop gets its own variable, unflipped,
+and one Disequality joins the two; no constraint repeats a variable.
+Product-type and affine functions are closed under flipping a variable
+(Cai-Lu-Xia, complex weighted Boolean #CSP), so every table stays in the
+label's C1 class, and Disequality is in both.
 """
 
 from __future__ import annotations
-
-from typing import Callable, Sequence
 
 from . import loopspace
 from .classify import Condition, classify
@@ -41,6 +40,9 @@ from .instance import PlanarInstance
 from .matchgate import fkt_eval, fkt_eval_hat
 from .scalar import ONE, ZERO, Scalar
 from .signature import BinarySignature, SixVertexSignature, format_signature
+
+
+_DISEQUALITY = BinarySignature(ZERO, ONE, ONE, ZERO)
 
 
 class NoPolynomialRoute(ValueError):
@@ -70,9 +72,9 @@ def evaluate(inst: PlanarInstance) -> Scalar:
         if labels <= forms:
             return loopspace.evaluate(inst, profile_base=base)
     if Condition.C1_P in common:
-        return _c1_eval(inst, product_eval)
+        return product_eval(*_edge_csp(inst))
     if Condition.C1_A in common:
-        return _c1_eval(inst, affine_eval)
+        return affine_eval(*_edge_csp(inst))
     if Condition.C3_M in common:
         return fkt_eval(inst)
     if Condition.C3_MHAT in common:
@@ -86,91 +88,47 @@ def evaluate(inst: PlanarInstance) -> Scalar:
     )
 
 
-def _c1_eval(
-    inst: PlanarInstance,
-    solve: Callable[[Sequence[tuple[object, tuple[int, ...]]], int], Scalar],
-) -> Scalar:
-    """The edge #CSP of `inst` solved by product_eval or affine_eval."""
-    constraints, n_vars, factor = _edge_csp(inst)
-    if factor.is_zero():
-        return ZERO
-    return solve(constraints, n_vars) * factor
+def _edge_csp(inst: PlanarInstance) -> tuple[list[tuple[object, tuple[int, ...]]], int]:
+    """(constraints, variable count) of the edge #CSP.
 
-
-def _edge_csp(
-    inst: PlanarInstance,
-) -> tuple[list[tuple[object, tuple[int, ...]]], int, Scalar]:
-    """(constraints, variable count, constant factor) of the edge #CSP.
-
-    Edges other than loops are numbered in order of their smaller
-    half-edge; a loop's variable never leaves its vertex's table.  A
-    vertex's table depends only on its label, its flipped ports and its
-    loops, so it is built once per distinct (label, flips, loops) and
-    shared; a vertex with two loops contributes its constant to the factor
-    instead.
+    Variables are numbered in order of their edge's smaller half-edge, a
+    loop taking two (see the module docstring).  A vertex's table depends
+    only on its label and its flipped ports, so it is built once per
+    distinct (label, flips) and shared.
     """
     m = inst.map
     involution = m.involution
     vertex_of = m.vertex_of
     var = [0] * m.half_edge_count
+    flip = [False] * m.half_edge_count
+    constraints = []
     n_vars = 0
     for h, k in enumerate(involution):
-        if h < k and vertex_of[h] != vertex_of[k]:
+        if h > k:
+            continue
+        if vertex_of[h] == vertex_of[k]:
+            var[h], var[k] = n_vars, n_vars + 1
+            constraints.append((_DISEQUALITY, (n_vars, n_vars + 1)))
+            n_vars += 2
+        else:
             var[h] = var[k] = n_vars
+            flip[k] = True
             n_vars += 1
     tables: dict[tuple, object] = {}
-    constraints = []
-    factor = ONE
-    for vid, rot in enumerate(m.vertices):
-        label = inst.labels[vid]
-        flips = tuple(h > involution[h] for h in rot)
-        loops = tuple(
-            (slot, m.slot_of[involution[h]])
-            for slot, h in enumerate(rot)
-            if h < involution[h] and vertex_of[involution[h]] == vid
-        )
-        key = (id(label), flips, loops)
+    for rot, label in zip(m.vertices, inst.labels):
+        flips = tuple(map(flip.__getitem__, rot))
+        key = (id(label), flips)
         table = tables.get(key)
         if table is None:
-            table = tables[key] = _vertex_table(label, flips, loops)
-        if not loops:
-            constraints.append((table, tuple(var[h] for h in rot)))
-        elif len(loops) == 1:
-            constraints.append((table, tuple(var[rot[slot]] for slot in _free(loops))))
-        else:
-            factor = factor * table
-    return constraints, n_vars, factor
+            table = tables[key] = _flipped(label, flips)
+        constraints.append((table, tuple(map(var.__getitem__, rot))))
+    return constraints, n_vars
 
 
-def _vertex_table(
-    label: SixVertexSignature,
-    flips: tuple[bool, ...],
-    loops: tuple[tuple[int, int], ...],
-):
-    """The label flipped on `flips` with each loop's variable summed out:
-    the arity-4 table with no loop, a BinarySignature on the two free slots
-    (in slot order) with one, a Scalar with two."""
+def _flipped(label: SixVertexSignature, flips: tuple[bool, ...]):
+    """The label's arity-4 table flipped on the slots in `flips`."""
     g = label.to_general()
     for slot, flip in enumerate(flips):
         if flip:
             g = g.flip_variable(slot + 1)
-    if not loops:
-        return g
-    free = _free(loops)
-    entries = []
-    for mask in range(1 << len(free)):
-        acc = ZERO
-        for loop_mask in range(1 << len(loops)):
-            args = [0] * 4
-            for t, slot in enumerate(free):
-                args[slot] = mask >> (len(free) - 1 - t) & 1
-            for t, (s1, s2) in enumerate(loops):
-                args[s1] = args[s2] = loop_mask >> t & 1
-            acc = acc + g.value(*args)
-        entries.append(acc)
-    return BinarySignature(*entries) if free else entries[0]
-
-
-def _free(loops: tuple[tuple[int, int], ...]) -> list[int]:
-    """The slots, in order, that no loop occupies."""
-    return [slot for slot in range(4) if not any(slot in loop for loop in loops)]
+    return g

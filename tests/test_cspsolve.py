@@ -11,9 +11,44 @@ from sixvertex.cspsolve import (
     product_eval,
 )
 from sixvertex.membership import is_affine, is_product
-from sixvertex.oracle import csp_brute
+from sixvertex.oracle import OracleCapExceeded
 from sixvertex.scalar import I, MU8, ONE, ZERO, Scalar, rational
-from sixvertex.signature import BinarySignature, UnarySignature
+from sixvertex.signature import (
+    BinarySignature,
+    GeneralSignature4,
+    SixVertexSignature,
+    UnarySignature,
+)
+
+CSP_CAP = 20  # variables
+
+
+def csp_brute(n_vars, constraints):
+    """Sum over {0,1}^n of constraint products, the ground truth the
+    solvers are checked against.
+
+    Constraints are (signature, variable tuple) with signatures of arity
+    1, 2 or 4; variables may repeat.
+    """
+    if n_vars > CSP_CAP:
+        raise OracleCapExceeded(f"{n_vars} variables exceeds the #CSP cap {CSP_CAP}")
+    for sig, _ in constraints:
+        if not isinstance(
+            sig, (UnarySignature, BinarySignature, SixVertexSignature, GeneralSignature4)
+        ):
+            raise TypeError(f"unsupported constraint {sig!r}")
+    total = ZERO
+    for mask in range(2 ** n_vars):
+        assign = [(mask >> (n_vars - 1 - t)) & 1 for t in range(n_vars)]
+        term = ONE
+        for sig, var_tuple in constraints:
+            val = sig.value(*(assign[v] for v in var_tuple))
+            if val.is_zero():
+                term = ZERO
+                break
+            term = term * val
+        total = total + term
+    return total
 
 
 def unary(a, b):
@@ -400,3 +435,23 @@ class TestWitnessConstraints:
         expected = csp_brute(3, constraints)
         assert expected == I - ONE
         assert solve(witnessed, 3) == solve(constraints, 3) == expected
+
+
+class TestCspBrute:
+    def test_unary(self):
+        assert csp_brute(1, [(UnarySignature(ONE, ONE), (0,))]) == rational(2)
+
+    def test_diseq(self):
+        g = BinarySignature(ZERO, ONE, ONE, ZERO)
+        assert csp_brute(2, [(g, (0, 1))]) == rational(2)
+
+    def test_g1f_table(self):
+        a, b, y, x = rational(2), rational(3), rational(5), rational(7)
+        g = BinarySignature(a * a, b * y, b * y, x * x)
+        assert csp_brute(2, [(g, (0, 1))]) == a * a + b * y + b * y + x * x
+
+    def test_rejects_unsupported_constraint(self):
+        # a membership witness is not a signature table
+        witness = is_product(UnarySignature(ONE, ONE))
+        with pytest.raises(TypeError):
+            csp_brute(1, [(UnarySignature(ONE, ONE), (0,)), (witness, (0,))])

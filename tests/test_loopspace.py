@@ -195,27 +195,6 @@ class TestEvaluate:
             inst = uniform_instance(m, f)
             assert evaluate(inst, profile_base=f) == holant_brute(inst)
 
-    def test_leader_choice_invariance(self):
-        rng = random.Random(65)
-        f = random_c4ii(rng)
-        m = cycle_medial(3)
-        inst = uniform_instance(m, f)
-        base = evaluate(inst, profile_base=f)
-        dec_default = decompose(inst)
-        for _ in range(5):
-            leaders = [rng.choice(circ) for circ in dec_default.circuits]
-            dec = decompose(inst, leaders=leaders)
-            csp = induced_csp(dec, inst, profile_base=f)
-            from sixvertex.cspsolve import affine_eval
-
-            assert affine_eval(csp.constraints(), csp.n_vars) == base
-
-    def test_bad_leaders_raise_typed_error(self):
-        inst = uniform_instance(cycle_medial(3), sv(1, 1, 0, 1, 1, 0))
-        for bad in (-1, 999, inst.map.half_edge_count):
-            with pytest.raises(LoopSpaceError, match=f"leader {bad} "):
-                decompose(inst, leaders=[bad])
-
     def test_unknown_method_raises_before_any_work(self, monkeypatch):
         from sixvertex import loopspace
 
@@ -223,13 +202,15 @@ class TestEvaluate:
             raise AssertionError("decompose ran before the method was checked")
 
         monkeypatch.setattr(loopspace, "decompose", no_decompose)
-        inst = uniform_instance(cycle_medial(3), sv(1, 1, 0, 1, 1, 0))
+        f = sv(1, 1, 0, 1, 1, 0)
+        inst = uniform_instance(cycle_medial(3), f)
         with pytest.raises(ValueError, match="unknown method 'bogus'"):
-            evaluate(inst, method="bogus")
+            evaluate(inst, profile_base=f, method="bogus")
 
     def test_empty_instance(self):
-        inst = uniform_instance(RotationMap([], {}), sv(1, 1, 0, 1, 1, 0))
-        assert evaluate(inst) == ONE
+        f = sv(1, 1, 0, 1, 1, 0)
+        inst = uniform_instance(RotationMap([], {}), f)
+        assert evaluate(inst, profile_base=f) == ONE
 
 
 def small_medials(seed, count, max_edges=18):

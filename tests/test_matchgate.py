@@ -610,7 +610,7 @@ class TestSynthesize:
             gadget, scale = synthesize_even_image(target)
             assert gadget.signature() == [scale * v for v in target.entries]
             if odd:
-                flipped = add_flip_pigtail(gadget, 0)
+                flipped = add_flip_pigtail(gadget)
                 assert flipped.signature() == [scale * v for v in image.entries]
 
     def test_wheel_realizes_f_only_at_the_back_shift(self):
@@ -632,7 +632,7 @@ class TestSynthesize:
                 if not _wheel_applies(turned):
                     continue
                 ab_supported += turned.c.is_zero()
-                wheel = add_flip_pigtail(_wheel_core(turned), 0)
+                wheel = add_flip_pigtail(_wheel_core(turned))
                 realized = {
                     shift
                     for shift in range(4)

@@ -18,18 +18,12 @@ from sixvertex.instance import (
 from sixvertex.oracle import (
     OracleCapExceeded,
     WeightedGraph,
-    csp_brute,
     holant_brute,
     matching_signature,
     perfect_matching_sum,
 )
-from sixvertex.membership import is_product
 from sixvertex.scalar import ONE, ZERO, Scalar, rational
-from sixvertex.signature import (
-    BinarySignature,
-    SixVertexSignature,
-    UnarySignature,
-)
+from sixvertex.signature import SixVertexSignature
 
 
 def sv(*vals):
@@ -263,26 +257,6 @@ class TestTutte:
             assert stats.weighted_sum(2) == 2 * int(
                 tutte(graph, rational(3), rational(3)).as_rational()
             )
-
-
-class TestCspBrute:
-    def test_unary(self):
-        assert csp_brute(1, [(UnarySignature(ONE, ONE), (0,))]) == rational(2)
-
-    def test_diseq(self):
-        g = BinarySignature(ZERO, ONE, ONE, ZERO)
-        assert csp_brute(2, [(g, (0, 1))]) == rational(2)
-
-    def test_g1f_table(self):
-        a, b, y, x = rational(2), rational(3), rational(5), rational(7)
-        g = BinarySignature(a * a, b * y, b * y, x * x)
-        assert csp_brute(2, [(g, (0, 1))]) == a * a + b * y + b * y + x * x
-
-    def test_rejects_unsupported_constraint(self):
-        # a membership witness is not a signature table
-        witness = is_product(UnarySignature(ONE, ONE))
-        with pytest.raises(TypeError):
-            csp_brute(1, [(UnarySignature(ONE, ONE), (0,)), (witness, (0,))])
 
 
 class TestMatchings:

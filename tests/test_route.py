@@ -175,13 +175,16 @@ def large_maps():
 def test_c1_route_against_a_second_route(f, other, large_maps):
     solvers = [C1_SOLVERS[c] for c in C1 if c in classify(f).witnesses]
     assert solvers
+    # the edge #CSP splits each loop into two variables; past the cap this
+    # is checked only on the medial, since the grid has no loops
+    assert loop_count(large_maps[1]) >= 40
     nonzero = 0
     for m in large_maps:
         assert m.edge_count >= 300
         inst = uniform_instance(m, f)
         expected = other(inst) if other else loopspace.evaluate(inst, profile_base=f)
         for solve in solvers:
-            assert route._c1_eval(inst, solve) == expected
+            assert solve(*route._edge_csp(inst)) == expected
         nonzero += not expected.is_zero()
     assert nonzero
 
@@ -231,6 +234,32 @@ def test_fkt_only_labels_past_the_cap(large_maps):
         assert matchgate.fkt_eval(renumbered(inst, rng)) == value
         nonzero += not value.is_zero()
     assert nonzero >= 3
+
+
+# C4i and C4ii labels for loop space on renumbered instances
+C4_LABELS = [
+    sv(1, 2, 0, 2, 1, 0),
+    sv(2, 1, 0, -1, 2, 0),
+    SixVertexSignature(ONE, I, ZERO, ONE, I, ZERO),
+    SixVertexSignature(ONE, W, ZERO, I, W**3, ZERO),
+]
+
+
+def test_loop_space_on_renumbered_instances(large_maps):
+    """Renumbering renames every half-edge, so each circuit gets another
+    leader (its lowest half-edge) and may run the other way; the induced
+    #CSP changes but its value must not."""
+    rng = random.Random(65)
+    nonzero = 0
+    for m in (cycle_medial(3), medial_of_random_plane_graph(20, 0), large_maps[1]):
+        for f in C4_LABELS:
+            assert classify(f).witnesses & {Condition.C4I, Condition.C4II}
+            inst = uniform_instance(m, f)
+            value = loopspace.evaluate(inst, profile_base=f)
+            for _ in range(3):
+                assert loopspace.evaluate(renumbered(inst, rng), profile_base=f) == value
+            nonzero += not value.is_zero()
+    assert nonzero >= 8
 
 
 def test_fkt_against_fkt_hat(large_maps):
