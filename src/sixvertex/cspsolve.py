@@ -60,15 +60,25 @@ def once_per_table(
     membership: Callable[[object], Optional[object]],
 ) -> Callable[[object], Optional[object]]:
     """`membership` run at most once per distinct table (equal tables are
-    one) for as long as the returned function lives."""
-    found: dict[object, Optional[object]] = {}
+    one) for as long as the returned function lives.
+
+    A table object is hashed by value only the first time it is seen;
+    after that its id finds the witness.  Each entry keeps its table
+    alive, so an id is never reused while the function lives.
+    """
+    by_value: dict[object, Optional[object]] = {}
+    by_id: dict[int, tuple[object, Optional[object]]] = {}
 
     def test(table: object) -> Optional[object]:
+        seen = by_id.get(id(table))
+        if seen is not None:
+            return seen[1]
         try:
-            return found[table]
+            witness = by_value[table]
         except KeyError:
-            witness = found[table] = membership(table)
-            return witness
+            witness = by_value[table] = membership(table)
+        by_id[id(table)] = (table, witness)
+        return witness
 
     return test
 

@@ -10,10 +10,12 @@ preserved exactly).
 
 The affine witness is read off the support with no search: a GF(2) basis,
 the exponents at the unit and pair points, and one check of every entry.
-Product-type membership enumerates set partitions of the variables and
-divides at most once per block.  Every returned witness reconstructs its
-signature entrywise: is_affine returns a witness only after checking this,
-and is_product raises WitnessError when its witness does not.
+Product-type membership reads a unary or binary witness off the entries
+(one block, or two of rank 1) and enumerates set partitions of the
+variables at arity 4; either way it divides at most once per block.
+Every returned witness reconstructs its signature entrywise: is_affine
+returns a witness only after checking this, and is_product raises
+WitnessError when its witness does not.
 """
 
 from __future__ import annotations
@@ -228,11 +230,39 @@ def _set_partitions(items: list[int]):
 def is_product(sig) -> Optional[ProductWitness]:
     """Product-type membership with a reconstructing witness.
 
-    Enumerates set partitions of the variables and within-block parity
-    patterns, then checks the surviving value tensor factors with rank 1
-    across independent blocks.
+    A unary or binary table reads its witness off its entries; an arity-4
+    table enumerates set partitions of the variables and within-block
+    parity patterns, then checks that the surviving value tensor factors
+    with rank 1 across independent blocks.  Both give the witness of the
+    first candidate in the enumeration's order that factors.
     """
     values, n = _values_of(sig)
+    witness = (_read_off_product if n <= 2 else _enumerated_product)(values, n)
+    if witness is not None and not _product_matches(witness, values, n):
+        raise WitnessError(f"product witness does not reconstruct {sig!r}")
+    return witness
+
+
+def _read_off_product(values, n) -> Optional[ProductWitness]:
+    """The witness of _enumerated_product on a table of arity 1 or 2, with
+    the candidates that cannot factor skipped: a unary table is one block,
+    and a binary one is one block when its support lies in {00, 11} or
+    {01, 10}, two blocks of rank 1 otherwise."""
+    if all(v.is_zero() for v in values):
+        return ProductWitness(n, zero=True)
+    if n == 1:
+        return ProductWitness(1, False, ((0,),), ((0,),), (tuple(values),))
+    v00, v01, v10, v11 = values
+    if v01.is_zero() and v10.is_zero():
+        return ProductWitness(2, False, ((0, 1),), ((0, 0),), ((v00, v11),))
+    if v00.is_zero() and v11.is_zero():
+        return ProductWitness(2, False, ((0, 1),), ((0, 1),), ((v01, v10),))
+    return _try_factor(values, 2, [[0], [1]], [(0,), (0,)])
+
+
+def _enumerated_product(values, n) -> Optional[ProductWitness]:
+    """The first candidate, in set-partition and parity order, that
+    factors; the unchecked witness of is_product for any arity."""
     if all(v.is_zero() for v in values):
         return ProductWitness(n, zero=True)
     for part in _set_partitions(list(range(n))):
@@ -242,8 +272,6 @@ def is_product(sig) -> Optional[ProductWitness]:
             full_pars = [(0,) + p for p in pars]
             witness = _try_factor(values, n, blocks, full_pars)
             if witness is not None:
-                if not _product_matches(witness, values, n):
-                    raise WitnessError(f"product witness does not reconstruct {sig!r}")
                 return witness
     return None
 

@@ -67,7 +67,7 @@ def evaluate(inst: PlanarInstance) -> Scalar:
         )
     common = frozenset.intersection(*verdicts.values())
     if common & {Condition.C4I, Condition.C4II}:
-        base = next(iter(labels))
+        base = inst.labels[0]  # the first in vertex order, not in hash order
         forms = {base.rotate(r) for r in range(4)}
         if labels <= forms:
             return loopspace.evaluate(inst, profile_base=base)

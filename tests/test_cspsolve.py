@@ -392,6 +392,29 @@ class TestOneMembershipRunPerTable:
         assert product_eval(constraints, n) == rational(5)
         assert sorted(map(repr, seen)) == sorted(map(repr, [EQ, NEQ, unary(2, 3)]))
 
+    def test_each_table_object_hashed_once(self, monkeypatch):
+        """A table is hashed by value only when its object is first seen,
+        so the hashes do not grow with the chain; equal tables from
+        different objects still share one membership run."""
+        hashed = []
+
+        class Counted(BinarySignature):
+            def __hash__(self):
+                hashed.append(self)
+                return super().__hash__()
+
+        g, h = Counted(ONE, ONE, ONE, -ONE), Counted(ONE, ONE, ONE, -ONE)
+        seen = self.counted(monkeypatch, "is_affine")
+        counts = []
+        for n in (10, 1000):
+            hashed.clear()
+            constraints = [(g if v % 2 else h, (v, v + 1)) for v in range(n - 1)]
+            assert affine_eval(constraints, n) == rational(2 ** (n // 2))
+            assert {id(t) for t in hashed} == {id(g), id(h)}
+            counts.append(len(hashed))
+        assert counts[0] == counts[1] <= 3
+        assert seen == [h, h]  # once per call
+
 
 class TestWitnessConstraints:
     def test_product_witness_in_place_of_table(self):

@@ -4,6 +4,7 @@ from itertools import product
 from sixvertex.scalar import I, MU8, ONE, W, ZERO, rational
 from sixvertex.membership import (
     AffineWitness,
+    _enumerated_product,
     _values_of,
     is_affine,
     is_matchgate,
@@ -325,6 +326,36 @@ class TestProduct:
             assert w is not None
             for idx in range(16):
                 assert w.evaluate(bits(idx)) == entries[idx]
+
+
+# every kind of entry the unary and binary short path meets: zero, signs,
+# non-units, roots of unity, a non-unit outside Q, a number past 64 bits and
+# a rational with a denominator
+SMALL_ARITY_PALETTE = (
+    ZERO, ONE, -ONE, rational(2), I, W, ONE + I, rational(2**70), rational(-3, 5),
+)
+
+
+class TestSmallArityProduct:
+    """is_product reads unary and binary witnesses off the entries; they
+    must be the witnesses the set-partition enumeration returns."""
+
+    def test_unary_witnesses_are_the_enumerated_ones(self):
+        for values in product(SMALL_ARITY_PALETTE, repeat=2):
+            assert is_product(UnarySignature(*values)) == _enumerated_product(values, 1)
+
+    def test_binary_witnesses_are_the_enumerated_ones(self):
+        kinds = {"zero": 0, "one block": 0, "two blocks": 0, "none": 0}
+        for values in product(SMALL_ARITY_PALETTE, repeat=4):
+            witness = is_product(BinarySignature(*values))
+            assert witness == _enumerated_product(values, 2), values
+            if witness is None:
+                kinds["none"] += 1
+            elif witness.zero:
+                kinds["zero"] += 1
+            else:
+                kinds["one block" if len(witness.blocks) == 1 else "two blocks"] += 1
+        assert all(kinds.values()), kinds
 
 
 class TestMatchgate:

@@ -150,6 +150,25 @@ class TestFrontDoor:
             assert evaluate(inst) == holant_brute(inst)
         assert len(calls) == len(SMALL_MEDIALS[2:])
 
+    def test_loop_space_base_is_the_first_label(self, monkeypatch):
+        """The profile base is the label of vertex 0, whatever the labels'
+        hashes."""
+        f = sv(1, 2, 0, 2, 1, 0)
+        bases = []
+        real = loopspace.evaluate
+        monkeypatch.setattr(
+            loopspace,
+            "evaluate",
+            lambda inst, profile_base: bases.append(profile_base) or real(inst, profile_base),
+        )
+        m = SMALL_MEDIALS[-1]
+        for r in range(4):
+            turns = [(r + v) % 4 for v in range(m.vertex_count)]
+            inst = PlanarInstance(m, tuple(f.rotate(t) for t in turns))
+            assert evaluate(inst) == holant_brute(inst)
+            assert bases[-1] is inst.labels[0]
+        assert len(bases) == 4
+
     def test_empty_instance(self):
         assert evaluate(uniform_instance(RotationMap([], {}), sv(1, 2, 3, 4, 5, 7))) == ONE
 

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,69 @@ scalars = st.builds(
     small_fraction,
     small_fraction,
 )
+
+# rationals, many of them past 64 bits, and now and then an element off Q
+big_int = st.one_of(st.integers(-6, 6), st.integers(-(2**90), 2**90))
+rational_heavy = st.one_of(
+    st.builds(Scalar, big_int, den=st.integers(1, 2**70)),
+    st.builds(Scalar, big_int, big_int, big_int, big_int, st.integers(1, 12)),
+    st.builds(Scalar, big_int),
+)
+
+
+def full_product(s, t):
+    """The schoolbook product in Q(w), all sixteen terms, w^4 = -1."""
+    a, b = (s.n0, s.n1, s.n2, s.n3), (t.n0, t.n1, t.n2, t.n3)
+    c = [0, 0, 0, 0]
+    for j in range(4):
+        for k in range(4):
+            term = a[j] * b[k]
+            c[(j + k) % 4] += term if j + k < 4 else -term
+    return Scalar(*c, s.den * t.den)
+
+
+class TestRationalShortPath:
+    """A product with a rational takes four integer products and a rational
+    inverts to den/n0; both must give the general path's reduced form."""
+
+    @given(rational_heavy, rational_heavy)
+    def test_product_is_the_full_product(self, s, t):
+        for lhs, rhs in ((s, t), (t, s)):
+            got, want = lhs * rhs, full_product(lhs, rhs)
+            assert (got.n0, got.n1, got.n2, got.n3, got.den) == (
+                want.n0, want.n1, want.n2, want.n3, want.den
+            )
+
+    @given(rational_heavy)
+    def test_inverse(self, s):
+        if s.is_zero():
+            return
+        assert s * s.inv() == ONE
+        assert s.inv() * s == ONE
+        if s.is_rational():
+            assert s.inv().as_rational() == 1 / s.as_rational()
+
+
+class TestHashMatchesEquality:
+    """Equal numbers hash equal: a rational Scalar hashes as the int or
+    Fraction it equals."""
+
+    @given(big_int, st.integers(1, 2**70))
+    def test_rational_hashes_as_its_fraction(self, num, den):
+        s, f = rational(num, den), Fraction(num, den)
+        assert s == f and hash(s) == hash(f)
+        if den == 1:
+            assert s == num and hash(s) == hash(num)
+
+    def test_set_and_dict_lookups(self):
+        assert 2 in {Scalar(2)}
+        assert Fraction(1, 2) in {rational(1, 2)}
+        assert rational(-7, 3) in {Fraction(-7, 3)}
+        assert {Scalar(-1): "x"}[-1] == "x"
+        # a denominator divisible by the hash modulus
+        p = sys.hash_info.modulus
+        assert hash(rational(1, p)) == hash(Fraction(1, p))
+        assert hash(rational(-5, 3 * p)) == hash(Fraction(-5, 3 * p))
 
 
 class TestBasics:
