@@ -1,8 +1,9 @@
 """Command line: `sixvertex classify a,b,c,x,y,z` prints the trichotomy
 verdict of one signature; `sixvertex eval FILE` (or `-` for standard
-input) reads an instance in the serialize_instance format and prints its
-exact Holant value.  An instance with no polynomial route exits with
-status 2 and the reason."""
+input) reads an instance in the `sixvertex-instance v1` format that
+sixvertex.instance.serialize_instance describes and prints its exact
+Holant value.  A malformed signature or instance, or an instance with no
+polynomial route, exits with status 2 and the reason."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from .classify import Condition, classify
 from .instance import parse_instance
 from .route import NoPolynomialRoute, evaluate
 from .scalar import format_scalar
-from .signature import SixVertexSignature, parse_signature
+from .signature import parse_signature
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -28,9 +29,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
     if args.command == "classify":
-        f = parse_signature(args.signature)
-        if not isinstance(f, SixVertexSignature):
-            parser.error("classify needs six scalars a,b,c,x,y,z")
+        try:
+            f = parse_signature(args.signature)
+        except ValueError as exc:
+            parser.error(str(exc))
         verdict = classify(f)
         print(f"planar: {verdict.planar_class.value}")
         print(f"general: {verdict.general_class.value}")
@@ -43,7 +45,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with open(args.file) as handle:
             text = handle.read()
     try:
-        value = evaluate(parse_instance(text))
+        inst = parse_instance(text)
+    except ValueError as exc:  # MapError included
+        parser.error(str(exc))
+    try:
+        value = evaluate(inst)
     except NoPolynomialRoute as exc:
         print(exc, file=sys.stderr)
         return 2

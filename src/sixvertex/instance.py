@@ -2,12 +2,13 @@
 
 A map stores, per vertex, its incident half-edges in counterclockwise
 order, plus a fixed-point-free involution pairing half-edges into edges.
-Faces are the orbits of (rotation-successor o involution); an instance is
-accepted as planar when every connected component satisfies
-V - E + F = 2.
+Faces are the orbits of (rotation-successor o involution).  A map may have
+any genus: `validate_planar`, the Euler check V - E + F = 2 per component,
+runs only in `parse_instance`, `medial` and `random_plane_graph`.
 
-Instances label every vertex with a signature whose arity equals the
-vertex degree.  Every edge implicitly carries binary Disequality, so a
+An instance labels every vertex with a six-vertex signature, and every
+vertex has degree 4; `PlanarInstance` checks this once and the evaluators
+rely on it.  Every edge implicitly carries binary Disequality, so a
 half-edge value of 1 reads "edge directed away from this vertex" and the
 nonzero terms of the all-ones six-vertex signature are exactly the
 Eulerian orientations.
@@ -20,14 +21,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .signature import (
-    BinarySignature,
-    GeneralSignature4,
-    SixVertexSignature,
-    UnarySignature,
-    format_signature,
-    parse_signature,
-)
+from .signature import SixVertexSignature, format_signature, parse_signature
 
 
 class MapError(ValueError):
@@ -149,13 +143,11 @@ class RotationMap:
                     f"component is not planar: V={v} E={e} F={f}, V-E+F={v - e + f}"
                 )
 
-    def degrees(self) -> list[int]:
-        return [len(rot) for rot in self.vertices]
-
 
 @dataclass(frozen=True, slots=True)
 class PlanarInstance:
-    """A rotation map with a signature label on every vertex."""
+    """A map of degree-4 vertices with a SixVertexSignature label on each;
+    MapError otherwise.  Planarity is not checked here."""
 
     map: RotationMap
     labels: tuple
@@ -164,24 +156,13 @@ class PlanarInstance:
         if len(self.labels) != self.map.vertex_count:
             raise MapError("one label per vertex required")
         for rot, label in zip(self.map.vertices, self.labels):
-            arity = _arity(label)
-            if arity != len(rot):
-                raise MapError(
-                    f"label arity {arity} does not match vertex degree {len(rot)}"
-                )
+            if not isinstance(label, SixVertexSignature):
+                raise MapError(f"label {label!r} is not a six-vertex signature")
+            if len(rot) != 4:
+                raise MapError(f"six-vertex label on a vertex of degree {len(rot)}")
 
     def relabel(self, labels: Sequence) -> "PlanarInstance":
         return PlanarInstance(self.map, tuple(labels))
-
-
-def _arity(label) -> int:
-    if isinstance(label, SixVertexSignature) or isinstance(label, GeneralSignature4):
-        return 4
-    if isinstance(label, BinarySignature):
-        return 2
-    if isinstance(label, UnarySignature):
-        return 1
-    raise MapError(f"unsupported label {label!r}")
 
 
 def uniform_instance(map_: RotationMap, f: SixVertexSignature) -> PlanarInstance:
@@ -408,6 +389,14 @@ HEADER = "sixvertex-instance v1"
 
 
 def serialize_instance(inst: PlanarInstance) -> str:
+    """The instance as `sixvertex-instance v1` text, the format that
+    `parse_instance` and `sixvertex eval` read.  The header line comes
+    first, then three sections, each opened by its own line: `signatures:`,
+    one `<name>: a,b,c,x,y,z` line per distinct label (named s0, s1, ...);
+    `vertices:`, one `v<i>: <name> : h.. h.. h.. h..` line per vertex, its
+    four half-edges in counterclockwise order; and `edges:`, one
+    `h<a> - h<b>` line per edge.  Blank lines and `#` comments are ignored.
+    """
     names: dict[str, str] = {}
     label_names = []
     for label in inst.labels:
@@ -429,6 +418,9 @@ def serialize_instance(inst: PlanarInstance) -> str:
 
 
 def parse_instance(text: str) -> PlanarInstance:
+    """The instance that `sixvertex-instance v1` text describes (see
+    `serialize_instance`); MapError when the text is malformed, breaks the
+    PlanarInstance contract or describes a map that is not planar."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or lines[0] != HEADER:
@@ -451,7 +443,10 @@ def parse_instance(text: str) -> PlanarInstance:
             name, _, literal = ln.partition(":")
             if not literal:
                 raise MapError(f"bad signature line {ln!r}")
-            signatures[name.strip()] = parse_signature(literal.strip())
+            try:
+                signatures[name.strip()] = parse_signature(literal.strip())
+            except ValueError as exc:
+                raise MapError(f"bad signature line {ln!r}: {exc}") from exc
         elif section == "vertices":
             head, _, slots_text = ln.rpartition(":")
             vid_text, _, sig_name = head.partition(":")

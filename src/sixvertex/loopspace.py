@@ -92,14 +92,6 @@ class CircuitDecomposition:
         return len(self.circuits)
 
 
-def _require_loop_labels(inst: PlanarInstance) -> None:
-    for label in {id(label): label for label in inst.labels}.values():
-        if not isinstance(label, SixVertexSignature):
-            raise LoopSpaceError("loop space needs degree-4 six-vertex labels only")
-        if not (label.c.is_zero() and label.z.is_zero()):
-            raise LoopSpaceError("loop space needs labels with zero inner pair")
-
-
 def decompose(inst: PlanarInstance) -> CircuitDecomposition:
     """Partition the half-edges into circuits and classify every vertex.
 
@@ -109,18 +101,16 @@ def decompose(inst: PlanarInstance) -> CircuitDecomposition:
     docstring); nothing is made per vertex but those two integers.
 
     The lowest half-edge id of each circuit leads it: it enters its vertex
-    first.  A vertex of degree other than 4 or a label that is not a
-    six-vertex signature with zero inner pair raises LoopSpaceError.
+    first.  A label whose inner pair is not zero raises LoopSpaceError.
     """
-    _require_loop_labels(inst)
+    for label in {id(label): label for label in inst.labels}.values():
+        if not (label.c.is_zero() and label.z.is_zero()):
+            raise LoopSpaceError("loop space needs labels with zero inner pair")
     m = inst.map
     n_half = m.half_edge_count
     opposite = [0] * n_half
-    try:
-        for h0, h1, h2, h3 in m.vertices:
-            opposite[h0], opposite[h1], opposite[h2], opposite[h3] = h2, h3, h0, h1
-    except ValueError:  # a rotation of other than four half-edges
-        raise LoopSpaceError("loop space needs degree-4 six-vertex labels only") from None
+    for h0, h1, h2, h3 in m.vertices:
+        opposite[h0], opposite[h1], opposite[h2], opposite[h3] = h2, h3, h0, h1
     involution = m.involution
     tag = [-1] * n_half
     circuits: list[tuple[int, ...]] = []

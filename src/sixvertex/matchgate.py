@@ -852,7 +852,6 @@ def _matching_sign(
 def _label_gadgets(
     inst: PlanarInstance,
     build: Callable[[SixVertexSignature], tuple[PlaneGadget, Scalar]],
-    caller: str,
 ) -> tuple[list[PlaneGadget], list[Scalar]]:
     """The (gadget, scale) of every vertex, built once per distinct label.
 
@@ -866,8 +865,6 @@ def _label_gadgets(
     gadgets = []
     scales = []
     for label in inst.labels:
-        if not isinstance(label, SixVertexSignature):
-            raise SynthesisError(f"{caller} needs six-vertex labels")
         entry = built.get(label)
         if entry is None:
             unit = next((v for v in label.tuple() if not v.is_zero()), ONE)
@@ -886,13 +883,12 @@ def _label_gadgets(
 _CHAIN_LEFT = SixVertexSignature.from_values(1, 1, 1, 1, 1, 2)
 
 
-def _is_chain(label) -> bool:
+def _is_chain(label: SixVertexSignature) -> bool:
     """Whether fkt_eval splits a vertex with this label: c = z = 0 and
     ax != 0.  The matchgates among these (ax = -by), the chain family, are
     the ones no wheel realizes; the others fail in _chain_halves."""
     return (
-        isinstance(label, SixVertexSignature)
-        and label.c.is_zero()
+        label.c.is_zero()
         and label.z.is_zero()
         and not label.a.is_zero()
         and not label.x.is_zero()
@@ -951,14 +947,14 @@ def fkt_eval(
 ) -> Scalar:
     """Exact Holant value through matchgate synthesis and the Pfaffian.
 
-    Every vertex label must be a matchgate six-vertex signature.
+    Every vertex label must be a matchgate.
     Chain-family vertices are split in two first; then each distinct label
     is synthesized, and its gadget re-verified against the matching oracle,
     once per call.  orientation_seed & 1 orients every spanning-forest edge
     of the assembled graph (kasteleyn_orient): seeds 0 and 1 may give
     Pfaffians of opposite sign, and the reference matching's sign follows."""
     inst = _split_chain_vertices(inst)
-    gadgets, scales = _label_gadgets(inst, synthesize, "fkt_eval")
+    gadgets, scales = _label_gadgets(inst, synthesize)
     assembled = _assemble(inst, gadgets, scales, _DISEQ_PATH)
     value = _pfaffian_value(assembled, orientation_seed)
     return value / assembled.scale
@@ -986,7 +982,7 @@ def fkt_eval_hat(inst: PlanarInstance) -> Scalar:
     per parity (odd images flip variable 1 with a pigtail).  Each distinct
     label is tested, transformed, synthesized and re-verified once per
     call."""
-    gadgets, scales = _label_gadgets(inst, _hat_gadget, "fkt_eval_hat")
+    gadgets, scales = _label_gadgets(inst, _hat_gadget)
     assembled = _assemble(inst, gadgets, scales, _SIGNED_EQ_PATH)
     value = _pfaffian_value(assembled)
     return value / assembled.scale * rational(1, 2 ** inst.map.edge_count)

@@ -12,7 +12,6 @@ from typing import Optional, Sequence
 
 from .instance import PlanarInstance
 from .scalar import ONE, ZERO, Scalar
-from .signature import SixVertexSignature
 
 
 class OracleCapExceeded(RuntimeError):
@@ -35,27 +34,18 @@ def holant_brute(inst: PlanarInstance) -> Scalar:
         )
     values: list[Optional[int]] = [None] * m.half_edge_count
     counts = [[0, 0] for _ in range(m.vertex_count)]
-    filled = [0] * m.vertex_count
     labels = inst.labels
-    degrees = m.degrees()
-
-    def vertex_value(v: int) -> Scalar:
-        label = labels[v]
-        bits = tuple(values[h] for h in m.vertices[v])
-        return label.value(*bits)
 
     def place(h: int, bit: int, touched: list[int]) -> Optional[Scalar]:
         """Set h := bit; return the vertex factor (or None when pruned)."""
         v = m.vertex_of[h]
         values[h] = bit
         counts[v][bit] += 1
-        filled[v] += 1
         touched.append(h)
-        if isinstance(labels[v], SixVertexSignature):
-            if counts[v][0] > 2 or counts[v][1] > 2:
-                return None
-        if filled[v] == degrees[v]:
-            val = vertex_value(v)
+        if counts[v][0] > 2 or counts[v][1] > 2:
+            return None
+        if counts[v][0] + counts[v][1] == 4:  # every vertex has degree 4
+            val = labels[v].value(*(values[k] for k in m.vertices[v]))
             return None if val.is_zero() else val
         return ONE
 
@@ -63,7 +53,6 @@ def holant_brute(inst: PlanarInstance) -> Scalar:
         for h in touched:
             v = m.vertex_of[h]
             counts[v][values[h]] -= 1
-            filled[v] -= 1
             values[h] = None
 
     # order the edges along a vertex DFS for early support pruning

@@ -50,15 +50,12 @@ class NoPolynomialRoute(ValueError):
 
 
 def evaluate(inst: PlanarInstance) -> Scalar:
-    """Exact Holant(!= | labels) of a planar six-vertex instance, by the
-    first route in C4, C1_P, C1_A, C3_M, C3_Mhat order that every label
-    admits; NoPolynomialRoute when there is none."""
+    """Exact Holant(!= | labels) of a planar instance, by the first route
+    in C4, C1_P, C1_A, C3_M, C3_Mhat order that every label admits;
+    NoPolynomialRoute when there is none."""
     labels = set({id(label): label for label in inst.labels}.values())
     if not labels:
         return ONE
-    for label in labels:
-        if not isinstance(label, SixVertexSignature):
-            raise NoPolynomialRoute(f"evaluate takes six-vertex labels only, not {label!r}")
     verdicts = {label: classify(label).witnesses for label in labels}
     hard = [label for label, witnesses in verdicts.items() if not witnesses]
     if hard:

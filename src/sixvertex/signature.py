@@ -18,7 +18,7 @@ inputs one quarter turn counterclockwise maps (a,b,c,x,y,z) to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .scalar import ONE, ZERO, Scalar, format_scalar, parse_scalar
 
@@ -285,30 +285,13 @@ def _as_general(f) -> GeneralSignature4:
 # -- literals ----------------------------------------------------------------
 
 
-def parse_signature(text: str):
-    """Signature literal with 2, 4, 6 or 16 scalar components."""
-    parts = [p for p in text.split(",")]
-    vals = [parse_scalar(p) for p in parts]
-    if len(vals) == 2:
-        return UnarySignature(*vals)
-    if len(vals) == 4:
-        return BinarySignature(*vals)
-    if len(vals) == 6:
-        return SixVertexSignature(*vals)
-    if len(vals) == 16:
-        return GeneralSignature4(vals)
-    raise ValueError(f"signature literal needs 2, 4, 6 or 16 scalars, got {len(vals)}")
+def parse_signature(text: str) -> SixVertexSignature:
+    """The six-vertex literal a,b,c,x,y,z; ValueError otherwise."""
+    vals = [parse_scalar(p) for p in text.split(",")]
+    if len(vals) != 6:
+        raise ValueError(f"signature literal needs six scalars a,b,c,x,y,z, got {len(vals)}")
+    return SixVertexSignature(*vals)
 
 
-def format_signature(sig) -> str:
-    if isinstance(sig, UnarySignature):
-        vals: Iterable[Scalar] = sig.values()
-    elif isinstance(sig, BinarySignature):
-        vals = sig.values()
-    elif isinstance(sig, SixVertexSignature):
-        vals = sig.tuple()
-    elif isinstance(sig, GeneralSignature4):
-        vals = sig.entries
-    else:
-        raise TypeError(f"not a signature: {sig!r}")
-    return ",".join(format_scalar(v) for v in vals)
+def format_signature(sig: SixVertexSignature) -> str:
+    return ",".join(format_scalar(v) for v in sig.tuple())

@@ -61,7 +61,7 @@ class TestMedial:
         m = cycle_medial(3)
         assert m.vertex_count == 3
         assert m.edge_count == 6
-        assert m.degrees() == [4, 4, 4]
+        assert [len(rot) for rot in m.vertices] == [4, 4, 4]
         m.validate_planar()
 
     def test_single_loop_medial(self):
@@ -79,7 +79,7 @@ class TestMedial:
     def test_grid_medials_4_regular(self):
         for rows, cols in [(2, 2), (2, 3), (3, 3)]:
             m = grid_patch(rows, cols)
-            assert all(d == 4 for d in m.degrees())
+            assert all(d == 4 for d in map(len, m.vertices))
             m.validate_planar()
 
     def test_medial_counts_general(self):
@@ -88,7 +88,7 @@ class TestMedial:
             m = medial(g)
             assert m.vertex_count == g.edge_count
             assert m.edge_count == 2 * g.edge_count
-            assert all(d == 4 for d in m.degrees())
+            assert all(d == 4 for d in map(len, m.vertices))
             m.validate_planar()
 
 
@@ -149,7 +149,7 @@ class TestGenerators:
         for seed in range(8):
             m = medial_of_random_plane_graph(6, seed)
             m.validate_planar()
-            assert all(d == 4 for d in m.degrees())
+            assert all(d == 4 for d in map(len, m.vertices))
 
     @pytest.mark.parametrize(
         "sizes, seeds",
@@ -303,9 +303,17 @@ def straight_line_map(rng, k):
 
 class TestInstances:
     def test_arity_validation(self):
+        # every label is a six-vertex signature on a degree-4 vertex
         m = cycle_medial(3)
         with pytest.raises(MapError):
             PlanarInstance(m, tuple(BinarySignature(ONE, ZERO, ZERO, ONE) for _ in range(3)))
+        with pytest.raises(MapError):
+            uniform_instance(m, ICE.to_general())
+        with pytest.raises(MapError):
+            uniform_instance(cycle_graph(3), ICE)
+        text = serialize_instance(uniform_instance(m, ICE))
+        with pytest.raises(MapError):
+            parse_instance(text.replace("s0: 1,1,1,1,1,1", "s0: " + ",".join("1" * 16)))
 
     def test_round_trip(self):
         inst = uniform_instance(cycle_medial(3), ICE)

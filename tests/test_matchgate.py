@@ -892,7 +892,7 @@ class TestFkt:
 
     def test_weights_keyed_by_lower_half_edge(self):
         inst = uniform_instance(grid_patch(2, 3), sv(1, 1, 2, 1, 1, 1))
-        gadgets, scales = _label_gadgets(inst, synthesize, "test")
+        gadgets, scales = _label_gadgets(inst, synthesize)
         assembled = _assemble(inst, gadgets, scales, _DISEQ_PATH)
         assert sorted(assembled.weights) == [h for h, _ in assembled.map.edges()]
 
@@ -915,7 +915,7 @@ class TestFkt:
         inst = two_label_instance(grid_patch(2, 2), f, g, 0)
         assert fkt_eval(inst) == holant_brute(inst)
         monkeypatch.setattr(matchgate, "synthesize", twisting)
-        gadgets, scales = _label_gadgets(inst, twisting, "test")
+        gadgets, scales = _label_gadgets(inst, twisting)
         with pytest.raises(MapError, match="not planar"):
             _assemble(inst, gadgets, scales, _DISEQ_PATH).map.validate_planar()
         with pytest.raises(MapError):
@@ -1114,7 +1114,7 @@ def assembled_graph(inst, joiner):
         build, path = synthesize, _DISEQ_PATH
     else:
         build, path = _hat_gadget, _SIGNED_EQ_PATH
-    gadgets, scales = _label_gadgets(inst, build, "test")
+    gadgets, scales = _label_gadgets(inst, build)
     return _assemble(inst, gadgets, scales, path)
 
 

@@ -56,7 +56,7 @@ def eulerian_stats(map_: RotationMap, cap: int = 24) -> OrientationStats:
     Saddle vertices have their half-edge values alternating in the
     counterclockwise rotation (in, out, in, out).
     """
-    if any(d != 4 for d in map_.degrees()):
+    if any(d != 4 for d in map(len, map_.vertices)):
         raise MapError("eulerian statistics need a 4-regular map")
     if map_.edge_count > cap:
         raise OracleCapExceeded(f"{map_.edge_count} edges exceeds the cap {cap}")

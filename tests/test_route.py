@@ -2,6 +2,7 @@
 edge #CSP against the brute-force oracle, the routes against each other
 past the oracle's cap, and the command line."""
 
+import io
 import itertools
 import random
 
@@ -306,6 +307,30 @@ class TestCommandLine:
         path.write_text(serialize_instance(uniform_instance(grid_patch(2, 2), sv(1, 2, 3, 4, 5, 7))))
         assert main(["eval", str(path)]) == 2
         assert "#P-hard" in capsys.readouterr().err
+
+    def test_classify_bad_literal_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["classify", "1,2,x"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "bad rational 'x'" in err and "Traceback" not in err
+
+    def test_eval_headerless_exits_2(self, monkeypatch, capsys):
+        text = serialize_instance(uniform_instance(grid_patch(2, 2), sv(1, 2, 0, 2, 1, 0)))
+        monkeypatch.setattr("sys.stdin", io.StringIO(text.split("\n", 1)[1]))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["eval", "-"])
+        assert exit_info.value.code == 2
+        assert "missing header" in capsys.readouterr().err
+
+    def test_eval_sixteen_entry_label_exits_2(self, tmp_path, capsys):
+        text = serialize_instance(uniform_instance(grid_patch(2, 2), sv(1, 1, 1, 1, 1, 1)))
+        path = tmp_path / "general.txt"
+        path.write_text(text.replace("s0: 1,1,1,1,1,1", "s0: " + ",".join("1" * 16)))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["eval", str(path)])
+        assert exit_info.value.code == 2
+        assert "six scalars" in capsys.readouterr().err
 
     def test_classify(self, capsys):
         assert main(["classify", "1,1,0,1,-1,0"]) == 0

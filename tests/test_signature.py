@@ -246,21 +246,15 @@ class TestLiterals:
         f = sv(1, 2, 3, 4, 5, 6)
         assert parse_signature(format_signature(f)) == f
 
-    def test_parse_constants(self):
-        g = parse_signature("0,1,1,0")
-        assert g == DISEQ
-
-    def test_sixteen(self):
-        f = rand_six(random.Random(13)).to_general()
-        assert parse_signature(format_signature(f)) == f
-
     def test_chi2(self):
         chi2 = parse_signature("1,1,0,-1,1,0")
         assert chi2.x == -ONE and chi2.a == ONE
 
     def test_bad_arity(self):
-        with pytest.raises(ValueError):
-            parse_signature("1,2,3")
+        # only six-vertex literals: unary, binary and 16-entry ones are refused
+        for text in ("1,2,3", "0,1", "0,1,1,0", ",".join("1" * 16), "1,2,3,4,5,6,7"):
+            with pytest.raises(ValueError):
+                parse_signature(text)
 
 
 class TestSlots:
