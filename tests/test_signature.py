@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from sixvertex.scalar import ONE, W, ZERO, rational
+from sixvertex.scalar import ONE, W, ZERO, format_scalar, rational
 from sixvertex.signature import (
     N_MATRIX,
     BinarySignature,
@@ -246,13 +246,24 @@ class TestLiterals:
         f = sv(1, 2, 3, 4, 5, 6)
         assert parse_signature(format_signature(f)) == f
 
+    def test_parse_constants(self):
+        # the literal of the binary disequality is not a six-vertex label
+        with pytest.raises(ValueError):
+            parse_signature("0,1,1,0")
+
+    def test_sixteen(self):
+        # the 16 entries of a six-vertex label, written out, are refused
+        f = rand_six(random.Random(13)).to_general()
+        with pytest.raises(ValueError):
+            parse_signature(",".join(format_scalar(v) for v in f.entries))
+
     def test_chi2(self):
         chi2 = parse_signature("1,1,0,-1,1,0")
         assert chi2.x == -ONE and chi2.a == ONE
 
     def test_bad_arity(self):
-        # only six-vertex literals: unary, binary and 16-entry ones are refused
-        for text in ("1,2,3", "0,1", "0,1,1,0", ",".join("1" * 16), "1,2,3,4,5,6,7"):
+        # only six-vertex literals: unary, binary and 7-entry ones are refused
+        for text in ("1,2,3", "0,1", "1,2,3,4,5,6,7"):
             with pytest.raises(ValueError):
                 parse_signature(text)
 
