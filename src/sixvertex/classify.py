@@ -104,7 +104,7 @@ def classify(f: SixVertexSignature) -> Verdict:
         witnesses.add(Condition.C2_ZERO_PAIRS)
     if is_matchgate(f):
         witnesses.add(Condition.C3_M)
-    if is_matchgate_hat(f):
+    if is_matchgate_hat(f) is not None:
         witnesses.add(Condition.C3_MHAT)
     c4i, c4ii = _condition4(f)
     if c4i:

@@ -2,8 +2,9 @@
 verdict of one signature; `sixvertex eval FILE` (or `-` for standard
 input) reads an instance in the `sixvertex-instance v1` format that
 sixvertex.instance.serialize_instance describes and prints its exact
-Holant value.  A malformed signature or instance, or an instance with no
-polynomial route, exits with status 2 and the reason."""
+Holant value.  A malformed signature or instance, an instance file that
+cannot be read, or an instance with no polynomial route, exits with
+status 2 and the reason."""
 
 from __future__ import annotations
 
@@ -42,8 +43,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.file == "-":
         text = sys.stdin.read()
     else:
-        with open(args.file) as handle:
-            text = handle.read()
+        try:
+            with open(args.file) as handle:
+                text = handle.read()
+        except OSError as exc:
+            parser.error(str(exc))
     try:
         inst = parse_instance(text)
     except ValueError as exc:  # MapError included

@@ -58,12 +58,7 @@ from .instance import MapError, PlanarInstance, RotationMap
 from .membership import is_matchgate, is_matchgate_hat
 from .oracle import WeightedGraph, matching_signature
 from .scalar import ONE, ZERO, Scalar, rational
-from .signature import (
-    GeneralSignature4,
-    SixVertexSignature,
-    compose_n,
-    hadamard_image,
-)
+from .signature import GeneralSignature4, SixVertexSignature, compose_n
 
 
 class SynthesisError(ValueError):
@@ -286,18 +281,19 @@ def synthesize_even_image(m: GeneralSignature4) -> tuple[PlaneGadget, Scalar]:
 
     These have entries (p, q, r, s) on the complement-symmetric even
     patterns with either (r, s) = (-p, -q) or (q, s) = (-p, -r).  A quarter
-    turn swaps q and r, so the second shape is the first on turn 1 of m;
-    the first shape splits into three closed-form templates, built on the
-    turn that has it and shifted back.  The gadget's matching signature is
-    scale * m, scale != 0.
+    turn swaps q and r, so the second shape is the first on turn 1 of m,
+    read off m's own entries with q and r swapped; the first shape splits
+    into three closed-form templates, built on the turn that has it and
+    shifted back.  The gadget's matching signature is scale * m,
+    scale != 0.
     """
     shape = _even_image_entries(m)
     if shape is None:
         raise SynthesisError("not a symmetric even-parity image")
     if all(v.is_zero() for v in shape):
         return _zero_gadget(), ONE
+    p, q, r, s = shape
     for turn in (0, 1):
-        p, q, r, s = _even_image_entries(m.rotate(turn))
         if r == -p and s == -q:
             if p.is_zero():
                 template = _image_template_paths(q)
@@ -306,6 +302,7 @@ def synthesize_even_image(m: GeneralSignature4) -> tuple[PlaneGadget, Scalar]:
             else:
                 template = _image_template_general(p, q)
             return _turned_back(template, turn, m.entries)
+        q, r = r, q
     raise SynthesisError("no even-image template matched")
 
 
@@ -904,8 +901,7 @@ def _chain_halves(f: SixVertexSignature) -> tuple[SixVertexSignature, SixVertexS
     if not is_matchgate(f):
         raise SynthesisError("signature violates the matchgate identity")
     right = SixVertexSignature(f.a, rational(2) * f.b, -f.y, f.x, f.y, -f.b)
-    composed = compose_n(_CHAIN_LEFT, right).try_six_vertex()
-    if composed is None or composed != f:
+    if compose_n(_CHAIN_LEFT, right) != f:
         raise SynthesisError("chain closed form failed")
     return _CHAIN_LEFT, right
 
@@ -965,9 +961,9 @@ def _hat_gadget(label: SixVertexSignature) -> tuple[PlaneGadget, Scalar]:
 
     Even images are synthesized directly; odd images flip variable 1 and
     get a Disequality pigtail on that external."""
-    if not is_matchgate_hat(label):
+    image = is_matchgate_hat(label)
+    if image is None:
         raise SynthesisError("label is not in M-hat")
-    image = hadamard_image(label)
     if not image.has_parity_support(1):
         return synthesize_even_image(image)
     gadget, scale = synthesize_even_image(image.flip_variable(1))

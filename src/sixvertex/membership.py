@@ -360,6 +360,8 @@ def is_matchgate_general(g: GeneralSignature4) -> bool:
     return det_out == det_in
 
 
-def is_matchgate_hat(f: SixVertexSignature) -> bool:
-    """Membership in M-hat = H2 * M, tested on the Hadamard image."""
-    return is_matchgate_general(hadamard_image(f))
+def is_matchgate_hat(f: SixVertexSignature) -> Optional[GeneralSignature4]:
+    """Membership in M-hat = H2 * M, tested on the Hadamard image: the
+    image, the witness, or None."""
+    image = hadamard_image(f)
+    return image if is_matchgate_general(image) else None

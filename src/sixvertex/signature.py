@@ -1,30 +1,27 @@
-"""Six-vertex and general arity-<=4 signatures with their matrix views.
+"""Six-vertex and general arity-<=4 signatures.
 
-The 4x4 signature matrix convention is M_{x1x2,x4x3}: row index x1x2 and
-column index x4x3 in lexicographic order (note the order reversal x4x3,
-which makes planar composition a plain matrix product).  A six-vertex
-signature (a,b,c,x,y,z) is
+The paper writes a signature as the 4x4 matrix M_{x1x2,x4x3}(f), row x1x2
+and column x4x3 in lexicographic order, so that planar composition is a
+matrix product.  A six-vertex signature (a,b,c,x,y,z) has
 
     M(f) = [[0,0,0,a],
             [0,b,c,0],
             [0,z,y,0],
             [x,0,0,0]]
 
-with inner pair (c,z) and outer pairs (a,x), (b,y).  Rotating the four
-inputs one quarter turn counterclockwise maps (a,b,c,x,y,z) to
+with inner pair (c,z), det M_In = by - cz, and outer pairs (a,x), (b,y),
+det M_Out = -ax.  The library reads and composes six-vertex signatures by
+their six entries: compose_n is M(f) N M(g) in closed form.  Rotating the
+four inputs one quarter turn counterclockwise maps (a,b,c,x,y,z) to
 (y,a,z,b,x,c); the inner pair stays inner under every rotation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .scalar import ONE, ZERO, Scalar, format_scalar, parse_scalar
-
-# cyclic views: view r reads the variables starting at x_{1+r}, i.e. the
-# matrix M_{x1x2,x4x3}(f^{r*pi/2}) = M of the r-times-rotated signature.
-_VIEW_VARS = ((1, 2, 3, 4), (2, 3, 4, 1), (3, 4, 1, 2), (4, 1, 2, 3))
+from .scalar import ZERO, Scalar, format_scalar, parse_scalar
 
 # the entry indices of even (0) and odd (1) Hamming weight
 _PARITY_INDICES = tuple(
@@ -84,34 +81,6 @@ class GeneralSignature4:
     def __repr__(self):
         return "GeneralSignature4([" + ", ".join(format_scalar(e) for e in self.entries) + "])"
 
-    def matrix(self, view: int = 0) -> list[list[Scalar]]:
-        """The 4x4 matrix M_{x_i x_j, x_l x_k} for the cyclic view (i,j,k,l)."""
-        i, j, k, l = _VIEW_VARS[view % 4]
-        m = [[ZERO] * 4 for _ in range(4)]
-        for r1 in range(2):
-            for r2 in range(2):
-                for c1 in range(2):
-                    for c2 in range(2):
-                        assign = [0] * 5
-                        assign[i], assign[j], assign[l], assign[k] = r1, r2, c1, c2
-                        m[2 * r1 + r2][2 * c1 + c2] = self.value(
-                            assign[1], assign[2], assign[3], assign[4]
-                        )
-        return m
-
-    def rotate(self, quarter_turns: int = 1) -> "GeneralSignature4":
-        """Cyclic input rotation: result(x1,x2,x3,x4) for view-shifted variables."""
-        r = quarter_turns % 4
-        entries = []
-        for idx in range(16):
-            bits = ((idx >> 3) & 1, (idx >> 2) & 1, (idx >> 1) & 1, idx & 1)
-            # rotated signature reads old variable r+t at new slot t
-            old = [0] * 4
-            for t in range(4):
-                old[(t + r) % 4] = bits[t]
-            entries.append(self.value(*old))
-        return GeneralSignature4(entries)
-
     def flip_variable(self, var: int) -> "GeneralSignature4":
         """Compose one variable with Disequality: negate that input."""
         entries = [ZERO] * 16
@@ -120,26 +89,10 @@ class GeneralSignature4:
             entries[idx] = self.entries[idx ^ shift]
         return GeneralSignature4(entries)
 
-    def scale(self, factor: Scalar) -> "GeneralSignature4":
-        return GeneralSignature4([factor * e for e in self.entries])
-
     def has_parity_support(self, parity: int) -> bool:
         """Whether some input of even (parity 0) or odd (parity 1) Hamming
         weight has a nonzero value."""
         return any(not self.entries[idx].is_zero() for idx in _PARITY_INDICES[parity])
-
-    def try_six_vertex(self) -> Optional["SixVertexSignature"]:
-        """Downcast when supported on the six weight-2 patterns of M(f)."""
-        vals = {}
-        for idx, e in enumerate(self.entries):
-            bits = ((idx >> 3) & 1, (idx >> 2) & 1, (idx >> 1) & 1, idx & 1)
-            if bits in _PATTERN_FIELD:
-                vals[_PATTERN_FIELD[bits]] = e
-            elif not e.is_zero():
-                return None
-        return SixVertexSignature(
-            vals["a"], vals["b"], vals["c"], vals["x"], vals["y"], vals["z"]
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,57 +161,29 @@ _SIX_PATTERNS = (
 _PATTERN_FIELD = dict(zip(_SIX_PATTERNS, ("a", "b", "c", "x", "y", "z")))
 
 
-# -- named constants ---------------------------------------------------------
-
-N_MATRIX = [
-    [ONE if r + c == 3 else ZERO for c in range(4)] for r in range(4)
-]  # double Disequality (x1 != x4) and (x2 != x3), the 4x4 reversal
+# -- planar composition --------------------------------------------------------
 
 
-def mat_mul(a: list[list[Scalar]], b: list[list[Scalar]]) -> list[list[Scalar]]:
-    rows, mid, cols = len(a), len(b), len(b[0])
-    out = [[ZERO] * cols for _ in range(rows)]
-    for i in range(rows):
-        for k in range(mid):
-            aik = a[i][k]
-            if aik.is_zero():
-                continue
-            for j in range(cols):
-                if not b[k][j].is_zero():
-                    out[i][j] = out[i][j] + aik * b[k][j]
-    return out
+def compose_n(f: SixVertexSignature, g: SixVertexSignature) -> SixVertexSignature:
+    """Join two six-vertex signatures through the double Disequality N.
 
-
-def general_from_matrix(m: list[list[Scalar]]) -> GeneralSignature4:
-    """Inverse of GeneralSignature4.matrix(view=0)."""
-    entries = [ZERO] * 16
-    for r1 in range(2):
-        for r2 in range(2):
-            for c1 in range(2):
-                for c2 in range(2):
-                    # row x1x2, column x4x3
-                    entries[r1 * 8 + r2 * 4 + c2 * 2 + c1] = m[2 * r1 + r2][2 * c1 + c2]
-    return GeneralSignature4(entries)
-
-
-def compose_n(
-    f1: SixVertexSignature | GeneralSignature4,
-    f2: SixVertexSignature | GeneralSignature4,
-) -> GeneralSignature4:
-    """Join two arity-4 signatures through the double Disequality N.
-
-    The result has matrix M(f1) * N * M(f2); its own variables are the two
-    row variables of f1 followed by the two free column variables of f2,
-    which stays planar and counterclockwise.
+    The result has matrix M(f) N M(g), again a six-vertex signature: its
+    variables are the two row variables of f followed by the two free
+    column variables of g, which stays planar and counterclockwise.
     """
-    m1 = _as_general(f1).matrix()
-    m2 = _as_general(f2).matrix()
-    return general_from_matrix(mat_mul(mat_mul(m1, N_MATRIX), m2))
+    return SixVertexSignature(
+        f.a * g.a,
+        f.c * g.b + f.b * g.z,
+        f.c * g.c + f.b * g.y,
+        f.x * g.x,
+        f.y * g.c + f.z * g.y,
+        f.y * g.b + f.z * g.z,
+    )
 
 
 def hadamard_image(f: GeneralSignature4 | SixVertexSignature) -> GeneralSignature4:
     """Unnormalized Hadamard transform: fhat(y) = sum_x (-1)^{<x,y>} f(x)."""
-    g = _as_general(f)
+    g = f.to_general() if isinstance(f, SixVertexSignature) else f
     entries = []
     for yidx in range(16):
         acc = ZERO
@@ -272,14 +197,6 @@ def hadamard_image(f: GeneralSignature4 | SixVertexSignature) -> GeneralSignatur
                 acc = acc + term
         entries.append(acc)
     return GeneralSignature4(entries)
-
-
-def _as_general(f) -> GeneralSignature4:
-    if isinstance(f, SixVertexSignature):
-        return f.to_general()
-    if isinstance(f, GeneralSignature4):
-        return f
-    raise TypeError(f"not an arity-4 signature: {f!r}")
 
 
 # -- literals ----------------------------------------------------------------

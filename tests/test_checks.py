@@ -212,7 +212,7 @@ except matchgate.SynthesisError:
     raised.append("sign")
 matchgate.perfect_matching = real_matching
 
-wrong = SixVertexSignature.from_values(1, 1, 1, 1, 1, 2).to_general()
+wrong = SixVertexSignature.from_values(1, 1, 1, 1, 1, 2)
 matchgate.compose_n = lambda *args: wrong
 try:
     matchgate.fkt_eval(uniform_instance(grid_patch(2, 2), SixVertexSignature.from_values(1, 1, 0, 1, -1, 0)))

@@ -369,17 +369,17 @@ class TestMatchgate:
         assert is_matchgate(sv(0, 0, 0, 0, 0, 0))
 
     def test_hat_positive_family(self):
-        # a=x=0, b = eps y, c = eps z
-        assert is_matchgate_hat(sv(0, 1, 2, 0, 1, 2))
-        assert is_matchgate_hat(sv(0, 1, -2, 0, -1, 2))
+        # a=x=0, b = eps y, c = eps z; the witness is the Hadamard image
+        for f in (sv(0, 1, 2, 0, 1, 2), sv(0, 1, -2, 0, -1, 2)):
+            assert is_matchgate_hat(f) == hadamard_image(f)
 
     def test_hat_negative_family(self):
         # abxy != 0, c=z=0 is never in M-hat
-        assert not is_matchgate_hat(sv(1, 1, 0, 1, 1, 0))
-        assert not is_matchgate_hat(sv(1, 2, 0, 3, 4, 0))
+        assert is_matchgate_hat(sv(1, 1, 0, 1, 1, 0)) is None
+        assert is_matchgate_hat(sv(1, 2, 0, 3, 4, 0)) is None
 
     def test_ice_not_hat(self):
-        assert not is_matchgate_hat(sv(1, 1, 1, 1, 1, 1))
+        assert is_matchgate_hat(sv(1, 1, 1, 1, 1, 1)) is None
 
     def test_hat_closed_form(self):
         # derived closed form: f in M-hat iff a = eps x, b = eps y, c = eps z
@@ -397,7 +397,7 @@ class TestMatchgate:
                     and (f.a * f.b).is_zero()
                 ):
                     predicted = True
-            assert is_matchgate_hat(f) == predicted
+            assert (is_matchgate_hat(f) is not None) == predicted
 
     def test_hat_consistent_with_hadamard_involution(self):
         # f in M iff hadamard_image(f) in M-hat-image sense: applying the

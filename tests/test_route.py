@@ -323,6 +323,13 @@ class TestCommandLine:
         assert exit_info.value.code == 2
         assert "missing header" in capsys.readouterr().err
 
+    def test_eval_missing_file_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["eval", str(tmp_path / "missing.txt")])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "No such file" in err and "Traceback" not in err
+
     def test_eval_sixteen_entry_label_exits_2(self, tmp_path, capsys):
         text = serialize_instance(uniform_instance(grid_patch(2, 2), sv(1, 1, 1, 1, 1, 1)))
         path = tmp_path / "general.txt"
