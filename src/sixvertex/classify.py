@@ -5,7 +5,8 @@ four conditions holds:
 
   C1  f is product-type or affine,
   C2  each pair (a,x), (b,y), (c,z) contains a zero,
-  C3  f is a matchgate signature or a Hadamard-transformed one,
+  C3  f is a matchgate signature (ax = cz - by) or a Hadamard-transformed
+      one: (x, y, z) = eps (a, b, c) for some eps = +-1, and ab = 0,
   C4  c = z = 0 and either (ax)^2 = (by)^2, or x/a, b/a, y/a are the
       torsion points x = a*i^alpha, b = a*sqrt(i)^beta, y = a*sqrt(i)^gamma
       with beta = gamma (mod 2).

@@ -441,10 +441,13 @@ def parse_instance(text: str) -> PlanarInstance:
             continue
         if section == "signatures":
             name, _, literal = ln.partition(":")
+            name = name.strip()
             if not literal:
                 raise MapError(f"bad signature line {ln!r}")
+            if name in signatures:
+                raise MapError(f"signature name {name!r} is defined twice")
             try:
-                signatures[name.strip()] = parse_signature(literal.strip())
+                signatures[name] = parse_signature(literal.strip())
             except ValueError as exc:
                 raise MapError(f"bad signature line {ln!r}: {exc}") from exc
         elif section == "vertices":

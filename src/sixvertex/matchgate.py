@@ -12,8 +12,9 @@ spanning-forest edge, so seeds 0 and 1 give two different orientations
 whose Pfaffians may differ in sign, and one value.  fkt_eval joins gadgets
 by the Disequality path (1, 1); the Hadamard-transformed evaluation joins
 them by the signed equality (-1, 1, 1) and synthesizes gadgets for the
-transformed vertex signature instead.  _assemble is the one place where
-gadgets are joined.
+transformed vertex signature instead, read off the label's entries and
+its M-hat witness eps.  _assemble is the one place where gadgets are
+joined.
 
 The Pfaffian runs over the integers whenever it can.  Each label f is
 built as f / u, u its first nonzero entry, with 1 / u folded into its
@@ -58,7 +59,7 @@ from .instance import MapError, PlanarInstance, RotationMap
 from .membership import is_matchgate, is_matchgate_hat
 from .oracle import WeightedGraph, matching_signature
 from .scalar import ONE, ZERO, Scalar, rational
-from .signature import GeneralSignature4, SixVertexSignature, compose_n
+from .signature import SixVertexSignature, compose_n, hadamard_image
 
 
 class SynthesisError(ValueError):
@@ -259,51 +260,31 @@ def synthesize(f: SixVertexSignature) -> tuple[PlaneGadget, Scalar]:
 # -- gadgets for Hadamard images ---------------------------------------------------
 
 
-def _even_image_entries(m: GeneralSignature4):
-    val = m.value
-    p = val(0, 0, 0, 0)
-    q = val(0, 0, 1, 1)
-    r = val(0, 1, 1, 0)
-    s = val(0, 1, 0, 1)
-    symmetric = (
-        p == val(1, 1, 1, 1)
-        and q == val(1, 1, 0, 0)
-        and r == val(1, 0, 0, 1)
-        and s == val(1, 0, 1, 0)
-    )
-    if not symmetric or m.has_parity_support(1):
-        return None
-    return p, q, r, s
+def synthesize_even_image(f: SixVertexSignature) -> tuple[PlaneGadget, Scalar]:
+    """A gadget for the Hadamard image H f of an M-hat label f of witness
+    eps = 1, so (x, y, z) = (a, b, c) and ab = 0.
 
-
-def synthesize_even_image(m: GeneralSignature4) -> tuple[PlaneGadget, Scalar]:
-    """Gadgets for the even-parity Hadamard images of six-vertex signatures.
-
-    These have entries (p, q, r, s) on the complement-symmetric even
-    patterns with either (r, s) = (-p, -q) or (q, s) = (-p, -r).  A quarter
-    turn swaps q and r, so the second shape is the first on turn 1 of m,
-    read off m's own entries with q and r swapped; the first shape splits
-    into three closed-form templates, built on the turn that has it and
-    shifted back.  The gadget's matching signature is scale * m,
-    scale != 0.
+    H f is (p, q, r, s) = 2 (a+b+c, a-b-c, -a+b-c, -a-b+c) on 0000, 0011,
+    0110, 0101 and on their complements.  b = 0 gives the shape
+    (r, s) = (-p, -q), (p, q) a multiple of (a+c, a-c); a = 0 gives it on
+    turn 1, which swaps q and r, with (p, r) a multiple of (b+c, b-c).  It
+    splits into three closed-form templates; the gadget is shifted back
+    from its turn and verified against the generic transform, so any other
+    label raises SynthesisError: its matching signature is scale * H f.
     """
-    shape = _even_image_entries(m)
-    if shape is None:
-        raise SynthesisError("not a symmetric even-parity image")
-    if all(v.is_zero() for v in shape):
+    if f.is_zero():
         return _zero_gadget(), ONE
-    p, q, r, s = shape
-    for turn in (0, 1):
-        if r == -p and s == -q:
-            if p.is_zero():
-                template = _image_template_paths(q)
-            elif q.is_zero():
-                template = _image_template_sides()
-            else:
-                template = _image_template_general(p, q)
-            return _turned_back(template, turn, m.entries)
-        q, r = r, q
-    raise SynthesisError("no even-image template matched")
+    if f.b.is_zero():
+        turn, p, q = 0, f.a + f.c, f.a - f.c
+    else:
+        turn, p, q = 1, f.b + f.c, f.b - f.c
+    if p.is_zero():
+        template = _image_template_paths(q)
+    elif q.is_zero():
+        template = _image_template_sides()
+    else:
+        template = _image_template_general(p, q)
+    return _turned_back(template, turn, hadamard_image(f).entries)
 
 
 def _image_template_general(p: Scalar, q: Scalar) -> PlaneGadget:
@@ -959,14 +940,16 @@ def fkt_eval(
 def _hat_gadget(label: SixVertexSignature) -> tuple[PlaneGadget, Scalar]:
     """A gadget for the Hadamard image H f of an M-hat label f.
 
-    Even images are synthesized directly; odd images flip variable 1 and
-    get a Disequality pigtail on that external."""
-    image = is_matchgate_hat(label)
-    if image is None:
+    A label of witness eps = 1 is synthesized directly.  For eps = -1,
+    H f is H f' with variable 1 flipped, f' = (a, b, c, a, b, c), so f'
+    is synthesized and gets a Disequality pigtail on that external."""
+    eps = is_matchgate_hat(label)
+    if eps is None:
         raise SynthesisError("label is not in M-hat")
-    if not image.has_parity_support(1):
-        return synthesize_even_image(image)
-    gadget, scale = synthesize_even_image(image.flip_variable(1))
+    if eps == 1:
+        return synthesize_even_image(label)
+    a, b, c = label.a, label.b, label.c
+    gadget, scale = synthesize_even_image(SixVertexSignature(a, b, c, a, b, c))
     return add_flip_pigtail(gadget), scale
 
 
@@ -975,9 +958,9 @@ def fkt_eval_hat(inst: PlanarInstance) -> Scalar:
 
     Holant(!= | f) = 2^{-|E|} Holant([1,0,0,-1]-equality | H f), where the
     signed equality is the weighted path (-1, 1, 1) and H f is synthesized
-    per parity (odd images flip variable 1 with a pigtail).  Each distinct
-    label is tested, transformed, synthesized and re-verified once per
-    call."""
+    per eps, the witness of is_matchgate_hat (eps = -1 flips variable 1
+    with a pigtail).  Each distinct label is tested, transformed,
+    synthesized and re-verified once per call."""
     gadgets, scales = _label_gadgets(inst, _hat_gadget)
     assembled = _assemble(inst, gadgets, scales, _SIGNED_EQ_PATH)
     value = _pfaffian_value(assembled)

@@ -2,11 +2,16 @@
 
 Affine signatures are lambda * chi_{AX=0} * i^{Q(X)} with Q quadratic over
 Z_4 and even cross terms; product-type signatures factor into unaries,
-binary equality and binary disequality.  Matchgate membership for arity-4
-even-parity signatures is the determinant criterion
-det M_Out(f) = det M_In(f); the odd-parity case reduces to it by composing
-one variable with Disequality (itself a matchgate, so membership is
-preserved exactly).
+binary equality and binary disequality.  Matchgate membership of a
+six-vertex signature is the determinant criterion det M_Out(f) = det M_In(f).
+M-hat = H2 * M is read off the six entries: the Hadamard image of
+(a,b,c,x,y,z) has even entries +-(a+x) +-(b+y) +-(c+z) and odd entries
++-(a-x) +-(b-y) +-(c-z), under every sign pattern, so it has one parity
+exactly when (x, y, z) = eps (a, b, c), eps = +-1, the witness.  For
+eps = 1 its entries (p, q, r, s) = 2 (a+b+c, a-b-c, -a+b-c, -a-b+c) on
+0000, 0011, 0110, 0101 make its determinant criterion p^2 - q^2 = r^2 - s^2
+read a (b + c) = -a (b - c), that is ab = 0; flipping variable 1 of the
+image of eps = -1 gives that of (a, b, c, a, b, c).
 
 The affine witness is read off the support with no search: a GF(2) basis,
 the exponents at the unit and pair points, and one check of every entry.
@@ -30,7 +35,6 @@ from .signature import (
     GeneralSignature4,
     SixVertexSignature,
     UnarySignature,
-    hadamard_image,
 )
 
 
@@ -346,22 +350,15 @@ def is_matchgate(f: SixVertexSignature) -> bool:
     return det_in == det_out
 
 
-def is_matchgate_general(g: GeneralSignature4) -> bool:
-    """Arity-4 matchgate test: parity condition plus determinant criterion."""
-    has_odd = g.has_parity_support(1)
-    if has_odd and g.has_parity_support(0):
-        return False
-    if has_odd:
-        # flip variable 1 through Disequality (a matchgate) to reach even parity
-        return is_matchgate_general(g.flip_variable(1))
-    val = g.value
-    det_out = val(0, 0, 0, 0) * val(1, 1, 1, 1) - val(0, 0, 1, 1) * val(1, 1, 0, 0)
-    det_in = val(0, 1, 1, 0) * val(1, 0, 0, 1) - val(0, 1, 0, 1) * val(1, 0, 1, 0)
-    return det_out == det_in
-
-
-def is_matchgate_hat(f: SixVertexSignature) -> Optional[GeneralSignature4]:
-    """Membership in M-hat = H2 * M, tested on the Hadamard image: the
-    image, the witness, or None."""
-    image = hadamard_image(f)
-    return image if is_matchgate_general(image) else None
+def is_matchgate_hat(f: SixVertexSignature) -> Optional[int]:
+    """Membership in M-hat = H2 * M in closed form: the witness eps = +-1
+    with (x, y, z) = eps (a, b, c), when ab = 0, or None.  The zero
+    signature gets eps = 1."""
+    if not (f.a.is_zero() or f.b.is_zero()):
+        return None
+    abc = (f.a, f.b, f.c)
+    if (f.x, f.y, f.z) == abc:
+        return 1
+    if (-f.x, -f.y, -f.z) == abc:
+        return -1
+    return None

@@ -23,12 +23,6 @@ from typing import Sequence
 
 from .scalar import ZERO, Scalar, format_scalar, parse_scalar
 
-# the entry indices of even (0) and odd (1) Hamming weight
-_PARITY_INDICES = tuple(
-    tuple(idx for idx in range(16) if bin(idx).count("1") % 2 == parity)
-    for parity in (0, 1)
-)
-
 
 @dataclass(frozen=True)
 class UnarySignature:
@@ -69,9 +63,6 @@ class GeneralSignature4:
     def __setattr__(self, name, value):
         raise AttributeError("GeneralSignature4 is immutable")
 
-    def value(self, x1: int, x2: int, x3: int, x4: int) -> Scalar:
-        return self.entries[x1 * 8 + x2 * 4 + x3 * 2 + x4]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, GeneralSignature4) and self.entries == other.entries
 
@@ -88,11 +79,6 @@ class GeneralSignature4:
         for idx in range(16):
             entries[idx] = self.entries[idx ^ shift]
         return GeneralSignature4(entries)
-
-    def has_parity_support(self, parity: int) -> bool:
-        """Whether some input of even (parity 0) or odd (parity 1) Hamming
-        weight has a nonzero value."""
-        return any(not self.entries[idx].is_zero() for idx in _PARITY_INDICES[parity])
 
 
 @dataclass(frozen=True, slots=True)

@@ -330,6 +330,13 @@ class TestInstances:
         with pytest.raises(MapError):
             parse_instance(text)
 
+    def test_parse_rejects_a_repeated_signature_name(self):
+        # a second definition must not silently replace the first
+        text = serialize_instance(uniform_instance(cycle_medial(3), ICE))
+        text = text.replace("s0: 1,1,1,1,1,1", "s0: 9,9,9,9,9,9\ns0: 1,1,1,1,1,1")
+        with pytest.raises(MapError, match="'s0' is defined twice"):
+            parse_instance(text)
+
     def test_parse_rejects_genus(self):
         text = "\n".join(
             [

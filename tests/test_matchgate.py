@@ -46,7 +46,6 @@ from sixvertex.membership import is_matchgate, is_matchgate_hat
 from sixvertex.oracle import holant_brute
 from sixvertex.scalar import I, ONE, W, ZERO, Scalar, rational
 from sixvertex.signature import (
-    GeneralSignature4,
     SixVertexSignature,
     compose_n,
     hadamard_image,
@@ -601,17 +600,21 @@ class TestSynthesize:
         assert chains >= 20
 
     def test_even_image_templates(self):
+        # a label of witness -1 is synthesized as (a, b, c, a, b, c) and
+        # gets the flip pigtail
         rng = random.Random(73)
         for _ in range(80):
             f = random_matchgate_hat(rng)
-            image = hadamard_image(f)
-            odd = image.has_parity_support(1)
-            target = image.flip_variable(1) if odd else image
-            gadget, scale = synthesize_even_image(target)
-            assert gadget.signature() == [scale * v for v in target.entries]
-            if odd:
+            even = even_label(f)
+            gadget, scale = synthesize_even_image(even)
+            assert gadget.signature() == [scale * v for v in hadamard_image(even).entries]
+            if is_matchgate_hat(f) == -1:
                 flipped = add_flip_pigtail(gadget)
-                assert flipped.signature() == [scale * v for v in image.entries]
+                assert flipped.signature() == [scale * v for v in hadamard_image(f).entries]
+        # ab != 0, and a label of witness -1: no template realizes the image
+        for outside in (sv(1, 1, 0, 1, 1, 0), sv(0, 1, 2, 0, -1, -2)):
+            with pytest.raises(SynthesisError):
+                synthesize_even_image(outside)
 
     def test_wheel_realizes_f_only_at_the_back_shift(self):
         # the wheel on an applicable turn r of f, shifted by -r, realizes
@@ -662,41 +665,44 @@ class TestSynthesize:
         assert (gadget.externals, scale) == ([7, 1, 2, 3], ONE)
 
     def test_second_shape_images_use_the_turned_template(self):
-        # (q, s) = (-p, -r), r != -p: turn 1 swaps q and r into the first
-        # shape (r, s) = (-p, -q)
-        w = Scalar(0, 1, 0, 0)
+        # a = 0, b != 0: the image has (q, s) = (-p, -r), and turn 1 swaps
+        # q and r into the shape (r, s) = (-p, -q), with (p, r) a multiple
+        # of (b+c, b-c)
+        two = rational(2)
         cases = [
-            (rational(1), rational(2), _image_template_general(rational(1), rational(2))),
-            (w, rational(-3), _image_template_general(w, rational(-3))),
-            (rational(2), ZERO, _image_template_sides()),
-            (ZERO, rational(3), _image_template_paths(rational(3))),
+            (rational(3), ONE, _image_template_general(rational(4), two)),
+            (W, two, _image_template_general(W + two, W - two)),
+            (ONE, ONE, _image_template_sides()),
+            (ONE, -ONE, _image_template_paths(two)),
         ]
-        for p, r, template in cases:
-            m = even_image(p, -p, r, -r)
-            gadget, scale = synthesize_even_image(m)
+        for b, c, template in cases:
+            f = SixVertexSignature(ZERO, b, c, ZERO, b, c)
+            gadget, scale = synthesize_even_image(f)
             assert gadget == template.shifted(3)
-            assert gadget.signature() == [scale * v for v in m.entries]
+            assert gadget.signature() == [scale * v for v in hadamard_image(f).entries]
 
     def test_second_shape_hadamard_images(self):
         rng = random.Random(76)
         turned = 0
+        two = rational(2)
         for _ in range(80):
-            image = hadamard_image(random_matchgate_hat(rng))
-            if image.has_parity_support(1):
-                image = image.flip_variable(1)
-            p, q, r, s = (image.value(*bits) for bits in EVEN_PATTERNS)
-            if (r, s) == (-p, -q) or all(v.is_zero() for v in (p, q, r, s)):
+            f = even_label(random_matchgate_hat(rng))
+            if f.b.is_zero():
                 continue
+            assert f.a.is_zero()
+            image = hadamard_image(f).entries
+            p, q, r, s = (image[idx] for idx in (0b0000, 0b0011, 0b0110, 0b0101))
+            assert (p, r) == (two * (f.b + f.c), two * (f.b - f.c))
             assert (q, s) == (-p, -r)
-            gadget, scale = synthesize_even_image(image)
+            gadget, scale = synthesize_even_image(f)
             if p.is_zero():
-                template = _image_template_paths(r)
+                template = _image_template_paths(f.b - f.c)
             elif r.is_zero():
                 template = _image_template_sides()
             else:
-                template = _image_template_general(p, r)
+                template = _image_template_general(f.b + f.c, f.b - f.c)
             assert gadget == template.shifted(3)
-            assert gadget.signature() == [scale * v for v in image.entries]
+            assert gadget.signature() == [scale * v for v in image]
             turned += 1
         assert turned >= 10
 
@@ -707,14 +713,15 @@ class TestSynthesize:
             before = len(checked)
             assert_synthesized(f)
             assert len(checked) == before + 2  # synthesize, then the test's check
-        for m in (
-            even_image(rational(1), rational(2), rational(-1), rational(-2)),
-            even_image(rational(1), rational(-1), rational(2), rational(-2)),
-            even_image(rational(2), rational(-2), ZERO, ZERO),
-            even_image(ZERO, rational(3), ZERO, rational(-3)),
+        # the general template on turns 0 and 1, the sides, the paths
+        for f in (
+            sv(2, 0, 1, 2, 0, 1),
+            sv(0, 3, 1, 0, 3, 1),
+            sv(0, 1, 1, 0, 1, 1),
+            sv(1, 0, -1, 1, 0, -1),
         ):
             before = len(checked)
-            synthesize_even_image(m)
+            synthesize_even_image(f)
             assert len(checked) == before + 1
 
     def test_gadget_sizes(self):
@@ -724,21 +731,14 @@ class TestSynthesize:
             if not _is_chain(f) and not f.is_zero():
                 assert synthesize(f)[0].n == 8
             label = random_matchgate_hat(rng)
-            image = hadamard_image(label)
-            odd = image.has_parity_support(1)
-            assert _hat_gadget(label)[0].n <= (9 if odd else 6)
+            pigtail = is_matchgate_hat(label) == -1
+            assert _hat_gadget(label)[0].n <= (9 if pigtail else 6)
 
 
-EVEN_PATTERNS = ((0, 0, 0, 0), (0, 0, 1, 1), (0, 1, 1, 0), (0, 1, 0, 1))
-
-
-def even_image(p, q, r, s):
-    """The complement-symmetric even-parity signature with entries p, q,
-    r, s on the patterns 0000, 0011, 0110, 0101."""
-    entries = [ZERO] * 16
-    for index, value in zip((0b0000, 0b0011, 0b0110, 0b0101), (p, q, r, s)):
-        entries[index] = entries[index ^ 0b1111] = value
-    return GeneralSignature4(entries)
+def even_label(f):
+    """(a, b, c, a, b, c): f itself when f has M-hat witness 1; for witness
+    -1, the label whose image is that of f with variable 1 flipped."""
+    return SixVertexSignature(f.a, f.b, f.c, f.a, f.b, f.c)
 
 
 def nonzero_multiple(values, target):

@@ -8,7 +8,6 @@ from sixvertex.membership import (
     _values_of,
     is_affine,
     is_matchgate,
-    is_matchgate_general,
     is_matchgate_hat,
     is_product,
 )
@@ -17,6 +16,7 @@ from sixvertex.signature import (
     GeneralSignature4,
     SixVertexSignature,
     UnarySignature,
+    compose_n,
     hadamard_image,
 )
 
@@ -358,6 +358,40 @@ class TestSmallArityProduct:
         assert all(kinds.values()), kinds
 
 
+def is_matchgate_general(g: GeneralSignature4) -> bool:
+    """Reference arity-4 matchgate test: support of one parity, an odd one
+    moved to even by flipping variable 1 (composing it with Disequality,
+    itself a matchgate), then det M_Out = det M_In."""
+    e = g.entries
+    parities = {bin(idx).count("1") & 1 for idx in range(16) if not e[idx].is_zero()}
+    if parities == {0, 1}:
+        return False
+    if parities == {1}:
+        e = g.flip_variable(1).entries
+    return e[0b0000] * e[0b1111] - e[0b0011] * e[0b1100] == (
+        e[0b0110] * e[0b1001] - e[0b0101] * e[0b1010]
+    )
+
+
+UNIT_PALETTE = (ZERO, ONE, -ONE, I, -I)
+
+
+def hat_against_image(palette) -> int:
+    """Check is_matchgate_hat on every signature over the palette against
+    the Hadamard image test, and its witness eps against
+    (x, y, z) = eps (a, b, c); the number of members."""
+    members = 0
+    for values in product(palette, repeat=6):
+        f = SixVertexSignature(*values)
+        eps = is_matchgate_hat(f)
+        assert (eps is not None) == is_matchgate_general(hadamard_image(f)), f
+        if eps is not None:
+            e = rational(eps)
+            assert (f.x, f.y, f.z) == (e * f.a, e * f.b, e * f.c), f
+            members += 1
+    return members
+
+
 class TestMatchgate:
     def test_example_in(self):
         assert is_matchgate(sv(1, 1, 2, 1, 1, 1))  # cz-by = 1 = ax
@@ -369,9 +403,13 @@ class TestMatchgate:
         assert is_matchgate(sv(0, 0, 0, 0, 0, 0))
 
     def test_hat_positive_family(self):
-        # a=x=0, b = eps y, c = eps z; the witness is the Hadamard image
-        for f in (sv(0, 1, 2, 0, 1, 2), sv(0, 1, -2, 0, -1, 2)):
-            assert is_matchgate_hat(f) == hadamard_image(f)
+        # a = x = 0, (y, z) = eps (b, c); for eps = -1 the image is that of
+        # (a, b, c, a, b, c) with variable 1 flipped
+        assert is_matchgate_hat(sv(0, 1, 2, 0, 1, 2)) == 1
+        f, even = sv(0, 1, -2, 0, -1, 2), sv(0, 1, -2, 0, 1, -2)
+        assert is_matchgate_hat(f) == -1
+        assert hadamard_image(f).flip_variable(1) == hadamard_image(even)
+        assert is_matchgate_hat(sv(0, 0, 0, 0, 0, 0)) == 1
 
     def test_hat_negative_family(self):
         # abxy != 0, c=z=0 is never in M-hat
@@ -398,6 +436,25 @@ class TestMatchgate:
                 ):
                     predicted = True
             assert (is_matchgate_hat(f) is not None) == predicted
+
+    def test_hat_against_the_image_test(self):
+        # every signature over {0, +-1, +-i}; CI runs the 7-value palette
+        assert hat_against_image(UNIT_PALETTE) == 89
+
+    def test_hat_closed_under_composition(self):
+        # compose_n keeps (x, y, z) = eps (a, b, c) with eps = e1 e2, and
+        # ab = 0; a zero composition has eps = 1
+        members = []
+        for values in product(UNIT_PALETTE, repeat=6):
+            f = SixVertexSignature(*values)
+            eps = is_matchgate_hat(f)
+            if eps is not None:
+                members.append((f, eps))
+        assert len(members) == 89
+        for f, e1 in members:
+            for g, e2 in members:
+                h = compose_n(f, g)
+                assert is_matchgate_hat(h) == (1 if h.is_zero() else e1 * e2), (f, g)
 
     def test_hat_consistent_with_hadamard_involution(self):
         # f in M iff hadamard_image(f) in M-hat-image sense: applying the

@@ -212,6 +212,13 @@ def test_c1_route_against_a_second_route(f, other, large_maps):
 # labels whose only witness is C3_M: FKT is their one polynomial route, so
 # past the brute-force cap it is checked under two Kasteleyn orientations
 FKT_ONLY = [sv(1, 1, 1, 2, 1, 3), sv(1, 1, 1, 1, 1, 2), sv(1, 1, 2, 2, 2, 2), sv(1, 1, 1, 2, -1, 1)]
+# labels whose only route is FKT-hat: witness 1 with a = 0, witness -1
+# with b = 0, and witness -1 with a = 0 and a zeta8 entry
+MHAT_ONLY = [
+    sv(0, 1, 2, 0, 1, 2),
+    sv(2, 0, 3, -2, 0, -3),
+    SixVertexSignature(ZERO, ONE, W, ZERO, -ONE, -W),
+]
 # labels that both FKT and FKT-hat serve
 FKT_AND_HAT = [sv(0, 1, 1, 0, 1, 1), sv(0, 1, -1, 0, 1, -1), sv(0, 2, 2, 0, 2, 2)]
 
@@ -254,6 +261,26 @@ def test_fkt_only_labels_past_the_cap(large_maps):
         assert matchgate.fkt_eval(renumbered(inst, rng)) == value
         nonzero += not value.is_zero()
     assert nonzero >= 3
+
+
+def test_mhat_only_labels_past_the_cap(large_maps):
+    """FKT-hat is the only route of these labels, so past the brute-force
+    cap it is checked against itself: on the instance renumbered, whose
+    labels turn to the other shape where a vertex is read from an odd
+    slot, and under the Galois action sigma_3 on every label, which acts
+    on the value as well."""
+    rng = random.Random(78)
+    medial_300 = large_maps[1]
+    nonzero = 0
+    for f in MHAT_ONLY:
+        assert classify(f).witnesses == {Condition.C3_MHAT}
+        inst = uniform_instance(medial_300, f)
+        value = matchgate.fkt_eval_hat(inst)
+        assert matchgate.fkt_eval_hat(renumbered(inst, rng)) == value
+        conjugate = SixVertexSignature(*(v.galois(3) for v in f.tuple()))
+        assert matchgate.fkt_eval_hat(uniform_instance(medial_300, conjugate)) == value.galois(3)
+        nonzero += not value.is_zero()
+    assert nonzero >= 2
 
 
 # C4i and C4ii labels for loop space on renumbered instances
