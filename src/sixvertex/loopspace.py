@@ -22,29 +22,37 @@ half-edge with its circuit and whether it enters or leaves its vertex, then
 reads every vertex off the tags of its half-edges as two integers: the key
 i * k + j of its circuit pair (i == j at a self-intersection) and its local
 code, slot of x1 * 4 + entry * 2 + self.  No per-vertex object is made.
-`induced_csp` adds 16 times the index of the vertex's distinct label object
-to the local code to get its class, and counts classes per pair key.
-Circuits run straight through a degree-4 vertex, so the class fixes the
-vertex's factor under every assignment of its circuits; the factors and the
-class's rotated form of the base are computed once per class.  A pair's or a
-circuit's table depends only on its class counts, so the direct table is
-built once per distinct count vector and the profile table once per distinct
-exponent vector, and every pair and every circuit is still compared against
-its profile.
+`induced_csp` counts the vertices per (pair key, local code, label object).
+Circuits run straight through a degree-4 vertex, so a class, a local code
+with a label, fixes the vertex's factor under every assignment of its
+circuits and its rotated form of the base; both are computed once per class.
+
+Every induced table entry is a monomial in the base's outer values a, y,
+x, b, held as one packed exponent vector: an int whose field j, wide
+enough for the vertex count, is the exponent of the j-th distinct outer
+value.  A direct entry is the sum, over the classes at a pair or circuit,
+of count times the vector of the class's factor, and a profile entry is
+the same linear form in (k, l) or m that Def. 4.3 gives, so the two sides
+are compared as integers.  One table object stands for each distinct tuple
+of packed entries in a call, and only when a direct and a profile tuple
+differ are their values compared.  Values are formed once per distinct
+vector: a value in mu_8 = {w^t} adds t times its exponent to one turn mod
+8, applied once as MU8[turn]; every other value reads its power from a
+per-call (value, exponent) cache, and a zero value with a positive
+exponent gives ZERO.  Nothing is kept between calls.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
-from operator import add
-from typing import Callable, Iterable, Optional, Sequence
+from operator import mul
+from typing import Callable, Optional, Sequence, Union
 
 from .cspsolve import NotAffine, NotProduct, affine_eval, once_per_table, product_eval
 from .instance import PlanarInstance
 from .membership import is_affine, is_product
-from .scalar import ONE, ZERO, Scalar
+from .scalar import MU8, ONE, ZERO, Scalar
 from .signature import BinarySignature, SixVertexSignature, UnarySignature
 
 
@@ -58,7 +66,6 @@ class LoopSpaceError(ValueError):
 # circuit; at a self-intersection, the enter whose ccw-successor is the
 # other enter.
 SLOT, ENTRY, SELF = 4, 2, 1
-LOCAL_CODES = 16
 
 
 def _local_code(leaves: int, order: int) -> int:
@@ -83,22 +90,20 @@ _CODES_EVEN_LOWER, _CODES_ODD_LOWER, _CODES_SELF = (
 
 @dataclass(frozen=True)
 class CircuitDecomposition:
-    circuits: tuple[tuple[int, ...], ...]  # even positions enter their vertex
+    k: int  # the number of circuits
+    tags: tuple[int, ...]  # per half-edge: 2 * circuit, + 1 if it leaves its vertex
     pairs: tuple[int, ...]  # per vertex: i * k + j for its circuits i <= j
     codes: tuple[int, ...]  # per vertex: its local code
-
-    @property
-    def k(self) -> int:
-        return len(self.circuits)
 
 
 def decompose(inst: PlanarInstance) -> CircuitDecomposition:
     """Partition the half-edges into circuits and classify every vertex.
 
     The walk tags each half-edge 2 * circuit if it enters its vertex and
-    2 * circuit + 1 if it leaves it.  Each vertex is then read off the tags
-    of its four half-edges into its pair key and local code (see the module
-    docstring); nothing is made per vertex but those two integers.
+    2 * circuit + 1 if it leaves it; the tags are all it keeps of the
+    circuits.  Each vertex is then read off the tags of its four half-edges
+    into its pair key and local code (see the module docstring); nothing is
+    made per vertex or per circuit but integers.
 
     The lowest half-edge id of each circuit leads it: it enters its vertex
     first.  A label whose inner pair is not zero raises LoopSpaceError.
@@ -113,15 +118,13 @@ def decompose(inst: PlanarInstance) -> CircuitDecomposition:
         opposite[h0], opposite[h1], opposite[h2], opposite[h3] = h2, h3, h0, h1
     involution = m.involution
     tag = [-1] * n_half
-    circuits: list[tuple[int, ...]] = []
+    k = 0
 
     for start in range(n_half):
         if tag[start] != -1:
             continue
-        enter = 2 * len(circuits)
+        enter = 2 * k
         leave = enter + 1
-        seq: list[int] = []
-        push = seq.append
         h = start
         # an entering half-edge leaves through its opposite, whose twin
         # enters the next vertex
@@ -129,14 +132,11 @@ def decompose(inst: PlanarInstance) -> CircuitDecomposition:
             out = opposite[h]
             tag[h] = enter
             tag[out] = leave
-            push(h)
-            push(out)
             h = involution[out]
         if h != start:
             raise LoopSpaceError("twin closure failed to close a circuit")
-        circuits.append(tuple(seq))
+        k += 1
 
-    k = len(circuits)
     pairs: list[int] = []
     codes: list[int] = []
     for h0, h1, h2, h3 in m.vertices:
@@ -155,7 +155,7 @@ def decompose(inst: PlanarInstance) -> CircuitDecomposition:
         else:
             pairs.append(c0 * k + c0)
             codes.append(_CODES_SELF[leaves])
-    return CircuitDecomposition(tuple(circuits), tuple(pairs), tuple(codes))
+    return CircuitDecomposition(k, tuple(tag), tuple(pairs), tuple(codes))
 
 
 @dataclass(frozen=True)
@@ -195,64 +195,10 @@ def _class_factors(label: SixVertexSignature, code: int) -> tuple[Scalar, ...]:
     return tuple(factor(b, bp) for b in (0, 1) for bp in (0, 1))
 
 
-class _PowerTable:
-    """The powers one induced_csp call needs, each distinct (value,
-    exponent) computed once.  Values are interned as small ints, so the
-    per-entry bookkeeping hashes ints rather than Scalars.  A root of unity
-    repeats with its order, so its exponents are taken modulo the order."""
+_TURN = {root: t for t, root in enumerate(MU8)}  # w^t -> t
 
-    def __init__(self) -> None:
-        self._values: list[Scalar] = []
-        self._orders: list[Optional[int]] = []
-        self._ids: dict[Scalar, int] = {}
-        self._powers: dict[tuple[int, int], Scalar] = {}
-
-    def intern(self, value: Scalar) -> int:
-        vid = self._ids.get(value)
-        if vid is None:
-            vid = self._ids[value] = len(self._values)
-            self._values.append(value)
-            self._orders.append(value.is_root_of_unity())
-        return vid
-
-    def monomial(self, terms: Iterable[tuple[int, int]]) -> Scalar:
-        """The product of value ** exponent over (interned value, exponent)
-        terms, equal values sharing one power: ZERO when a zero value has a
-        positive exponent, and factors equal to ONE are skipped."""
-        merged: dict[int, int] = {}
-        for vid, e in terms:
-            if e:
-                merged[vid] = merged.get(vid, 0) + e
-        out = ONE
-        for vid, e in merged.items():
-            order = self._orders[vid]
-            if order:
-                e %= order
-            power = self._powers.get((vid, e))
-            if power is None:
-                value = self._values[vid]
-                if value.is_zero():
-                    return ZERO
-                power = self._powers[vid, e] = value**e
-            if power is not ONE:
-                out = power if out is ONE else out * power
-        return out
-
-
-def _table_entries(
-    row: Sequence[tuple[int, int]],
-    factors: dict[int, tuple[int, ...]],
-    size: int,
-    powers: _PowerTable,
-) -> list[Scalar]:
-    """Each table entry as the product of the class factors (interned in
-    `powers`) raised to the class counts of `row`, (class, count) pairs."""
-    return [powers.monomial((factors[c][e], n) for c, n in row) for e in range(size)]
-
-
-def _outer_ids(powers: _PowerTable, base: SixVertexSignature) -> tuple[int, ...]:
-    """The base's outer values interned, in the profiles' order a, y, x, b."""
-    return tuple(powers.intern(v) for v in (base.a, base.y, base.x, base.b))
+# the table one induced_csp call shares for a tuple of packed entries
+_TableOf = Callable[[tuple[int, ...]], Union[BinarySignature, UnarySignature]]
 
 
 def induced_csp(
@@ -264,97 +210,135 @@ def induced_csp(
     entry/exit exponent profiles of `profile_base` (Def. 4.3), whose
     quarter turns every label must be; a mismatch raises LoopSpaceError.
 
-    Each vertex's class is its local code plus LOCAL_CODES times the index
-    of its label object among the distinct ones, and the classes are
-    counted per pair key in one pass.  Per class, the vertex factors and the
-    form index are computed once.  Per distinct class-count vector, the
-    direct table is built and compared with the profile table, which is
-    computed once per distinct (k, l) or m exponent vector.  Both sides read
-    their powers from one table per call, so each distinct (value, exponent)
-    power is computed once, and neither multiplies by ONE.  Nothing is kept
-    between calls.
+    The vertices are counted per (pair key, local code, label object) in
+    one pass, and per class, a local code with a label object, the vertex
+    factors and the form index are computed once.  Each table entry is a
+    packed exponent vector over the base's outer values (see the module
+    docstring).  A class packs its entries, and a profile count of one in
+    the field of its form, into one int, so that a pair's or a circuit's
+    direct entries and its (k, l) or m profile are the sum of count times
+    that int over its classes.  The profile table is built once per
+    distinct profile.  Each distinct tuple of packed entries is one table
+    object, so a direct table and a profile table with equal vectors are
+    the same object, and only when they are not are their values compared.
+    Every pair and every circuit is checked.  Each value is formed once per
+    distinct vector, each power of a value outside mu_8 once per exponent,
+    and no power of a value in mu_8 at all.  Nothing is kept between calls.
     """
     labels = inst.labels
     # labels are told apart by id, which is unique while `inst` keeps every
     # label alive, and cheaper than hashing their six scalars
-    distinct = dict(zip(map(id, labels), labels))
-    offset = {key: n * LOCAL_CODES for n, key in enumerate(distinct)}
-    classes = map(add, map(offset.__getitem__, map(id, labels)), dec.codes)
-    distinct_labels = list(distinct.values())
+    label_of = dict(zip(map(id, labels), labels))
     n_circuits = dec.k
-    # class counts per pair and per circuit, in order of first vertex
-    pair_rows: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    self_rows: dict[int, list[tuple[int, int]]] = {}
-    for (pair, c), n in Counter(zip(dec.pairs, classes)).items():
-        i, j = divmod(pair, n_circuits)
-        if i == j:
-            self_rows.setdefault(i, []).append((c, n))
-        else:
-            pair_rows.setdefault((i, j), []).append((c, n))
-    # each class once, as its (label, local code)
-    class_keys = {
-        c: (distinct_labels[c // LOCAL_CODES], c % LOCAL_CODES)
-        for row in chain(pair_rows.values(), self_rows.values())
-        for c, _ in row
-    }
-    powers = _PowerTable()
-    factors = {
-        c: tuple(map(powers.intern, _class_factors(label, code)))
-        for c, (label, code) in class_keys.items()
-    }
+    # an exponent or a profile count never exceeds the vertex count, so
+    # fields this wide never carry into each other
+    width = max(1, len(labels).bit_length())
+    mask = (1 << width) - 1
+    # a label that passes _form_indexer is a quarter turn of the base, so
+    # its factors are among the base's outer values: four fields an entry
+    entry = 4 * width
+    entry_mask = (1 << entry) - 1
+    # a row: four entries, then the profile counts
+    profile_shift = 4 * entry
+    outer_values = (profile_base.a, profile_base.y, profile_base.x, profile_base.b)
+    field_of: dict[Scalar, int] = {}
+    for value in outer_values:
+        field_of.setdefault(value, len(field_of))
+    values = list(field_of)  # field j holds the exponent of values[j]
+    turns = [_TURN.get(value) for value in values]  # t with values[j] = w^t
+    outer = tuple(1 << width * field_of[value] for value in outer_values)
+
+    powers: dict[tuple[int, int], Scalar] = {}
+
+    def value_of(packed: int) -> Scalar:
+        """The product of values[j] ** (field j of `packed`)."""
+        out, turn, j = ONE, 0, 0
+        while packed:
+            e = packed & mask
+            if e:
+                t = turns[j]
+                if t is not None:
+                    turn += t * e
+                else:
+                    power = powers.get((j, e))
+                    if power is None:
+                        if values[j].is_zero():
+                            return ZERO
+                        power = powers[j, e] = values[j] ** e
+                    out = power if out is ONE else out * power
+            packed >>= width
+            j += 1
+        turn %= 8
+        if turn:
+            out = MU8[turn] if out is ONE else out * MU8[turn]
+        return out
+
+    vector_values: dict[int, Scalar] = {}
+    tables: dict[tuple[int, ...], Union[BinarySignature, UnarySignature]] = {}
+
+    def table_of(packed: tuple[int, ...]) -> Union[BinarySignature, UnarySignature]:
+        table = tables.get(packed)
+        if table is None:
+            entries = []
+            for p in packed:
+                value = vector_values.get(p)
+                if value is None:
+                    value = vector_values[p] = value_of(p)
+                entries.append(value)
+            kind = BinarySignature if len(packed) == 4 else UnarySignature
+            table = tables[packed] = kind(*entries)
+        return table
 
     base_forms = [profile_base.rotate(r) for r in range(4)]
-    outer = _outer_ids(powers, profile_base)
-    form = {
-        c: _form_indexer(base_forms, label, code // SLOT)
-        for c, (label, code) in class_keys.items()
-    }
-    binary_profiles: dict[tuple[tuple[int, ...], tuple[int, ...]], BinarySignature] = {}
-    unary_profiles: dict[tuple[int, ...], UnarySignature] = {}
+    classes: dict[tuple[int, int], int] = {}
+    pair_rows: dict[int, int] = {}
+    self_rows: dict[int, int] = {}
+    for (pair, code, key), n in Counter(zip(dec.pairs, dec.codes, map(id, labels))).items():
+        packed = classes.get((code, key))
+        if packed is None:
+            label = label_of[key]
+            form = _form_indexer(base_forms, label, code // SLOT)
+            # profile fields k1..k4, then l1..l4, or m1..m4; exit columns
+            # are shifted: forms f^{pi/2},f^{pi},f^{3pi/2},f
+            field = form if code & (ENTRY | SELF) else 4 + (form - 1) % 4
+            packed = 1 << profile_shift + width * field
+            for e, value in enumerate(_class_factors(label, code)):
+                packed += 1 << e * entry + width * field_of[value]
+            classes[code, key] = packed
+        rows = self_rows if code & SELF else pair_rows
+        rows[pair] = rows.get(pair, 0) + n * packed
 
     binary = {}
-    binary_tables: dict[tuple[tuple[int, int], ...], BinarySignature] = {}
+    by_profile: dict[int, BinarySignature] = {}
     for pair, row in pair_rows.items():
-        key = tuple(sorted(row))
-        table = binary_tables.get(key)
-        if table is None:
-            table = binary_tables[key] = BinarySignature(
-                *_table_entries(key, factors, 4, powers)
-            )
-            k = [0, 0, 0, 0]
-            l = [0, 0, 0, 0]
-            for c, n in key:
-                if c & ENTRY:
-                    k[form[c]] += n
-                else:
-                    # exit columns are shifted: forms f^{pi/2},f^{pi},f^{3pi/2},f
-                    l[(form[c] - 1) % 4] += n
-            exponents = (tuple(k), tuple(l))
-            profile = binary_profiles.get(exponents)
-            if profile is None:
-                profile = binary_profiles[exponents] = _profile_binary(k, l, outer, powers)
-            if profile.values() != table.values():
-                raise LoopSpaceError(f"direct and profile tables disagree on pair {pair}")
-        binary[pair] = table
+        table = table_of((
+            row & entry_mask,
+            row >> entry & entry_mask,
+            row >> 2 * entry & entry_mask,
+            row >> 3 * entry & entry_mask,
+        ))
+        counts = row >> profile_shift
+        profile = by_profile.get(counts)
+        if profile is None:
+            kl = [counts >> width * f & mask for f in range(8)]
+            profile = by_profile[counts] = _profile_binary(kl[:4], kl[4:], outer, table_of)
+        ij = divmod(pair, n_circuits)
+        if not (profile is table or profile.values() == table.values()):
+            raise LoopSpaceError(f"direct and profile tables disagree on pair {ij}")
+        binary[ij] = table
 
     unary = {}
-    unary_tables: dict[tuple[tuple[int, int], ...], UnarySignature] = {}
-    for i, row in self_rows.items():
-        key = tuple(sorted(row))
-        table = unary_tables.get(key)
-        if table is None:
-            table = unary_tables[key] = UnarySignature(
-                *_table_entries(key, factors, 2, powers)
-            )
-            m = [0, 0, 0, 0]
-            for c, n in key:
-                m[form[c]] += n
-            exponents = tuple(m)
-            profile = unary_profiles.get(exponents)
-            if profile is None:
-                profile = unary_profiles[exponents] = _profile_unary(m, outer, powers)
-            if profile.values() != table.values():
-                raise LoopSpaceError(f"direct and profile tables disagree on h_{i}")
+    by_profile_unary: dict[int, UnarySignature] = {}
+    for pair, row in self_rows.items():
+        table = table_of((row & entry_mask, row >> entry & entry_mask))
+        counts = row >> profile_shift
+        profile = by_profile_unary.get(counts)
+        if profile is None:
+            m = [counts >> width * f & mask for f in range(4)]
+            profile = by_profile_unary[counts] = _profile_unary(m, outer, table_of)
+        i = pair // n_circuits
+        if not (profile is table or profile.values() == table.values()):
+            raise LoopSpaceError(f"direct and profile tables disagree on h_{i}")
         unary[i] = table
     return InducedCSP(n_circuits, binary, unary)
 
@@ -372,34 +356,37 @@ def _form_indexer(
     raise LoopSpaceError("vertex label is not a rotation of the base signature")
 
 
+def _packed(outer: Sequence[int], exponents: Sequence[int]) -> int:
+    return sum(map(mul, outer, exponents))
+
+
 def _profile_binary(
-    k: Sequence[int], l: Sequence[int], outer: Sequence[int], powers: _PowerTable
+    k: Sequence[int], l: Sequence[int], outer: Sequence[int], table_of: _TableOf
 ) -> BinarySignature:
     """Def-4.3 monomial evaluation from the (k, l) exponent profile: k counts
     the entry vertices in each form, l the exit vertices in each shifted
-    form; `outer` is the base's outer values as `_outer_ids` interns them."""
+    form.  `outer` is the packed unit of each of the base's outer values in
+    the order a, y, x, b, and `table_of` the call's table for a tuple of
+    packed entries."""
     if sum(k) != sum(l):
         raise LoopSpaceError("entry/exit imbalance in a pairwise profile")
     k1, k2, k3, k4 = k
     l1, l2, l3, l4 = l
-    return BinarySignature(
-        powers.monomial(zip(outer, (k1 + l1, k2 + l2, k3 + l3, k4 + l4))),
-        powers.monomial(zip(outer, (k2 + l4, k3 + l1, k4 + l2, k1 + l3))),
-        powers.monomial(zip(outer, (k4 + l2, k1 + l3, k2 + l4, k3 + l1))),
-        powers.monomial(zip(outer, (k3 + l3, k4 + l4, k1 + l1, k2 + l2))),
-    )
+    return table_of((
+        _packed(outer, (k1 + l1, k2 + l2, k3 + l3, k4 + l4)),
+        _packed(outer, (k2 + l4, k3 + l1, k4 + l2, k1 + l3)),
+        _packed(outer, (k4 + l2, k1 + l3, k2 + l4, k3 + l1)),
+        _packed(outer, (k3 + l3, k4 + l4, k1 + l1, k2 + l2)),
+    ))
 
 
 def _profile_unary(
-    m: Sequence[int], outer: Sequence[int], powers: _PowerTable
+    m: Sequence[int], outer: Sequence[int], table_of: _TableOf
 ) -> UnarySignature:
     """The unary profile table from m, the self-intersections in each form,
-    over the base's interned outer values."""
+    over the packed units of the base's outer values."""
     m1, m2, m3, m4 = m
-    return UnarySignature(
-        powers.monomial(zip(outer, (m1, m2, m3, m4))),
-        powers.monomial(zip(outer, (m3, m4, m1, m2))),
-    )
+    return table_of((_packed(outer, (m1, m2, m3, m4)), _packed(outer, (m3, m4, m1, m2))))
 
 
 def entry_exit_audit(dec: CircuitDecomposition) -> bool:

@@ -20,7 +20,11 @@ Product-type membership reads a unary or binary witness off the entries
 variables at arity 4; either way it divides at most once per block.
 Every returned witness reconstructs its signature entrywise: is_affine
 returns a witness only after checking this, and is_product raises
-WitnessError when its witness does not.
+WitnessError when its witness does not.  Both checks read the entries by
+index: a unary or binary product witness is multiplied out, by weights
+other than ONE only, and an affine witness matches each support entry's
+exponent over lam with Q mod 4, its rows deciding the zeros; an arity-4
+product witness is evaluated at every assignment.
 """
 
 from __future__ import annotations
@@ -58,14 +62,6 @@ def _values_of(sig) -> tuple[tuple[Scalar, ...], int]:
 
 def _bits(idx: int, n: int) -> tuple[int, ...]:
     return tuple((idx >> (n - 1 - t)) & 1 for t in range(n))
-
-
-def _product_matches(witness: ProductWitness | AffineWitness, values, n) -> bool:
-    """Whether the witness, product or affine, reproduces every entry:
-    is_affine returns None and is_product raises WitnessError when not."""
-    return all(
-        witness.evaluate(_bits(idx, n)) == values[idx] for idx in range(2 ** n)
-    )
 
 
 # -- affine signatures -------------------------------------------------------
@@ -117,9 +113,18 @@ def is_affine(sig) -> Optional[AffineWitness]:
     Z_4 in the pivot bits, which is unique: its linear coefficients are the
     exponents at the unit points x0 xor b, its cross coefficients come from
     the points x0 xor b xor b', and an odd cross coefficient means f is not
-    affine.  The witness so read is checked against every entry.
+    affine.  The witness so read is checked against every entry by index
+    (_affine_matches).
     """
     values, n = _values_of(sig)
+    witness = _read_off_affine(values, n)
+    return witness if witness is not None and _affine_matches(witness, values, n) else None
+
+
+def _read_off_affine(values, n) -> Optional[AffineWitness]:
+    """The witness is_affine reads off the support and the unit and pair
+    points, before its check against every entry; None when the support is
+    not affine or a value read is not f(x0) * i^e with an even cross term."""
     support = [idx for idx, v in enumerate(values) if not v.is_zero()]
     if not support:
         return AffineWitness(n, ONE, (tuple([0] * n + [1]),), tuple([0] * n), tuple())
@@ -173,8 +178,38 @@ def is_affine(sig) -> Optional[AffineWitness]:
             if b >> c & 1:
                 row[n - 1 - p] = 1
         rows.append(tuple(row) + (x0 >> c & 1,))
-    witness = AffineWitness(n, values[x0], tuple(rows), tuple(lin), tuple(cross))
-    return witness if _product_matches(witness, values, n) else None
+    return AffineWitness(n, values[x0], tuple(rows), tuple(lin), tuple(cross))
+
+
+def _affine_matches(witness: AffineWitness, values, n) -> bool:
+    """Whether the affine witness reproduces every entry, read by index: an
+    entry is nonzero exactly where every row holds, and there its exponent
+    over lam, looked up among lam * i^e, is Q mod 4.  No Scalar is built."""
+    # bit n - 1 - t of an index is variable t
+    rows = [
+        (sum(c << n - 1 - t for t, c in enumerate(row[:-1])), row[-1])
+        for row in witness.rows
+    ]
+    lin = [(1 << n - 1 - t, c) for t, c in enumerate(witness.quad_lin) if c]
+    cross = [1 << n - 1 - s | 1 << n - 1 - t for s, t, bit in witness.quad_cross if bit]
+    exponent_of = _i_multiples(witness.lam)
+    for idx, v in enumerate(values):
+        for mask, c in rows:
+            if bin(idx & mask).count("1") & 1 != c:
+                if not v.is_zero():
+                    return False
+                break
+        else:
+            q = 0
+            for bit, c in lin:
+                if idx & bit:
+                    q += c
+            for both in cross:
+                if idx & both == both:
+                    q += 2
+            if exponent_of.get((v.n0, v.n1, v.n2, v.n3, v.den)) != q % 4:
+                return False
+    return True
 
 
 def _i_multiples(base: Scalar) -> dict[tuple[int, ...], int]:
@@ -247,11 +282,50 @@ def is_product(sig) -> Optional[ProductWitness]:
     return witness
 
 
+def _product_matches(witness: ProductWitness, values, n) -> bool:
+    """Whether the product witness reproduces every entry; is_product
+    raises WitnessError when not.  A unary or binary witness is compared
+    with its 2 or 4 entries by index, multiplying only by weights other
+    than ONE; an arity-4 one is evaluated at every assignment."""
+    if n > 2:
+        return all(
+            witness.evaluate(_bits(idx, n)) == values[idx] for idx in range(2**n)
+        )
+    if witness.zero:
+        return not any(values)
+    # per block: the shift of its representative's bit, the mask of its
+    # members' bits, and the bits they take when the representative is 0
+    blocks = []
+    for members, pars, w in zip(witness.blocks, witness.parities, witness.weights):
+        mask = bits = 0
+        for m, p in zip(members, pars):
+            mask |= 1 << n - 1 - m
+            bits |= p << n - 1 - m
+        blocks.append((n - 1 - members[0], mask, bits, w))
+    for idx, v in enumerate(values):
+        acc = ONE
+        for shift, mask, bits, w in blocks:
+            rep = idx >> shift & 1
+            if idx & mask != (bits ^ mask if rep else bits):
+                acc = ZERO
+                break
+            if w[rep] is not ONE:
+                acc = w[rep] if acc is ONE else acc * w[rep]
+        if acc != v:
+            return False
+    return True
+
+
 def _read_off_product(values, n) -> Optional[ProductWitness]:
     """The witness of _enumerated_product on a table of arity 1 or 2, with
     the candidates that cannot factor skipped: a unary table is one block,
     and a binary one is one block when its support lies in {00, 11} or
-    {01, 10}, two blocks of rank 1 otherwise."""
+    {01, 10}, two blocks of rank 1 otherwise.
+
+    Two blocks are built as _try_factor builds them: the reference entry is
+    the first nonzero one, block 0 keeps the reference's column, and block
+    1 is ONE on the reference's side and one ratio on the other.  None
+    unless the four products match."""
     if all(v.is_zero() for v in values):
         return ProductWitness(n, zero=True)
     if n == 1:
@@ -261,7 +335,16 @@ def _read_off_product(values, n) -> Optional[ProductWitness]:
         return ProductWitness(2, False, ((0, 1),), ((0, 0),), ((v00, v11),))
     if v00.is_zero() and v11.is_zero():
         return ProductWitness(2, False, ((0, 1),), ((0, 1),), ((v01, v10),))
-    return _try_factor(values, 2, [[0], [1]], [(0,), (0,)])
+    ref = next(idx for idx, v in enumerate(values) if not v.is_zero())
+    ref_val, column, row = values[ref], values[ref ^ 2], values[ref ^ 1]
+    ratio = ZERO if row.is_zero() else row / ref_val
+    w0 = (column, ref_val) if ref >> 1 else (ref_val, column)
+    w1 = (ratio, ONE) if ref & 1 else (ONE, ratio)
+    for idx, v in enumerate(values):
+        w = w1[idx & 1]
+        if (w0[idx >> 1] if w is ONE else w0[idx >> 1] * w) != v:
+            return None
+    return ProductWitness(2, False, ((0,), (1,)), ((0,), (0,)), (w0, w1))
 
 
 def _enumerated_product(values, n) -> Optional[ProductWitness]:

@@ -34,8 +34,9 @@ class Scalar:
     """An element c0 + c1*w + c2*w^2 + c3*w^3 of Q(zeta_8), exact and immutable.
 
     Rationals (c1 = c2 = c3 = 0) take a short path: a product with one costs
-    four integer products instead of sixteen, its inverse is den/n0, and it
-    hashes as the int or Fraction it equals.
+    four integer products instead of sixteen, its inverse is den/n0, its
+    e-th power is n0^e / den^e, and it hashes as the int or Fraction it
+    equals.
     """
 
     __slots__ = ("n0", "n1", "n2", "n3", "den")
@@ -188,6 +189,9 @@ class Scalar:
             return self.inv() ** (-exponent)
         if exponent == 0:
             return ONE
+        if not (self.n1 or self.n2 or self.n3):
+            # powers of coprime n0 and den stay coprime, so already reduced
+            return _reduced(self.n0**exponent, 0, 0, 0, self.den**exponent)
         # square up to the lowest set bit, then fold in the higher bits;
         # the base is never squared past the highest bit
         base = self

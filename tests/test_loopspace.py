@@ -25,7 +25,7 @@ from sixvertex.loopspace import (
 )
 from sixvertex.oracle import holant_brute
 from sixvertex.scalar import MU8, ONE, W, ZERO, Scalar, rational
-from sixvertex.signature import BinarySignature, SixVertexSignature
+from sixvertex.signature import BinarySignature, SixVertexSignature, UnarySignature
 
 
 def sv(*vals):
@@ -76,7 +76,9 @@ class TestDecompose:
         # one map with one vertex; use the 2x2 grid medial and count circuits
         inst = uniform_instance(grid_patch(2, 2), sv(1, 1, 0, 1, 1, 0))
         dec = decompose(inst)
-        assert sum(len(c) for c in dec.circuits) == inst.map.half_edge_count
+        # every half-edge is tagged, and every circuit enters and leaves
+        assert len(dec.tags) == inst.map.half_edge_count
+        assert sorted(set(dec.tags)) == list(range(2 * dec.k))
 
     def test_doubled_triangle_balanced(self):
         inst = uniform_instance(cycle_medial(3), sv(1, 1, 0, 1, 1, 0))
@@ -286,13 +288,12 @@ class TestWitnessReuse:
 
 def circuit_sides(dec):
     """Per half-edge, its circuit and whether it enters its vertex, read
-    off dec.circuits alone (even positions enter)."""
+    off the walk's tags alone (2 * circuit, + 1 when it leaves)."""
     circuit_of, enters = {}, set()
-    for cid, seq in enumerate(dec.circuits):
-        for pos, h in enumerate(seq):
-            circuit_of[h] = cid
-            if pos % 2 == 0:
-                enters.add(h)
+    for h, tag in enumerate(dec.tags):
+        circuit_of[h] = tag >> 1
+        if not tag & 1:
+            enters.add(h)
     return circuit_of, enters
 
 
@@ -482,8 +483,9 @@ class TestInducedTables:
 
     def test_one_power_per_distinct_value_and_exponent(self, monkeypatch):
         """Within one induced_csp call the direct tables and the profiles
-        share one power table: Scalar.__pow__ runs at most once per
-        distinct (value, exponent) pair."""
+        share one power cache: Scalar.__pow__ runs at most once per
+        distinct (value, exponent) pair, and never for a value in mu_8,
+        whose powers are turns of w."""
         real_pow = Scalar.__pow__
         seen = Counter()
 
@@ -493,15 +495,18 @@ class TestInducedTables:
 
         monkeypatch.setattr(Scalar, "__pow__", counted)
         cases = [
-            (grid_patch(8, 8), sv(2, 3, 0, 5, 7, 0)),
-            (medial_of_random_plane_graph(60, 4), SixVertexSignature(ONE, W, ZERO, W * W, W**3, ZERO)),
+            (grid_patch(8, 8), sv(2, 3, 0, 5, 7, 0), True),
+            (medial_of_random_plane_graph(60, 4), SixVertexSignature(ONE, W, ZERO, W * W, W**3, ZERO), False),
         ]
-        for m, f in cases:
+        for m, f, powered in cases:
             inst = uniform_instance(m, f)
             dec = decompose(inst)
             seen.clear()
             induced_csp(dec, inst, profile_base=f)
-            assert seen and max(seen.values()) == 1
+            if powered:
+                assert seen and max(seen.values()) == 1
+            else:
+                assert not seen
 
     def test_form_misindex_raises(self, monkeypatch):
         """Mis-indexing the form of any single rotation breaks the
@@ -536,6 +541,68 @@ class TestInducedTables:
         )
         with pytest.raises(LoopSpaceError):
             induced_csp(dec, inst, profile_base=f)
+
+
+# outer values that coincide or are powers of one another, so that unequal
+# exponent vectors can still give equal values: y = b and x = y^2; all four
+# equal; and 2 w^t, none in mu_8
+COINCIDING_LABELS = [
+    sv(1, 2, 0, 4, 2, 0),
+    sv(2, 2, 0, 2, 2, 0),
+    SixVertexSignature(rational(2), 2 * W, ZERO, 2 * W**2, 2 * W**3, ZERO),
+]
+
+
+class TestPackedVectors:
+    """induced_csp compares direct and profile tables as packed exponent
+    vectors and falls back to their values when the vectors differ."""
+
+    @pytest.mark.parametrize("kind", ["binary", "unary"])
+    def test_equal_values_in_a_fresh_profile_object_pass(self, monkeypatch, kind):
+        from sixvertex import loopspace
+
+        name = f"_profile_{kind}"
+        real = getattr(loopspace, name)
+        copies = []
+
+        def fresh(*args):
+            table = real(*args)
+            copy = type(table)(*table.values())
+            copies.append(copy)
+            return copy
+
+        monkeypatch.setattr(loopspace, name, fresh)
+        f = sv(2, 3, 0, 5, 7, 0)
+        for m in [grid_patch(4, 4), medial_of_random_plane_graph(60, 4)]:
+            inst = uniform_instance(m, f)
+            csp = induced_csp(decompose(inst), inst, profile_base=f)
+            tables = {id(t) for t in (*csp.binary.values(), *csp.unary.values())}
+            assert not tables & {id(copy) for copy in copies}
+        assert copies
+
+    def test_unary_profile_mismatch_raises(self, monkeypatch):
+        from sixvertex import loopspace
+
+        f = sv(2, 3, 0, 5, 7, 0)
+        inst = uniform_instance(two_loop_map(), f)
+        dec = decompose(inst)
+        assert induced_csp(dec, inst, profile_base=f).unary
+        monkeypatch.setattr(
+            loopspace, "_profile_unary", lambda *args: UnarySignature(ONE, ZERO)
+        )
+        with pytest.raises(LoopSpaceError, match="h_0"):
+            induced_csp(dec, inst, profile_base=f)
+
+    @pytest.mark.parametrize("f", COINCIDING_LABELS, ids=["powers", "equal", "c4ii"])
+    def test_coinciding_values_give_the_plain_products(self, f):
+        for m in REFERENCE_MAPS:
+            assert_tables_equal_plain_factor_products(uniform_instance(m, f), f)
+
+    @pytest.mark.parametrize("f", COINCIDING_LABELS, ids=["powers", "equal", "c4ii"])
+    def test_coinciding_values_match_brute(self, f):
+        for m in small_medials(77, 6) + [two_loop_map(), cycle_medial(3), grid_patch(2, 2)]:
+            inst = uniform_instance(m, f)
+            assert evaluate(inst, profile_base=f) == holant_brute(inst)
 
 
 class TestMethods:

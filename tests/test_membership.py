@@ -5,6 +5,7 @@ from sixvertex.scalar import I, MU8, ONE, W, ZERO, rational
 from sixvertex.membership import (
     AffineWitness,
     _enumerated_product,
+    _read_off_affine,
     _values_of,
     is_affine,
     is_matchgate,
@@ -356,6 +357,60 @@ class TestSmallArityProduct:
             else:
                 kinds["one block" if len(witness.blocks) == 1 else "two blocks"] += 1
         assert all(kinds.values()), kinds
+
+
+def reconstructed_is_affine(sig):
+    """is_affine as it checked its witness before the check by index: the
+    witness read off the support, kept only when AffineWitness.evaluate
+    reproduces every entry."""
+    values, n = _values_of(sig)
+    witness = _read_off_affine(values, n)
+    if witness is None:
+        return None
+    if any(witness.evaluate(bits(idx, n)) != values[idx] for idx in range(2**n)):
+        return None
+    return witness
+
+
+class TestAffineCheckByIndex:
+    """is_affine checks its witness by index, each support entry's
+    exponent against Q mod 4; it must keep exactly the witnesses that
+    AffineWitness.evaluate reconstructs."""
+
+    def test_unary_and_binary_palette(self):
+        kept = 0
+        for arity, kind in ((1, UnarySignature), (2, BinarySignature)):
+            for values in product(SMALL_ARITY_PALETTE, repeat=2**arity):
+                sig = kind(*values)
+                witness = is_affine(sig)
+                assert witness == reconstructed_is_affine(sig), values
+                kept += witness is not None
+        assert kept
+
+    def test_seeded_arity4_tables(self):
+        rng = random.Random(25)
+        palette = [ONE, -ONE, I, -I, rational(2), W]
+        kept = refused_after_read_off = 0
+        for trial in range(2000):
+            style = trial % 4
+            if style == 0:
+                entries = random_affine_entries(rng)
+            elif style == 1:
+                # one entry off an affine table, so that the read-off
+                # witness often survives until the check
+                entries = random_affine_entries(rng)
+                idx = rng.randrange(16)
+                entries[idx] = entries[idx] * rng.choice(palette[1:]) if entries[idx] else rng.choice(palette)
+            elif style == 2:
+                entries = random_product_entries(rng, [ZERO] + palette)
+            else:
+                entries = [rng.choice([ZERO, ZERO] + palette) for _ in range(16)]
+            sig = GeneralSignature4(entries)
+            witness = is_affine(sig)
+            assert witness == reconstructed_is_affine(sig), entries
+            kept += witness is not None
+            refused_after_read_off += witness is None and _read_off_affine(entries, 4) is not None
+        assert kept and refused_after_read_off
 
 
 def is_matchgate_general(g: GeneralSignature4) -> bool:

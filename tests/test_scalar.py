@@ -84,6 +84,20 @@ class TestRationalShortPath:
         if s.is_rational():
             assert s.inv().as_rational() == 1 / s.as_rational()
 
+    @given(rational_heavy, st.integers(0, 40))
+    def test_power_is_the_repeated_full_product(self, s, e):
+        """s ** e, and s ** -e for s != 0, in the reduced form that
+        repeated schoolbook products give."""
+        cases = [(s, e)] + ([] if s.is_zero() else [(s.inv(), -e)])
+        for base, exponent in cases:
+            want = ONE
+            for _ in range(e):
+                want = full_product(want, base)
+            got = s**exponent
+            assert (got.n0, got.n1, got.n2, got.n3, got.den) == (
+                want.n0, want.n1, want.n2, want.n3, want.den
+            )
+
 
 class TestHashMatchesEquality:
     """Equal numbers hash equal: a rational Scalar hashes as the int or
