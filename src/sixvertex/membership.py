@@ -18,22 +18,24 @@ the exponents at the unit and pair points, and one check of every entry.
 Product-type membership reads a unary or binary witness off the entries
 (one block, or two of rank 1) and enumerates set partitions of the
 variables at arity 4; either way it divides at most once per block.
-Every returned witness reconstructs its signature entrywise: is_affine
-returns a witness only after checking this, and is_product raises
-WitnessError when its witness does not.  Both checks read the entries by
-index: a unary or binary product witness is multiplied out, by weights
-other than ONE only, and an affine witness matches each support entry's
-exponent over lam with Q mod 4, its rows deciding the zeros; an arity-4
-product witness is evaluated at every assignment.
+A binary table of two blocks is its own value tensor, so its read-off
+factors it with no structure search, through the same rank-1
+factorisation the enumeration uses.  Every returned witness reconstructs
+its signature entrywise: is_affine returns a witness only after checking
+this, and is_product raises WitnessError when its witness does not.  Both
+checks read the entries by index, at every arity: a product witness is
+multiplied out, by weights other than ONE only, and an affine witness
+matches each support entry's exponent over lam with Q mod 4, its rows
+deciding the zeros.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional, Sequence
+from typing import Optional
 
-from .scalar import I, ONE, ZERO, Scalar
+from .scalar import ONE, ZERO, Scalar
 from .signature import (
     BinarySignature,
     GeneralSignature4,
@@ -82,21 +84,6 @@ class AffineWitness:
     rows: tuple[tuple[int, ...], ...]
     quad_lin: tuple[int, ...]
     quad_cross: tuple[tuple[int, int, int], ...]  # (s, t, bit)
-
-    def evaluate(self, assignment: Sequence[int]) -> Scalar:
-        for row in self.rows:
-            acc = sum(c * v for c, v in zip(row[:-1], assignment)) & 1
-            if acc != row[-1]:
-                return ZERO
-        q = 0
-        for t, coeff in enumerate(self.quad_lin):
-            q += coeff * assignment[t]
-        for s, t, bit in self.quad_cross:
-            q += 2 * bit * assignment[s] * assignment[t]
-        return self.lam * _I_POWERS[q % 4]
-
-
-_I_POWERS = (ONE, I, -ONE, -I)  # i^q for q in Z_4
 
 
 def is_affine(sig) -> Optional[AffineWitness]:
@@ -242,18 +229,6 @@ class ProductWitness:
     parities: tuple[tuple[int, ...], ...] = ()  # per block, relative to member 0
     weights: tuple[tuple[Scalar, Scalar], ...] = ()
 
-    def evaluate(self, assignment: Sequence[int]) -> Scalar:
-        if self.zero:
-            return ZERO
-        total = ONE
-        for members, pars, (w0, w1) in zip(self.blocks, self.parities, self.weights):
-            rep = assignment[members[0]]
-            for m, p in zip(members, pars):
-                if assignment[m] != rep ^ p:
-                    return ZERO
-            total = total * (w1 if rep else w0)
-        return total
-
 
 def _set_partitions(items: list[int]):
     if not items:
@@ -283,14 +258,10 @@ def is_product(sig) -> Optional[ProductWitness]:
 
 
 def _product_matches(witness: ProductWitness, values, n) -> bool:
-    """Whether the product witness reproduces every entry; is_product
-    raises WitnessError when not.  A unary or binary witness is compared
-    with its 2 or 4 entries by index, multiplying only by weights other
-    than ONE; an arity-4 one is evaluated at every assignment."""
-    if n > 2:
-        return all(
-            witness.evaluate(_bits(idx, n)) == values[idx] for idx in range(2**n)
-        )
+    """Whether the product witness reproduces every entry, read by index:
+    an entry is zero off the blocks' parity patterns and is the product of
+    its blocks' weights, other than ONE, on them; is_product raises
+    WitnessError when not."""
     if witness.zero:
         return not any(values)
     # per block: the shift of its representative's bit, the mask of its
@@ -320,12 +291,9 @@ def _read_off_product(values, n) -> Optional[ProductWitness]:
     """The witness of _enumerated_product on a table of arity 1 or 2, with
     the candidates that cannot factor skipped: a unary table is one block,
     and a binary one is one block when its support lies in {00, 11} or
-    {01, 10}, two blocks of rank 1 otherwise.
-
-    Two blocks are built as _try_factor builds them: the reference entry is
-    the first nonzero one, block 0 keeps the reference's column, and block
-    1 is ONE on the reference's side and one ratio on the other.  None
-    unless the four products match."""
+    {01, 10}, two blocks of rank 1 otherwise.  Two singleton blocks leave
+    no entry off their pattern, so the table is already the tensor that
+    _factor_tensor factors."""
     if all(v.is_zero() for v in values):
         return ProductWitness(n, zero=True)
     if n == 1:
@@ -335,16 +303,8 @@ def _read_off_product(values, n) -> Optional[ProductWitness]:
         return ProductWitness(2, False, ((0, 1),), ((0, 0),), ((v00, v11),))
     if v00.is_zero() and v11.is_zero():
         return ProductWitness(2, False, ((0, 1),), ((0, 1),), ((v01, v10),))
-    ref = next(idx for idx, v in enumerate(values) if not v.is_zero())
-    ref_val, column, row = values[ref], values[ref ^ 2], values[ref ^ 1]
-    ratio = ZERO if row.is_zero() else row / ref_val
-    w0 = (column, ref_val) if ref >> 1 else (ref_val, column)
-    w1 = (ratio, ONE) if ref & 1 else (ONE, ratio)
-    for idx, v in enumerate(values):
-        w = w1[idx & 1]
-        if (w0[idx >> 1] if w is ONE else w0[idx >> 1] * w) != v:
-            return None
-    return ProductWitness(2, False, ((0,), (1,)), ((0,), (0,)), (w0, w1))
+    tensor = {(0, 0): v00, (0, 1): v01, (1, 0): v10, (1, 1): v11}
+    return _factor_tensor(tensor, 2, ((0,), (1,)), ((0,), (0,)))
 
 
 def _enumerated_product(values, n) -> Optional[ProductWitness]:
@@ -375,7 +335,6 @@ def _try_factor(values, n, blocks, full_pars) -> Optional[ProductWitness]:
             reps.append(rep)
         return tuple(reps)
 
-    k = len(blocks)
     tensor: dict[tuple[int, ...], Scalar] = {}
     for idx, v in enumerate(values):
         reps = structured(idx)
@@ -384,13 +343,20 @@ def _try_factor(values, n, blocks, full_pars) -> Optional[ProductWitness]:
                 return None
         else:
             tensor[reps] = v
+    return _factor_tensor(tensor, n, blocks, full_pars)
+
+
+def _factor_tensor(tensor, n, blocks, full_pars) -> Optional[ProductWitness]:
+    """The rank-1 factorisation of the value tensor over the block
+    representatives, or None; the tensor has a nonzero entry."""
+    k = len(blocks)
     ref = None
     for reps, v in tensor.items():
         if not v.is_zero():
             ref = reps
             break
     if ref is None:
-        return None  # zero signature was handled before structure search
+        return None  # the zero signature is handled before any tensor
     ref_val = tensor[ref]
     # block 0 keeps the tensor's values along its axis through ref; every
     # later block is exactly ONE on ref's side and one ratio on the other,

@@ -19,6 +19,7 @@ from sixvertex.signature import (
     SixVertexSignature,
     UnarySignature,
 )
+from test_membership import affine_value
 
 CSP_CAP = 20  # variables
 
@@ -327,7 +328,7 @@ class TestNormalForm:
         # d + a - b - c = -2, so one cross bit; reconstruct entrywise
         for x1 in range(2):
             for x2 in range(2):
-                assert w.evaluate((x1, x2)) == g.value(x1, x2)
+                assert affine_value(w, (x1, x2)) == g.value(x1, x2)
 
     def test_diseq(self):
         w = is_affine(NEQ)

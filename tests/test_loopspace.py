@@ -386,8 +386,9 @@ class TestInducedTables:
 
     def test_plain_factor_products_with_mixed_label_objects(self):
         """Quarter turns of one base and value-equal copies, as separate
-        label objects: the class code holds the label's index among the
-        distinct objects, so each must still give the plain products."""
+        label objects: vertex classes are keyed by the label object's id,
+        so value-equal copies and quarter turns fall in different classes
+        and must each still give the plain products."""
         rng = random.Random(76)
         for trial, m in enumerate(REFERENCE_MAPS):
             f = random_c4i(rng) if trial % 2 else random_c4ii(rng)

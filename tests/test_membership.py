@@ -1,10 +1,12 @@
 import random
+from dataclasses import replace
 from itertools import product
 
 from sixvertex.scalar import I, MU8, ONE, W, ZERO, rational
 from sixvertex.membership import (
     AffineWitness,
     _enumerated_product,
+    _product_matches,
     _read_off_affine,
     _values_of,
     is_affine,
@@ -28,6 +30,36 @@ def sv(*vals):
 
 def bits(idx, n=4):
     return tuple((idx >> (n - 1 - t)) & 1 for t in range(n))
+
+
+I_POWERS = (ONE, I, -ONE, -I)  # i^q for q in Z_4
+
+
+def affine_value(witness, assignment):
+    """The value an AffineWitness gives an assignment, by its definition:
+    lam * [every row holds] * i^Q; the reference the library's check by
+    index must agree with."""
+    for row in witness.rows:
+        if sum(c * v for c, v in zip(row[:-1], assignment)) & 1 != row[-1]:
+            return ZERO
+    q = sum(coeff * assignment[t] for t, coeff in enumerate(witness.quad_lin))
+    q += sum(2 * bit * assignment[s] * assignment[t] for s, t, bit in witness.quad_cross)
+    return witness.lam * I_POWERS[q % 4]
+
+
+def product_value(witness, assignment):
+    """The value a ProductWitness gives an assignment, by its definition:
+    zero off the blocks' parity patterns, else the product of the blocks'
+    weights at their representatives."""
+    if witness.zero:
+        return ZERO
+    total = ONE
+    for members, pars, (w0, w1) in zip(witness.blocks, witness.parities, witness.weights):
+        rep = assignment[members[0]]
+        if any(assignment[m] != rep ^ p for m, p in zip(members, pars)):
+            return ZERO
+        total = total * (w1 if rep else w0)
+    return total
 
 
 def searched_is_affine(sig):
@@ -89,7 +121,7 @@ def searched_is_affine(sig):
             tuple(lin),
             tuple((s, t, cb) for cb, (s, t) in zip(cross_bits, pairs) if cb),
         )
-        if all(witness.evaluate(bits(idx, n)) == values[idx] for idx in range(2**n)):
+        if all(affine_value(witness, bits(idx, n)) == values[idx] for idx in range(2**n)):
             return witness
     return None
 
@@ -178,7 +210,7 @@ def assert_agrees_with_search(sig):
     witness = is_affine(sig)
     assert (witness is None) == (searched_is_affine(sig) is None), sig
     if witness is not None:
-        assert [witness.evaluate(bits(idx, n)) for idx in range(2**n)] == list(values)
+        assert [affine_value(witness, bits(idx, n)) for idx in range(2**n)] == list(values)
     return witness is not None
 
 
@@ -234,7 +266,7 @@ class TestAffine:
             w = is_affine(sig)
             assert w is not None
             for idx in range(16):
-                assert w.evaluate(bits(idx)) == entries[idx]
+                assert affine_value(w, bits(idx)) == entries[idx]
 
     def test_unary_and_binary(self):
         assert is_affine(UnarySignature(ONE, I ** 3)) is not None
@@ -326,7 +358,7 @@ class TestProduct:
             w = is_product(sig)
             assert w is not None
             for idx in range(16):
-                assert w.evaluate(bits(idx)) == entries[idx]
+                assert product_value(w, bits(idx)) == entries[idx]
 
 
 # every kind of entry the unary and binary short path meets: zero, signs,
@@ -361,13 +393,13 @@ class TestSmallArityProduct:
 
 def reconstructed_is_affine(sig):
     """is_affine as it checked its witness before the check by index: the
-    witness read off the support, kept only when AffineWitness.evaluate
-    reproduces every entry."""
+    witness read off the support, kept only when it reproduces every entry
+    at every assignment (affine_value)."""
     values, n = _values_of(sig)
     witness = _read_off_affine(values, n)
     if witness is None:
         return None
-    if any(witness.evaluate(bits(idx, n)) != values[idx] for idx in range(2**n)):
+    if any(affine_value(witness, bits(idx, n)) != values[idx] for idx in range(2**n)):
         return None
     return witness
 
@@ -375,7 +407,7 @@ def reconstructed_is_affine(sig):
 class TestAffineCheckByIndex:
     """is_affine checks its witness by index, each support entry's
     exponent against Q mod 4; it must keep exactly the witnesses that
-    AffineWitness.evaluate reconstructs."""
+    reconstruct at every assignment (affine_value)."""
 
     def test_unary_and_binary_palette(self):
         kept = 0
@@ -411,6 +443,41 @@ class TestAffineCheckByIndex:
             kept += witness is not None
             refused_after_read_off += witness is None and _read_off_affine(entries, 4) is not None
         assert kept and refused_after_read_off
+
+
+class TestProductCheckByIndex:
+    """is_product checks its witness by index at every arity; the check
+    must accept exactly the witnesses that reproduce the table at every
+    assignment (product_value), tampered witnesses and tables included."""
+
+    def test_true_and_tampered_witnesses(self):
+        rng = random.Random(26)
+        palette = [ZERO, ONE, -ONE, I, rational(2), W]
+        verdicts = set()
+        for trial in range(1500):
+            n = (1, 2, 4)[trial % 3]
+            values = random_product_entries(rng, palette, n)
+            witness = _enumerated_product(values, n)
+            candidates = [witness]
+            if not witness.zero:
+                t = rng.randrange(len(witness.blocks))
+                weights = list(witness.weights)
+                weights[t] = (rng.choice(palette), rng.choice(palette))
+                candidates.append(replace(witness, weights=tuple(weights)))
+                if len(witness.blocks[t]) > 1:
+                    pars = list(witness.parities)
+                    pars[t] = pars[t][:-1] + (1 - pars[t][-1],)
+                    candidates.append(replace(witness, parities=tuple(pars)))
+            tampered = list(values)
+            tampered[rng.randrange(2**n)] = rng.choice(palette)
+            for w in candidates:
+                for table in (values, tampered):
+                    expected = all(
+                        product_value(w, bits(idx, n)) == table[idx] for idx in range(2**n)
+                    )
+                    assert _product_matches(w, table, n) == expected, (w, table)
+                    verdicts.add((n, expected))
+        assert len(verdicts) == 6, verdicts
 
 
 def is_matchgate_general(g: GeneralSignature4) -> bool:
