@@ -62,21 +62,22 @@ def once_per_table(
     """`membership` run at most once per distinct table (equal tables are
     one) for as long as the returned function lives.
 
-    A table object is hashed by value only the first time it is seen;
-    after that its id finds the witness.  Each entry keeps its table
+    A table object is hashed by value once, the first time it is seen:
+    one `setdefault` finds or stores the one-element cell of its value.
+    After that its id finds the witness.  Each entry keeps its table
     alive, so an id is never reused while the function lives.
     """
-    by_value: dict[object, Optional[object]] = {}
+    by_value: dict[object, list] = {}
     by_id: dict[int, tuple[object, Optional[object]]] = {}
 
     def test(table: object) -> Optional[object]:
         seen = by_id.get(id(table))
         if seen is not None:
             return seen[1]
-        try:
-            witness = by_value[table]
-        except KeyError:
-            witness = by_value[table] = membership(table)
+        cell = by_value.setdefault(table, [])
+        if not cell:
+            cell.append(membership(table))
+        witness = cell[0]
         by_id[id(table)] = (table, witness)
         return witness
 

@@ -29,9 +29,15 @@ class MapError(ValueError):
 
 
 class RotationMap:
-    """Half-edges 0..2m-1 with vertex rotations and an edge involution."""
+    """Half-edges 0..2m-1 with vertex rotations and an edge involution.
 
-    __slots__ = ("vertices", "involution", "vertex_of", "slot_of")
+    A map is never mutated after construction, so what depends on the map
+    alone may be kept on it: the slot `circuit_decomposition` holds the
+    loop space's circuits of the map once `loopspace.decompose` has walked
+    them, and is None until then.  Nothing else sets it.
+    """
+
+    __slots__ = ("vertices", "involution", "vertex_of", "slot_of", "circuit_decomposition")
 
     def __init__(self, vertices: Sequence[Sequence[int]], involution: Mapping[int, int]):
         self.vertices = tuple(tuple(v) for v in vertices)
@@ -56,6 +62,7 @@ class RotationMap:
                 slot_of[h] = slot
         self.vertex_of = tuple(vertex_of)
         self.slot_of = tuple(slot_of)
+        self.circuit_decomposition = None
 
     # -- basic structure -------------------------------------------------
 

@@ -39,7 +39,14 @@ differ are their values compared.  Values are formed once per distinct
 vector: a value in mu_8 = {w^t} adds t times its exponent to one turn mod
 8, applied once as MU8[turn]; every other value reads its power from a
 per-call (value, exponent) cache, and a zero value with a positive
-exponent gives ZERO.  Nothing is kept between calls.
+exponent gives ZERO.
+
+The circuits depend on the map alone, and the labels only weigh them, so
+`decompose` walks a map once and keeps its CircuitDecomposition on the map
+(`RotationMap.circuit_decomposition`); every signature evaluated on one map
+reuses it.  Tables, witnesses and powers are not kept between calls, and
+the label check, the entry/exit audit and the profile check run on every
+call.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ from operator import mul
 from typing import Callable, Optional, Sequence, Union
 
 from .cspsolve import NotAffine, NotProduct, affine_eval, once_per_table, product_eval
-from .instance import PlanarInstance
+from .instance import PlanarInstance, RotationMap
 from .membership import is_affine, is_product
 from .scalar import MU8, ONE, ZERO, Scalar
 from .signature import BinarySignature, SixVertexSignature, UnarySignature
@@ -97,7 +104,27 @@ class CircuitDecomposition:
 
 
 def decompose(inst: PlanarInstance) -> CircuitDecomposition:
-    """Partition the half-edges into circuits and classify every vertex.
+    """The circuits of the instance's map, with every vertex classified.
+
+    A label whose inner pair is not zero raises LoopSpaceError on every
+    call.  The decomposition depends on the map alone: the first call on a
+    map walks it (see `_walk`) and keeps the result on the map, and later
+    calls on the same map, under any labels, return that same object.  A
+    walk that raises keeps nothing.
+    """
+    for label in {id(label): label for label in inst.labels}.values():
+        if not (label.c.is_zero() and label.z.is_zero()):
+            raise LoopSpaceError("loop space needs labels with zero inner pair")
+    m = inst.map
+    dec = m.circuit_decomposition
+    if dec is None:
+        dec = m.circuit_decomposition = _walk(m)
+    return dec
+
+
+def _walk(m: RotationMap) -> CircuitDecomposition:
+    """Partition the half-edges of `m` into circuits and classify every
+    vertex.
 
     The walk tags each half-edge 2 * circuit if it enters its vertex and
     2 * circuit + 1 if it leaves it; the tags are all it keeps of the
@@ -106,12 +133,8 @@ def decompose(inst: PlanarInstance) -> CircuitDecomposition:
     made per vertex or per circuit but integers.
 
     The lowest half-edge id of each circuit leads it: it enters its vertex
-    first.  A label whose inner pair is not zero raises LoopSpaceError.
+    first.
     """
-    for label in {id(label): label for label in inst.labels}.values():
-        if not (label.c.is_zero() and label.z.is_zero()):
-            raise LoopSpaceError("loop space needs labels with zero inner pair")
-    m = inst.map
     n_half = m.half_edge_count
     opposite = [0] * n_half
     for h0, h1, h2, h3 in m.vertices:
@@ -223,7 +246,9 @@ def induced_csp(
     the same object, and only when they are not are their values compared.
     Every pair and every circuit is checked.  Each value is formed once per
     distinct vector, each power of a value outside mu_8 once per exponent,
-    and no power of a value in mu_8 at all.  Nothing is kept between calls.
+    and no power of a value in mu_8 at all.  `dec` may be kept on the map
+    (see decompose), but the tables, the powers and the profile check are
+    made anew on every call.
     """
     labels = inst.labels
     # labels are told apart by id, which is unique while `inst` keeps every
@@ -423,7 +448,9 @@ def evaluate(
     table once (see its docstring).  Many induced tables repeat, so each
     distinct table is tested for membership once per call, and the solvers
     receive the constraints as (witness, variables) pairs instead of
-    re-testing every table.  Nothing is kept between calls.
+    re-testing every table.  The map's circuit decomposition is kept on the
+    map (see decompose); tables, witnesses and powers are not kept between
+    calls, and the entry/exit audit runs on every call.
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")

@@ -416,6 +416,46 @@ class TestOneMembershipRunPerTable:
         assert counts[0] == counts[1] <= 3
         assert seen == [h, h]  # once per call
 
+    def test_each_new_table_object_hashed_exactly_once(self):
+        """once_per_table hashes a table object once, when it is first seen
+        (a miss and a hit on an equal value alike), and never again."""
+        hashed = []
+
+        class Counted(BinarySignature):
+            def __hash__(self):
+                hashed.append(id(self))
+                return super().__hash__()
+
+        runs = []
+
+        def membership(table):
+            runs.append(table)
+            return is_affine(table)
+
+        g, h, k = Counted(ONE, ONE, ONE, -ONE), Counted(ONE, ONE, ONE, -ONE), Counted(ONE, I, I, ONE)
+        witness_of = cspsolve.once_per_table(membership)
+        witnesses = [witness_of(t) for t in (g, h, k, g, h, k, g)]
+        assert sorted(hashed) == sorted([id(g), id(h), id(k)])
+        assert runs == [g, k]
+        assert witnesses[0] is witnesses[1] is witnesses[3] is witnesses[6]
+        assert witnesses[2] is witnesses[5] is not None
+
+    def test_a_failed_membership_run_is_run_again(self):
+        calls = []
+
+        def membership(table):
+            calls.append(table)
+            if len(calls) == 1:
+                raise RuntimeError("interrupted")
+            return is_product(table)
+
+        witness_of = cspsolve.once_per_table(membership)
+        with pytest.raises(RuntimeError):
+            witness_of(EQ)
+        assert witness_of(EQ) is not None
+        assert witness_of(EQ) is witness_of(BinarySignature(*EQ.values()))
+        assert len(calls) == 2
+
 
 class TestWitnessConstraints:
     def test_product_witness_in_place_of_table(self):

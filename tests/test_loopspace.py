@@ -23,9 +23,10 @@ from sixvertex.loopspace import (
     evaluate,
     induced_csp,
 )
-from sixvertex.oracle import holant_brute
+from sixvertex.oracle import HOLANT_CAP, holant_brute
 from sixvertex.scalar import MU8, ONE, W, ZERO, Scalar, rational
 from sixvertex.signature import BinarySignature, SixVertexSignature, UnarySignature
+from test_matchgate import torus_grid
 
 
 def sv(*vals):
@@ -284,6 +285,80 @@ class TestWitnessReuse:
         first = len(seen["product"])
         evaluate(inst, profile_base=f)
         assert len(seen["product"]) == 2 * first
+
+
+def fresh_copy(m):
+    """The same map as a new object, on which nothing has been walked."""
+    return RotationMap(m.vertices, dict(enumerate(m.involution)))
+
+
+class TestDecompositionKeptOnTheMap:
+    """decompose walks a map once and keeps the result on the map; every
+    check that reads the labels still runs on every call."""
+
+    def test_second_call_and_relabelled_instance_share_one_object(self):
+        for m in [grid_patch(3, 3), *small_medials(77, 3)]:
+            assert m.circuit_decomposition is None
+            inst = uniform_instance(m, sv(1, 2, 0, 2, 1, 0))
+            dec = decompose(inst)
+            assert m.circuit_decomposition is dec
+            assert decompose(inst) is dec
+            assert decompose(inst.relabel([sv(2, 3, 0, 5, 7, 0)] * m.vertex_count)) is dec
+            assert decompose(uniform_instance(m, sv(1, W, 0, W**2, W**3, 0))) is dec
+            # a copy of the map walks again and finds the same circuits
+            again = decompose(uniform_instance(fresh_copy(m), sv(1, 2, 0, 2, 1, 0)))
+            assert again is not dec and again == dec
+
+    def test_nonzero_inner_label_on_a_warm_map_raises(self):
+        m = cycle_medial(3)
+        f = sv(1, 1, 0, 1, 1, 0)
+        dec = decompose(uniform_instance(m, f))
+        bad = sv(1, 1, 1, 1, 1, 1)
+        with pytest.raises(LoopSpaceError, match="zero inner pair"):
+            decompose(uniform_instance(m, bad))
+        one_bad = PlanarInstance(m, (bad,) + (f,) * (m.vertex_count - 1))
+        with pytest.raises(LoopSpaceError, match="zero inner pair"):
+            evaluate(one_bad, profile_base=f)
+        assert m.circuit_decomposition is dec
+
+    def test_two_labels_on_one_map_in_both_orders(self):
+        rng = random.Random(78)
+        maps = [cycle_medial(3), grid_patch(2, 2), *small_medials(79, 6)]
+        for trial, m in enumerate(maps):
+            labels = (random_c4i(rng), random_c4ii(rng))
+            fresh = [evaluate(uniform_instance(fresh_copy(m), f), profile_base=f) for f in labels]
+            if m.edge_count <= HOLANT_CAP:
+                assert fresh == [holant_brute(uniform_instance(m, f)) for f in labels], trial
+            for step in (1, -1):
+                warm = fresh_copy(m)
+                got = [evaluate(uniform_instance(warm, f), profile_base=f) for f in labels[::step]]
+                assert got[::step] == fresh, trial
+
+    def test_torus_raises_the_planarity_bug_on_every_call(self):
+        """The 3 x 3 torus grid fails the entry/exit audit; the audit runs on
+        every call, so the kept decomposition does not hide it."""
+        m = torus_grid(3)
+        f = sv(1, 2, 0, 2, 1, 0)
+        for _ in range(2):
+            with pytest.raises(LoopSpaceError, match=r"\(planarity bug\)"):
+                evaluate(uniform_instance(m, f), profile_base=f)
+        assert m.circuit_decomposition is not None
+
+    def test_a_walk_that_raises_keeps_nothing(self, monkeypatch):
+        from sixvertex import loopspace
+
+        def failing(m):
+            raise LoopSpaceError("twin closure failed to close a circuit")
+
+        m = cycle_medial(3)
+        inst = uniform_instance(m, sv(1, 1, 0, 1, 1, 0))
+        with monkeypatch.context() as patch:
+            patch.setattr(loopspace, "_walk", failing)
+            for _ in range(2):
+                with pytest.raises(LoopSpaceError, match="twin closure"):
+                    decompose(inst)
+                assert m.circuit_decomposition is None
+        assert decompose(inst) is m.circuit_decomposition is not None
 
 
 def circuit_sides(dec):
