@@ -20,9 +20,13 @@ variable) finds it, as in matchgate.pfaffian_sparse.  Cross terms are kept
 as one partner set per variable and linear conditions as sparse variable
 sets, so a step costs in the size of its neighbourhood, not in n.
 
-A constraint is a table or its witness over distinct variables: a
-repeated variable raises RepeatedVariable.  A caller that would repeat one
-splits it first, as the edge #CSP of route.py splits a loop.
+A constraint is a table or its witness, and it may name one variable in
+several of its slots, as the edge #CSP of route.py does at a loop.  Both
+solvers stay exact there because each reads a witness slot by slot into
+terms of its global variables, and those terms fold as the variable's
+values do: a witness row's coefficients are summed mod 2 (a variable named
+twice cancels), linear terms add mod 4, a cross term 2 x_u x_u is the
+linear term 2 x_u, and a block relation x_u = x_u xor p holds iff p = 0.
 
 Product-type instances decompose into =/!= relations with unary weights,
 solved by union-find with parity; an inconsistent relation set makes the
@@ -45,11 +49,6 @@ class NotAffine(ValueError):
 
 class NotProduct(ValueError):
     pass
-
-
-class RepeatedVariable(ValueError):
-    """A constraint names one variable twice; the solvers take distinct
-    variables per constraint."""
 
 
 class GaussSumError(RuntimeError):
@@ -111,7 +110,15 @@ class AffineAggregate:
             raise ValueError("arity mismatch")
         self.lam = self.lam * witness.lam
         for row in witness.rows:
-            vars_ = {variables[local] for local, coeff in enumerate(row[:-1]) if coeff}
+            # the row's variables mod 2: a variable named twice drops out
+            vars_: set[int] = set()
+            for local, coeff in enumerate(row[:-1]):
+                if coeff:
+                    v = variables[local]
+                    if v in vars_:
+                        vars_.discard(v)
+                    else:
+                        vars_.add(v)
             if vars_ or row[-1]:
                 self.rows.append((vars_, row[-1]))
         for local, coeff in enumerate(witness.quad_lin):
@@ -191,26 +198,22 @@ def affine_eval(
 ) -> Scalar:
     """Exact sum over {0,1}^n of the product of affine constraints.
 
-    A constraint is a signature or its AffineWitness over distinct
-    variables (RepeatedVariable otherwise); a witness is used as
-    given, and is_affine runs once per distinct table of the call, so a
-    caller that has already tested each table (as loopspace.evaluate does)
-    avoids a second run here.
+    A constraint is a signature or its AffineWitness, and its variables
+    may repeat: the witness's terms are folded onto each global variable
+    (see the module docstring), so the Gauss sum sees the constraint's
+    restriction to its diagonal.  A witness is used as given, and
+    is_affine runs once per distinct table of the call, so a caller that
+    has already tested each table (as loopspace.evaluate does) avoids a
+    second run here.
     """
     witness_of = once_per_table(is_affine)
     agg = AffineAggregate.empty(n_vars)
     for sig, var_tuple in constraints:
-        _require_distinct(sig, var_tuple)
         witness = sig if isinstance(sig, AffineWitness) else witness_of(sig)
         if witness is None:
             raise NotAffine(f"constraint not affine: {sig!r}")
         agg.add_witness(witness, var_tuple)
     return _gauss_sum(agg)
-
-
-def _require_distinct(sig: object, var_tuple: tuple[int, ...]) -> None:
-    if len(set(var_tuple)) != len(var_tuple):
-        raise RepeatedVariable(f"constraint {sig!r} repeats a variable in {var_tuple}")
 
 
 def _gauss_sum(agg: AffineAggregate) -> Scalar:
@@ -317,8 +320,10 @@ def product_eval(
 ) -> Scalar:
     """Union-find with parity over =/!= chains, unary weights per component.
 
-    A constraint is a signature or its ProductWitness over distinct
-    variables (RepeatedVariable otherwise); a witness is used as
+    A constraint is a signature or its ProductWitness, and its variables
+    may repeat: a block that names one variable in two slots relates it to
+    itself, which holds at parity 0 and makes the value 0 otherwise, and
+    two blocks led by one variable both weigh it.  A witness is used as
     given, and is_product runs once per distinct table of the call, so a
     caller that has already tested each table (as loopspace.evaluate does)
     avoids a second run here.
@@ -353,7 +358,6 @@ def product_eval(
     contradiction = False
 
     for sig, var_tuple in constraints:
-        _require_distinct(sig, var_tuple)
         witness = sig if isinstance(sig, ProductWitness) else witness_of(sig)
         if witness is None:
             raise NotProduct(f"constraint not product-type: {sig!r}")

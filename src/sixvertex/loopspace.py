@@ -45,8 +45,8 @@ The circuits depend on the map alone, and the labels only weigh them, so
 `decompose` walks a map once and keeps its CircuitDecomposition on the map
 (`RotationMap.circuit_decomposition`); every signature evaluated on one map
 reuses it.  Tables, witnesses and powers are not kept between calls, and
-the label check, the entry/exit audit and the profile check run on every
-call.
+the inner-pair check, the entry/exit audit and the profile check run on
+every call.
 """
 
 from __future__ import annotations
@@ -106,15 +106,12 @@ class CircuitDecomposition:
 def decompose(inst: PlanarInstance) -> CircuitDecomposition:
     """The circuits of the instance's map, with every vertex classified.
 
-    A label whose inner pair is not zero raises LoopSpaceError on every
-    call.  The decomposition depends on the map alone: the first call on a
-    map walks it (see `_walk`) and keeps the result on the map, and later
-    calls on the same map, under any labels, return that same object.  A
-    walk that raises keeps nothing.
+    The decomposition depends on the map alone, and decompose reads no
+    label: induced_csp checks them.  The first call on a map walks it (see
+    `_walk`) and keeps the result on the map, and later calls on the same
+    map, under any labels, return that same object.  A walk that raises
+    keeps nothing.
     """
-    for label in {id(label): label for label in inst.labels}.values():
-        if not (label.c.is_zero() and label.z.is_zero()):
-            raise LoopSpaceError("loop space needs labels with zero inner pair")
     m = inst.map
     dec = m.circuit_decomposition
     if dec is None:
@@ -232,6 +229,8 @@ def induced_csp(
     """Build the circuit #CSP, verifying every direct table against the
     entry/exit exponent profiles of `profile_base` (Def. 4.3), whose
     quarter turns every label must be; a mismatch raises LoopSpaceError.
+    So does a base whose inner pair is not zero, and since a quarter turn
+    keeps the inner pair, that one check covers every label.
 
     The vertices are counted per (pair key, local code, label object) in
     one pass, and per class, a local code with a label object, the vertex
@@ -250,6 +249,8 @@ def induced_csp(
     (see decompose), but the tables, the powers and the profile check are
     made anew on every call.
     """
+    if not (profile_base.c.is_zero() and profile_base.z.is_zero()):
+        raise LoopSpaceError("loop space needs labels with zero inner pair")
     labels = inst.labels
     # labels are told apart by id, which is unique while `inst` keeps every
     # label alive, and cheaper than hashing their six scalars

@@ -23,12 +23,12 @@ caller asks for them (oracle.holant_brute).
 The edge #CSP has one Boolean variable per instance edge, the value of its
 smaller half-edge.  The larger half-edge reads the negation through the
 implicit Disequality, so each vertex's label is flipped on the ports whose
-half-edge is the larger of its pair.  A loop would repeat its variable in
-its vertex's table, so each end of a loop gets its own variable, unflipped,
-and one Disequality joins the two; no constraint repeats a variable.
+half-edge is the larger of its pair.  A loop is an edge like any other:
+its vertex's table names the loop's variable twice, once flipped, and the
+#CSP solvers read such a table on its diagonal (see cspsolve).
 Product-type and affine functions are closed under flipping a variable
 (Cai-Lu-Xia, complex weighted Boolean #CSP), so every table stays in the
-label's C1 class, and Disequality is in both.
+label's C1 class.
 """
 
 from __future__ import annotations
@@ -38,11 +38,8 @@ from .classify import Condition, classify
 from .cspsolve import affine_eval, product_eval
 from .instance import PlanarInstance
 from .matchgate import fkt_eval, fkt_eval_hat
-from .scalar import ONE, ZERO, Scalar
-from .signature import BinarySignature, SixVertexSignature, format_signature
-
-
-_DISEQUALITY = BinarySignature(ZERO, ONE, ONE, ZERO)
+from .scalar import ONE, Scalar
+from .signature import GeneralSignature4, format_signature
 
 
 class NoPolynomialRoute(ValueError):
@@ -88,44 +85,30 @@ def evaluate(inst: PlanarInstance) -> Scalar:
 def _edge_csp(inst: PlanarInstance) -> tuple[list[tuple[object, tuple[int, ...]]], int]:
     """(constraints, variable count) of the edge #CSP.
 
-    Variables are numbered in order of their edge's smaller half-edge, a
-    loop taking two (see the module docstring).  A vertex's table depends
-    only on its label and its flipped ports, so it is built once per
-    distinct (label, flips) and shared.
+    Variables are numbered in order of their edge's smaller half-edge, and
+    a vertex's table is its label's read negated on the slots of larger
+    half-edges (see the module docstring).  A table depends only on the
+    label and its 4-bit flip mask, slot s giving bit 8 >> s as in the
+    label's entry index, so it is built once per distinct (label, mask)
+    and shared.
     """
     m = inst.map
-    involution = m.involution
-    vertex_of = m.vertex_of
     var = [0] * m.half_edge_count
-    flip = [False] * m.half_edge_count
-    constraints = []
+    flip = [0] * m.half_edge_count
     n_vars = 0
-    for h, k in enumerate(involution):
-        if h > k:
-            continue
-        if vertex_of[h] == vertex_of[k]:
-            var[h], var[k] = n_vars, n_vars + 1
-            constraints.append((_DISEQUALITY, (n_vars, n_vars + 1)))
-            n_vars += 2
-        else:
+    for h, k in enumerate(m.involution):
+        if h < k:
             var[h] = var[k] = n_vars
-            flip[k] = True
+            flip[k] = 1
             n_vars += 1
-    tables: dict[tuple, object] = {}
-    for rot, label in zip(m.vertices, inst.labels):
-        flips = tuple(map(flip.__getitem__, rot))
-        key = (id(label), flips)
+    constraints = []
+    tables: dict[tuple[int, int], GeneralSignature4] = {}
+    for (h0, h1, h2, h3), label in zip(m.vertices, inst.labels):
+        mask = flip[h0] << 3 | flip[h1] << 2 | flip[h2] << 1 | flip[h3]
+        key = (id(label), mask)
         table = tables.get(key)
         if table is None:
-            table = tables[key] = _flipped(label, flips)
-        constraints.append((table, tuple(map(var.__getitem__, rot))))
+            entries = label.to_general().entries
+            table = tables[key] = GeneralSignature4([entries[i ^ mask] for i in range(16)])
+        constraints.append((table, (var[h0], var[h1], var[h2], var[h3])))
     return constraints, n_vars
-
-
-def _flipped(label: SixVertexSignature, flips: tuple[bool, ...]):
-    """The label's arity-4 table flipped on the slots in `flips`."""
-    g = label.to_general()
-    for slot, flip in enumerate(flips):
-        if flip:
-            g = g.flip_variable(slot + 1)
-    return g

@@ -72,14 +72,6 @@ class GeneralSignature4:
     def __repr__(self):
         return "GeneralSignature4([" + ", ".join(format_scalar(e) for e in self.entries) + "])"
 
-    def flip_variable(self, var: int) -> "GeneralSignature4":
-        """Compose one variable with Disequality: negate that input."""
-        entries = [ZERO] * 16
-        shift = (8, 4, 2, 1)[var - 1]
-        for idx in range(16):
-            entries[idx] = self.entries[idx ^ shift]
-        return GeneralSignature4(entries)
-
 
 @dataclass(frozen=True, slots=True)
 class SixVertexSignature:

@@ -6,7 +6,6 @@ from sixvertex import cspsolve
 from sixvertex.cspsolve import (
     NotAffine,
     NotProduct,
-    RepeatedVariable,
     affine_eval,
     product_eval,
 )
@@ -43,7 +42,11 @@ def csp_brute(n_vars, constraints):
         assign = [(mask >> (n_vars - 1 - t)) & 1 for t in range(n_vars)]
         term = ONE
         for sig, var_tuple in constraints:
-            val = sig.value(*(assign[v] for v in var_tuple))
+            args = [assign[v] for v in var_tuple]
+            if isinstance(sig, GeneralSignature4):
+                val = sig.entries[args[0] << 3 | args[1] << 2 | args[2] << 1 | args[3]]
+            else:
+                val = sig.value(*args)
             if val.is_zero():
                 term = ZERO
                 break
@@ -284,12 +287,6 @@ class TestProductBasics:
         constraints = [(EQ, (0, 1)), (unary(1, 2), (0,))]
         assert product_eval(constraints, 2) == rational(3)
 
-    def test_self_disequality_zero(self):
-        # x != x on one variable is refused; its diagonal, the zero unary
-        # a caller sums it down to, gives 0
-        with pytest.raises(RepeatedVariable, match=r"repeats a variable in \(0, 0\)"):
-            product_eval([(NEQ, (0, 0))], 1)
-        assert product_eval([(unary(0, 0), (0,))], 1) == ZERO
 
     def test_chain_with_diseq(self):
         constraints = [
@@ -470,35 +467,85 @@ class TestWitnessConstraints:
         witnessed = [(is_affine(sig), vars_) for sig, vars_ in constraints]
         assert affine_eval(witnessed, n) == affine_eval(constraints, n)
 
-    @pytest.mark.parametrize(
-        "solve, membership",
-        [(product_eval, is_product), (affine_eval, is_affine)],
-        ids=["product", "affine"],
-    )
-    def test_witness_with_repeated_variables(self, solve, membership):
-        # every table is both product-type and affine; read on a repeated
-        # variable, a table or its witness is refused, and its diagonal, as
-        # a caller sums it down, takes its place
-        repeated = [
-            (EQ, (0, 0)),
-            (BinarySignature(ONE, ZERO, ZERO, I), (0, 0)),
-            (BinarySignature(ONE, I, I, -ONE), (1, 1)),
+
+
+def random_table4(rng, random_constraint):
+    """A random arity-4 table in the class of `random_constraint`: the
+    product of one to four of its constraints on the four slots, which
+    product-type and affine functions are each closed under."""
+    parts = [random_constraint(rng, 4) for _ in range(rng.randint(1, 4))]
+    entries = []
+    for idx in range(16):
+        x = [(idx >> (3 - t)) & 1 for t in range(4)]
+        term = ONE
+        for sig, slots in parts:
+            term = term * sig.value(*(x[s] for s in slots))
+        entries.append(term)
+    return GeneralSignature4(entries)
+
+
+def repeated_variable_instance(rng, random_constraint, n):
+    """Random constraints of `random_constraint`'s class on n variables,
+    then binary and arity-4 tables on variables drawn with replacement,
+    the first of them naming one variable twice."""
+    constraints = [random_constraint(rng, n) for _ in range(rng.randint(0, n))]
+    for t in range(rng.randint(1, 3)):
+        if rng.random() < 0.5:
+            sig = random_constraint(rng, 2)[0]
+            if not isinstance(sig, BinarySignature):
+                sig = random_table4(rng, random_constraint)
+        else:
+            sig = random_table4(rng, random_constraint)
+        arity = 2 if isinstance(sig, BinarySignature) else 4
+        vars_ = [rng.randrange(n) for _ in range(arity)]
+        if t == 0:
+            vars_[rng.randrange(1, arity)] = vars_[0]
+        constraints.append((sig, tuple(vars_)))
+    return constraints
+
+
+@pytest.mark.parametrize(
+    "solve, membership, random_constraint",
+    [
+        (product_eval, is_product, random_product_constraint),
+        (affine_eval, is_affine, random_affine_constraint),
+    ],
+    ids=["product", "affine"],
+)
+class TestRepeatedVariables:
+    """A constraint may name one variable in several slots; both solvers,
+    fed tables or witnesses, read it on its diagonal."""
+
+    def test_named_cases(self, solve, membership, random_constraint):
+        # x != x gives 0 and x = x gives 2; the other tables are both
+        # product-type and affine, with diagonals (1, i) and (1, -1)
+        cases = [
+            ([(NEQ, (0, 0))], 1, ZERO),
+            ([(NEQ, (0, 0)), (EQ, (1, 2))], 3, ZERO),
+            ([(EQ, (0, 0))], 1, rational(2)),
+            ([(BinarySignature(ONE, ZERO, ZERO, I), (0, 0))], 1, ONE + I),
+            ([(BinarySignature(ONE, ONE, I, I), (1, 1)), (EQ, (0, 1))], 2, ONE + I),
+            ([(BinarySignature(ONE, I, I, -ONE), (1, 1)), (NEQ, (0, 1))], 2, ZERO),
         ]
-        for sig, vars_ in repeated:
-            for constraint in (sig, membership(sig)):
-                with pytest.raises(RepeatedVariable, match="repeats a variable"):
-                    solve([(constraint, vars_), (NEQ, (0, 2))], 3)
-        constraints = [
-            (unary(1, 1), (0,)),
-            (UnarySignature(ONE, I), (0,)),
-            (UnarySignature(ONE, -ONE), (1,)),
-            (NEQ, (0, 2)),
-            (EQ, (1, 2)),
-        ]
-        witnessed = [(membership(sig), vars_) for sig, vars_ in constraints]
-        expected = csp_brute(3, constraints)
-        assert expected == I - ONE
-        assert solve(witnessed, 3) == solve(constraints, 3) == expected
+        for constraints, n, expected in cases:
+            witnessed = [(membership(sig), vars_) for sig, vars_ in constraints]
+            assert csp_brute(n, constraints) == expected, constraints
+            assert solve(constraints, n) == expected, constraints
+            assert solve(witnessed, n) == expected, constraints
+
+    def test_random_instances_against_brute(self, solve, membership, random_constraint):
+        rng = random.Random(59)
+        nonzero = 0
+        for trial in range(150):
+            n = rng.randint(1, 5)
+            constraints = repeated_variable_instance(rng, random_constraint, n)
+            assert any(len(set(vars_)) < len(vars_) for _, vars_ in constraints)
+            witnessed = [(membership(sig), vars_) for sig, vars_ in constraints]
+            expected = csp_brute(n, constraints)
+            assert solve(constraints, n) == expected, trial
+            assert solve(witnessed, n) == expected, trial
+            nonzero += not expected.is_zero()
+        assert nonzero >= 30
 
 
 class TestCspBrute:

@@ -96,9 +96,15 @@ class TestDecompose:
         assert not entry_exit_audit(dataclasses.replace(dec, codes=tuple(codes)))
 
     def test_rejects_nonzero_inner(self):
-        inst = uniform_instance(cycle_medial(3), sv(1, 1, 1, 1, 1, 1))
-        with pytest.raises(LoopSpaceError):
-            decompose(inst)
+        # decompose reads the map only; the inner-pair check is the base's,
+        # in induced_csp, on every call
+        f = sv(1, 1, 1, 1, 1, 1)
+        inst = uniform_instance(cycle_medial(3), f)
+        dec = decompose(inst)
+        with pytest.raises(LoopSpaceError, match="zero inner pair"):
+            induced_csp(dec, inst, profile_base=f)
+        with pytest.raises(LoopSpaceError, match="zero inner pair"):
+            evaluate(inst, profile_base=f)
 
     def test_rejects_vertex_of_other_degree(self):
         # a degree-4 vertex whose two remaining slots meet a degree-2 vertex:
@@ -310,14 +316,17 @@ class TestDecompositionKeptOnTheMap:
             assert again is not dec and again == dec
 
     def test_nonzero_inner_label_on_a_warm_map_raises(self):
+        # a c != 0 label is refused on every call, as the base or as a
+        # label that is no quarter turn of a c = 0 base
         m = cycle_medial(3)
         f = sv(1, 1, 0, 1, 1, 0)
         dec = decompose(uniform_instance(m, f))
         bad = sv(1, 1, 1, 1, 1, 1)
-        with pytest.raises(LoopSpaceError, match="zero inner pair"):
-            decompose(uniform_instance(m, bad))
+        for _ in range(2):
+            with pytest.raises(LoopSpaceError, match="zero inner pair"):
+                evaluate(uniform_instance(m, bad), profile_base=bad)
         one_bad = PlanarInstance(m, (bad,) + (f,) * (m.vertex_count - 1))
-        with pytest.raises(LoopSpaceError, match="zero inner pair"):
+        with pytest.raises(LoopSpaceError, match="not a rotation of the base"):
             evaluate(one_bad, profile_base=f)
         assert m.circuit_decomposition is dec
 

@@ -480,6 +480,13 @@ class TestProductCheckByIndex:
         assert len(verdicts) == 6, verdicts
 
 
+def flip_variable(g: GeneralSignature4, var: int) -> GeneralSignature4:
+    """g composed with Disequality on variable `var` (1 to 4): that input
+    negated."""
+    shift = 8 >> (var - 1)
+    return GeneralSignature4([g.entries[idx ^ shift] for idx in range(16)])
+
+
 def is_matchgate_general(g: GeneralSignature4) -> bool:
     """Reference arity-4 matchgate test: support of one parity, an odd one
     moved to even by flipping variable 1 (composing it with Disequality,
@@ -489,7 +496,7 @@ def is_matchgate_general(g: GeneralSignature4) -> bool:
     if parities == {0, 1}:
         return False
     if parities == {1}:
-        e = g.flip_variable(1).entries
+        e = flip_variable(g, 1).entries
     return e[0b0000] * e[0b1111] - e[0b0011] * e[0b1100] == (
         e[0b0110] * e[0b1001] - e[0b0101] * e[0b1010]
     )
@@ -530,7 +537,7 @@ class TestMatchgate:
         assert is_matchgate_hat(sv(0, 1, 2, 0, 1, 2)) == 1
         f, even = sv(0, 1, -2, 0, -1, 2), sv(0, 1, -2, 0, 1, -2)
         assert is_matchgate_hat(f) == -1
-        assert hadamard_image(f).flip_variable(1) == hadamard_image(even)
+        assert flip_variable(hadamard_image(f), 1) == hadamard_image(even)
         assert is_matchgate_hat(sv(0, 0, 0, 0, 0, 0)) == 1
 
     def test_hat_negative_family(self):

@@ -195,8 +195,9 @@ def large_maps():
 def test_c1_route_against_a_second_route(f, other, large_maps):
     solvers = [C1_SOLVERS[c] for c in C1 if c in classify(f).witnesses]
     assert solvers
-    # the edge #CSP splits each loop into two variables; past the cap this
-    # is checked only on the medial, since the grid has no loops
+    # the edge #CSP names a loop's variable twice in its vertex's table;
+    # past the cap this is checked only on the medial, since the grid has
+    # no loops
     assert loop_count(large_maps[1]) >= 40
     nonzero = 0
     for m in large_maps:
@@ -207,6 +208,43 @@ def test_c1_route_against_a_second_route(f, other, large_maps):
             assert solve(*route._edge_csp(inst)) == expected
         nonzero += not expected.is_zero()
     assert nonzero
+
+
+def test_c1_only_palette_identities_past_the_cap(large_maps):
+    """C1-only labels have no second route, so past the brute-force cap
+    the C1 route is checked against three identities of Holant(!= | f):
+    arrow reversal (a,b,c,x,y,z) -> (x,y,z,a,b,c) keeps the value, the
+    Galois action sigma_3 on every entry acts on the value, and scaling
+    every label by lam multiplies the value by lam^V."""
+    medial_300 = large_maps[1]
+    assert loop_count(medial_300) >= 40
+    lam = rational(2) * W
+    lam_v = lam ** medial_300.vertex_count
+    labels = c1_only_palette()
+    nonzero = 0
+    for f in labels:
+        a, b, c, x, y, z = f.tuple()
+        value = evaluate(uniform_instance(medial_300, f))
+        reversed_f = SixVertexSignature(x, y, z, a, b, c)
+        assert evaluate(uniform_instance(medial_300, reversed_f)) == value, f
+        conjugate = SixVertexSignature(*(v.galois(3) for v in f.tuple()))
+        assert evaluate(uniform_instance(medial_300, conjugate)) == value.galois(3), f
+        assert evaluate(uniform_instance(medial_300, f.scale(lam))) == lam_v * value, f
+        nonzero += not value.is_zero()
+    assert len(labels) == 116
+    assert nonzero >= 25
+
+
+def test_edge_csp_has_one_variable_per_edge(large_maps):
+    """Loops included: on a map with loops, a loop's vertex names its
+    variable twice, and the #CSP still has one variable per edge."""
+    for m in [*SMALL_MEDIALS, *large_maps]:
+        constraints, n_vars = route._edge_csp(uniform_instance(m, sv(0, 0, 1, 0, 0, 2)))
+        assert n_vars == m.edge_count
+        assert len(constraints) == m.vertex_count
+        assert {v for _, vars_ in constraints for v in vars_} == set(range(n_vars))
+        repeats = sum(len(set(vars_)) < len(vars_) for _, vars_ in constraints)
+        assert (repeats > 0) == (loop_count(m) > 0), m.edge_count
 
 
 # labels whose only witness is C3_M: FKT is their one polynomial route, so
