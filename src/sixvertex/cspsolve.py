@@ -198,7 +198,8 @@ def affine_eval(
 ) -> Scalar:
     """Exact sum over {0,1}^n of the product of affine constraints.
 
-    A constraint is a signature or its AffineWitness, and its variables
+    A constraint is a signature or its AffineWitness, with one variable
+    per slot (ValueError("arity mismatch") otherwise), and its variables
     may repeat: the witness's terms are folded onto each global variable
     (see the module docstring), so the Gauss sum sees the constraint's
     restriction to its diagonal.  A witness is used as given, and
@@ -320,7 +321,8 @@ def product_eval(
 ) -> Scalar:
     """Union-find with parity over =/!= chains, unary weights per component.
 
-    A constraint is a signature or its ProductWitness, and its variables
+    A constraint is a signature or its ProductWitness, with one variable
+    per slot (ValueError("arity mismatch") otherwise), and its variables
     may repeat: a block that names one variable in two slots relates it to
     itself, which holds at parity 0 and makes the value 0 otherwise, and
     two blocks led by one variable both weigh it.  A witness is used as
@@ -361,6 +363,8 @@ def product_eval(
         witness = sig if isinstance(sig, ProductWitness) else witness_of(sig)
         if witness is None:
             raise NotProduct(f"constraint not product-type: {sig!r}")
+        if witness.n != len(var_tuple):
+            raise ValueError("arity mismatch")
         if witness.zero:
             return ZERO
         for members, pars, weights in zip(

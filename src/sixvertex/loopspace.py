@@ -54,13 +54,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from operator import mul
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from .cspsolve import NotAffine, NotProduct, affine_eval, once_per_table, product_eval
 from .instance import PlanarInstance, RotationMap
 from .membership import is_affine, is_product
 from .scalar import MU8, ONE, ZERO, Scalar
-from .signature import BinarySignature, SixVertexSignature, UnarySignature
+from .signature import SixVertexSignature, Table
 
 
 class LoopSpaceError(ValueError):
@@ -181,11 +181,11 @@ def _walk(m: RotationMap) -> CircuitDecomposition:
 @dataclass(frozen=True)
 class InducedCSP:
     n_vars: int
-    binary: dict[tuple[int, int], BinarySignature]
-    unary: dict[int, UnarySignature]
+    binary: dict[tuple[int, int], Table]
+    unary: dict[int, Table]
 
-    def constraints(self) -> list[tuple[object, tuple[int, ...]]]:
-        out: list[tuple[object, tuple[int, ...]]] = []
+    def constraints(self) -> list[tuple[Table, tuple[int, ...]]]:
+        out: list[tuple[Table, tuple[int, ...]]] = []
         for (i, j), table in sorted(self.binary.items()):
             out.append((table, (i, j)))
         for i, table in sorted(self.unary.items()):
@@ -218,7 +218,7 @@ def _class_factors(label: SixVertexSignature, code: int) -> tuple[Scalar, ...]:
 _TURN = {root: t for t, root in enumerate(MU8)}  # w^t -> t
 
 # the table one induced_csp call shares for a tuple of packed entries
-_TableOf = Callable[[tuple[int, ...]], Union[BinarySignature, UnarySignature]]
+_TableOf = Callable[[tuple[int, ...]], Table]
 
 
 def induced_csp(
@@ -300,9 +300,9 @@ def induced_csp(
         return out
 
     vector_values: dict[int, Scalar] = {}
-    tables: dict[tuple[int, ...], Union[BinarySignature, UnarySignature]] = {}
+    tables: dict[tuple[int, ...], Table] = {}
 
-    def table_of(packed: tuple[int, ...]) -> Union[BinarySignature, UnarySignature]:
+    def table_of(packed: tuple[int, ...]) -> Table:
         table = tables.get(packed)
         if table is None:
             entries = []
@@ -311,8 +311,7 @@ def induced_csp(
                 if value is None:
                     value = vector_values[p] = value_of(p)
                 entries.append(value)
-            kind = BinarySignature if len(packed) == 4 else UnarySignature
-            table = tables[packed] = kind(*entries)
+            table = tables[packed] = Table(tuple(entries))
         return table
 
     base_forms = [profile_base.rotate(r) for r in range(4)]
@@ -335,7 +334,7 @@ def induced_csp(
         rows[pair] = rows.get(pair, 0) + n * packed
 
     binary = {}
-    by_profile: dict[int, BinarySignature] = {}
+    by_profile: dict[int, Table] = {}
     for pair, row in pair_rows.items():
         table = table_of((
             row & entry_mask,
@@ -349,12 +348,12 @@ def induced_csp(
             kl = [counts >> width * f & mask for f in range(8)]
             profile = by_profile[counts] = _profile_binary(kl[:4], kl[4:], outer, table_of)
         ij = divmod(pair, n_circuits)
-        if not (profile is table or profile.values() == table.values()):
+        if not (profile is table or profile.entries == table.entries):
             raise LoopSpaceError(f"direct and profile tables disagree on pair {ij}")
         binary[ij] = table
 
     unary = {}
-    by_profile_unary: dict[int, UnarySignature] = {}
+    by_profile_unary: dict[int, Table] = {}
     for pair, row in self_rows.items():
         table = table_of((row & entry_mask, row >> entry & entry_mask))
         counts = row >> profile_shift
@@ -363,7 +362,7 @@ def induced_csp(
             m = [counts >> width * f & mask for f in range(4)]
             profile = by_profile_unary[counts] = _profile_unary(m, outer, table_of)
         i = pair // n_circuits
-        if not (profile is table or profile.values() == table.values()):
+        if not (profile is table or profile.entries == table.entries):
             raise LoopSpaceError(f"direct and profile tables disagree on h_{i}")
         unary[i] = table
     return InducedCSP(n_circuits, binary, unary)
@@ -388,7 +387,7 @@ def _packed(outer: Sequence[int], exponents: Sequence[int]) -> int:
 
 def _profile_binary(
     k: Sequence[int], l: Sequence[int], outer: Sequence[int], table_of: _TableOf
-) -> BinarySignature:
+) -> Table:
     """Def-4.3 monomial evaluation from the (k, l) exponent profile: k counts
     the entry vertices in each form, l the exit vertices in each shifted
     form.  `outer` is the packed unit of each of the base's outer values in
@@ -408,7 +407,7 @@ def _profile_binary(
 
 def _profile_unary(
     m: Sequence[int], outer: Sequence[int], table_of: _TableOf
-) -> UnarySignature:
+) -> Table:
     """The unary profile table from m, the self-intersections in each form,
     over the packed units of the base's outer values."""
     m1, m2, m3, m4 = m

@@ -253,7 +253,7 @@ def synthesize(f: SixVertexSignature) -> tuple[PlaneGadget, Scalar]:
         turned = f.rotate(turn)
         if _wheel_applies(turned):
             wheel = add_flip_pigtail(_wheel_core(turned))
-            return _turned_back(wheel, turn, f.to_general().entries)
+            return _turned_back(wheel, turn, f.to_table().entries)
     raise SynthesisError(f"no wheel template applies to {f!r}")
 
 

@@ -36,12 +36,7 @@ from itertools import product
 from typing import Optional
 
 from .scalar import ONE, ZERO, Scalar
-from .signature import (
-    BinarySignature,
-    GeneralSignature4,
-    SixVertexSignature,
-    UnarySignature,
-)
+from .signature import SixVertexSignature, Table
 
 
 class WitnessError(RuntimeError):
@@ -50,16 +45,12 @@ class WitnessError(RuntimeError):
 
 
 def _values_of(sig) -> tuple[tuple[Scalar, ...], int]:
-    """Flatten a signature to (lex value list, arity)."""
-    if isinstance(sig, UnarySignature):
-        return sig.values(), 1
-    if isinstance(sig, BinarySignature):
-        return sig.values(), 2
+    """A Table's or a six-vertex signature's (entries, arity)."""
     if isinstance(sig, SixVertexSignature):
-        return sig.to_general().entries, 4
-    if isinstance(sig, GeneralSignature4):
-        return sig.entries, 4
-    raise TypeError(f"not a signature: {sig!r}")
+        sig = sig.to_table()
+    elif not isinstance(sig, Table):
+        raise TypeError(f"not a signature: {sig!r}")
+    return sig.entries, sig.arity
 
 
 def _bits(idx: int, n: int) -> tuple[int, ...]:

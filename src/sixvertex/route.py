@@ -15,8 +15,13 @@ Pfaffian runs on ints, and 0.6 s for the second, whose runs on Scalars):
   C3_M     matchgates and the Pfaffian,
   C3_Mhat  the Hadamard-transformed matchgates.
 
-C2 needs no route of its own: a zero in each pair forces ax = by = cz = 0,
-so ax = cz - by holds and every C2 signature is C3_M.  With no route left,
+On the plane C2 needs no route of its own: a zero in each pair forces
+ax = by = cz = 0, so ax = cz - by holds and every C2 signature is C3_M.
+That holds on the plane only.  C2 is the paper's type (1), polynomial on
+every graph, but C3_M is served by FKT, which is planar-only, as is loop
+space; only the C1 routes do not depend on the genus.  So a C2 signature
+that is not C1, such as (1,2,3,0,0,0), has no route here on a non-planar
+map, and PlanarInstance does not check planarity.  With no route left,
 evaluate raises NoPolynomialRoute; the brute-force oracles run only when a
 caller asks for them (oracle.holant_brute).
 
@@ -39,7 +44,7 @@ from .cspsolve import affine_eval, product_eval
 from .instance import PlanarInstance
 from .matchgate import fkt_eval, fkt_eval_hat
 from .scalar import ONE, Scalar
-from .signature import GeneralSignature4, format_signature
+from .signature import Table, format_signature
 
 
 class NoPolynomialRoute(ValueError):
@@ -82,7 +87,7 @@ def evaluate(inst: PlanarInstance) -> Scalar:
     )
 
 
-def _edge_csp(inst: PlanarInstance) -> tuple[list[tuple[object, tuple[int, ...]]], int]:
+def _edge_csp(inst: PlanarInstance) -> tuple[list[tuple[Table, tuple[int, ...]]], int]:
     """(constraints, variable count) of the edge #CSP.
 
     Variables are numbered in order of their edge's smaller half-edge, and
@@ -102,13 +107,13 @@ def _edge_csp(inst: PlanarInstance) -> tuple[list[tuple[object, tuple[int, ...]]
             flip[k] = 1
             n_vars += 1
     constraints = []
-    tables: dict[tuple[int, int], GeneralSignature4] = {}
+    tables: dict[tuple[int, int], Table] = {}
     for (h0, h1, h2, h3), label in zip(m.vertices, inst.labels):
         mask = flip[h0] << 3 | flip[h1] << 2 | flip[h2] << 1 | flip[h3]
         key = (id(label), mask)
         table = tables.get(key)
         if table is None:
-            entries = label.to_general().entries
-            table = tables[key] = GeneralSignature4([entries[i ^ mask] for i in range(16)])
+            entries = label.to_table().entries
+            table = tables[key] = Table(tuple([entries[i ^ mask] for i in range(16)]))
         constraints.append((table, (var[h0], var[h1], var[h2], var[h3])))
     return constraints, n_vars

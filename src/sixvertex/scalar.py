@@ -11,6 +11,7 @@ No floating point is used anywhere.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 from sys import hash_info
@@ -317,10 +318,14 @@ _MU8_ORDER = {root: 8 // gcd(k, 8) for k, root in enumerate(MU8)}  # gcd(0, 8) =
 #   rational := int | int "/" posint
 #
 # "a - b" is accepted as shorthand for "a + -b", and a bare "w" or "w^k"
-# for "1*w^k".
+# for "1*w^k".  Rationals are ASCII digits, with no point or exponent.
+
+_RATIONAL = re.compile(r"[0-9]+(/[0-9]+)?")
 
 
 def parse_scalar(text: str) -> Scalar:
+    """The literal's value; ValueError for any other text, and for a number
+    past the int-to-str digit limit (sys.get_int_max_str_digits)."""
     s = text.strip()
     if not s:
         raise ValueError("empty scalar literal")
@@ -372,6 +377,8 @@ def _parse_term(term: str) -> Scalar:
 def _parse_rational(text: str) -> Fraction:
     text = text.strip()
     try:
+        if not _RATIONAL.fullmatch(text):
+            raise ValueError(text)
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational {text!r} in scalar literal") from exc
@@ -385,18 +392,39 @@ def _parse_int(text: str) -> int:
 
 
 def format_scalar(value: Scalar) -> str:
-    """Canonical literal, round-trips through parse_scalar."""
+    """Canonical literal, of any size, that round-trips through
+    parse_scalar up to the int-to-str digit limit it reads under."""
     parts: list[str] = []
     for power, coeff in enumerate(value.coefficients):
         if coeff == 0:
             continue
-        if power == 0:
-            parts.append(str(coeff))
-        else:
-            parts.append(f"{coeff}*w^{power}")
+        text = _decimal(coeff.numerator)
+        if coeff.denominator != 1:
+            text += "/" + _decimal(coeff.denominator)
+        parts.append(text if power == 0 else f"{text}*w^{power}")
     if not parts:
         return "0"
     return " + ".join(parts)
+
+
+# str() of an int below 10^600 is within every int-to-str digit limit
+# the interpreter accepts (none is below 640), and leaves the limit as is
+_DIGITS = 600
+_SPLIT = 10**_DIGITS
+
+
+def _decimal(n: int) -> str:
+    """str(n) for an int of any size: str(n) below 10^600, else the digits
+    of n split at the least 10^(600 * 2^j) whose square exceeds n."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    if n < _SPLIT:
+        return str(n)
+    split, digits = _SPLIT, _DIGITS
+    while split * split <= n:
+        split, digits = split * split, 2 * digits
+    hi, lo = divmod(n, split)
+    return _decimal(hi) + _decimal(lo).zfill(digits)
 
 
 def rational(num: int, den: int = 1) -> Scalar:

@@ -1,4 +1,4 @@
-"""Six-vertex and general arity-<=4 signatures.
+"""Six-vertex signatures and the truth tables of #CSP constraints.
 
 The paper writes a signature as the 4x4 matrix M_{x1x2,x4x3}(f), row x1x2
 and column x4x3 in lexicographic order, so that planar composition is a
@@ -19,58 +19,27 @@ four inputs one quarter turn counterclockwise maps (a,b,c,x,y,z) to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .scalar import ZERO, Scalar, format_scalar, parse_scalar
 
 
-@dataclass(frozen=True)
-class UnarySignature:
-    u0: Scalar
-    u1: Scalar
+@dataclass(frozen=True, slots=True)
+class Table:
+    """A Boolean constraint of arity 1, 2 or 4 as its truth table: the
+    tuple `entries` holds its value at (x1..xn) at the index that reads
+    x1..xn as a binary number, x1 the high bit."""
 
-    def value(self, x: int) -> Scalar:
-        return self.u1 if x else self.u0
+    entries: tuple[Scalar, ...]
 
-    def values(self) -> tuple[Scalar, Scalar]:
-        return (self.u0, self.u1)
+    def __post_init__(self):
+        if type(self.entries) is not tuple:
+            raise TypeError("a Table's entries are a tuple")
+        if len(self.entries) not in (2, 4, 16):
+            raise ValueError("a Table needs 2, 4 or 16 entries")
 
-
-@dataclass(frozen=True)
-class BinarySignature:
-    g00: Scalar
-    g01: Scalar
-    g10: Scalar
-    g11: Scalar
-
-    def value(self, x1: int, x2: int) -> Scalar:
-        return (self.g00, self.g01, self.g10, self.g11)[2 * x1 + x2]
-
-    def values(self) -> tuple[Scalar, Scalar, Scalar, Scalar]:
-        return (self.g00, self.g01, self.g10, self.g11)
-
-
-class GeneralSignature4:
-    """Arity-4 signature as 16 values indexed by (x1,x2,x3,x4) lexicographic."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: Sequence[Scalar]):
-        if len(entries) != 16:
-            raise ValueError("GeneralSignature4 needs 16 entries")
-        object.__setattr__(self, "entries", tuple(entries))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GeneralSignature4 is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GeneralSignature4) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return "GeneralSignature4([" + ", ".join(format_scalar(e) for e in self.entries) + "])"
+    @property
+    def arity(self) -> int:
+        return len(self.entries).bit_length() - 1  # 2, 4, 16 entries: 1, 2, 4
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,13 +63,8 @@ class SixVertexSignature:
         field = _PATTERN_FIELD.get((x1, x2, x3, x4))
         return ZERO if field is None else getattr(self, field)
 
-    def to_general(self) -> GeneralSignature4:
-        entries = []
-        for idx in range(16):
-            entries.append(
-                self.value((idx >> 3) & 1, (idx >> 2) & 1, (idx >> 1) & 1, idx & 1)
-            )
-        return GeneralSignature4(entries)
+    def to_table(self) -> Table:
+        return Table(tuple([ZERO if n is None else getattr(self, n) for n in _FIELD_AT]))
 
     def rotate(self, quarter_turns: int = 1) -> "SixVertexSignature":
         """One quarter turn maps (a,b,c,x,y,z) to (y,a,z,b,x,c)."""
@@ -137,6 +101,10 @@ _SIX_PATTERNS = (
 # input pattern -> the SixVertexSignature field it reads; every other
 # pattern has value zero
 _PATTERN_FIELD = dict(zip(_SIX_PATTERNS, ("a", "b", "c", "x", "y", "z")))
+# entry index -> the field the entry reads, or None where it is zero
+_FIELD_AT = tuple(
+    _PATTERN_FIELD.get((i >> 3 & 1, i >> 2 & 1, i >> 1 & 1, i & 1)) for i in range(16)
+)
 
 
 # -- planar composition --------------------------------------------------------
@@ -159,13 +127,14 @@ def compose_n(f: SixVertexSignature, g: SixVertexSignature) -> SixVertexSignatur
     )
 
 
-def hadamard_image(f: GeneralSignature4 | SixVertexSignature) -> GeneralSignature4:
+def hadamard_image(f: Table | SixVertexSignature) -> Table:
     """Unnormalized Hadamard transform: fhat(y) = sum_x (-1)^{<x,y>} f(x)."""
-    g = f.to_general() if isinstance(f, SixVertexSignature) else f
+    g = f.to_table() if isinstance(f, SixVertexSignature) else f
+    size = len(g.entries)
     entries = []
-    for yidx in range(16):
+    for yidx in range(size):
         acc = ZERO
-        for xidx in range(16):
+        for xidx in range(size):
             term = g.entries[xidx]
             if term.is_zero():
                 continue
@@ -174,7 +143,7 @@ def hadamard_image(f: GeneralSignature4 | SixVertexSignature) -> GeneralSignatur
             else:
                 acc = acc + term
         entries.append(acc)
-    return GeneralSignature4(entries)
+    return Table(tuple(entries))
 
 
 # -- literals ----------------------------------------------------------------

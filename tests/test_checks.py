@@ -23,7 +23,7 @@ import pytest
 
 from sixvertex import membership
 from sixvertex.membership import WitnessError, is_product
-from sixvertex.signature import BinarySignature
+from sixvertex.signature import Table
 from sixvertex.scalar import ONE, ZERO
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -164,7 +164,7 @@ def test_missing_target_scan(monkeypatch):
 def test_product_witness_check_raises(monkeypatch):
     monkeypatch.setattr(membership, "_product_matches", lambda *args: False)
     with pytest.raises(WitnessError):
-        is_product(BinarySignature(ONE, ZERO, ZERO, ONE))
+        is_product(Table((ONE, ZERO, ZERO, ONE)))
 
 
 OPTIMIZED_CHECKS = """
@@ -172,21 +172,21 @@ import sixvertex
 from sixvertex import loopspace, matchgate, membership
 from sixvertex.instance import grid_patch, uniform_instance
 from sixvertex.membership import WitnessError
-from sixvertex.signature import BinarySignature, SixVertexSignature
+from sixvertex.signature import SixVertexSignature, Table
 from sixvertex.scalar import ONE, ZERO
 
 raised = []
 real = membership._product_matches
 membership._product_matches = lambda *args: False
 try:
-    membership.is_product(BinarySignature(ONE, ZERO, ZERO, ONE))
+    membership.is_product(Table((ONE, ZERO, ZERO, ONE)))
 except WitnessError:
     raised.append("witness")
 membership._product_matches = real
 
 f = SixVertexSignature.from_values(2, 3, 0, 5, 7, 0)
 inst = uniform_instance(grid_patch(2, 2), f)
-loopspace._profile_binary = lambda *args: BinarySignature(ONE, ONE, ONE, ZERO)
+loopspace._profile_binary = lambda *args: Table((ONE, ONE, ONE, ZERO))
 try:
     loopspace.evaluate(inst, profile_base=f)
 except loopspace.LoopSpaceError:

@@ -1,6 +1,9 @@
 import random
+from collections import Counter
 
-from sixvertex.scalar import MU8, W, rational
+import pytest
+
+from sixvertex.scalar import I, MU8, ONE, W, ZERO, rational
 from sixvertex.classify import (
     Condition,
     GeneralClass,
@@ -93,6 +96,57 @@ class TestInvariance:
                 assert is_matchgate(f)
             found += 1
         assert found == 200
+
+
+# the nonzero values of the palette {0, 1, 2, 3, -1, i, zeta8}
+NONZERO_PALETTE = (ONE, rational(2), rational(3), -ONE, I, W)
+
+SYMMETRIES = {
+    "arrow reversal": lambda f: SixVertexSignature(f.x, f.y, f.z, f.a, f.b, f.c),
+    "mirror image": lambda f: SixVertexSignature(f.x, f.b, f.z, f.a, f.y, f.c),
+    "sigma3": lambda f: SixVertexSignature(*(v.galois(3) for v in f.tuple())),
+    "sigma5": lambda f: SixVertexSignature(*(v.galois(5) for v in f.tuple())),
+}
+
+
+def palette_draws(seed, count):
+    """Signatures whose entries are each zero with probability 1/2, else a
+    uniform nonzero value of the palette."""
+    rng = random.Random(seed)
+    return [
+        SixVertexSignature(
+            *(ZERO if rng.random() < 0.5 else rng.choice(NONZERO_PALETTE) for _ in range(6))
+        )
+        for _ in range(count)
+    ]
+
+
+# how often each condition holds at least among the 300 draws of seed 7
+# (they reach 119 C3_M, 118 C2, 115 C1_P, 63 C1_A, 42 C4i, 7 C3_Mhat and
+# 1 C4ii)
+MIN_REACHED = {
+    Condition.C1_P: 50,
+    Condition.C1_A: 30,
+    Condition.C2_ZERO_PAIRS: 50,
+    Condition.C3_M: 50,
+    Condition.C3_MHAT: 5,
+    Condition.C4I: 20,
+    Condition.C4II: 1,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIES))
+def test_witness_sets_invariant_under_symmetries(name):
+    """Reversing every arrow, mirroring the vertex and the Galois maps
+    sigma3 and sigma5 keep every condition of the trichotomy, so each
+    keeps the witness set; the draws reach every condition."""
+    symmetry = SYMMETRIES[name]
+    reached = Counter()
+    for f in palette_draws(7, 300):
+        witnesses = classify(f).witnesses
+        assert classify(symmetry(f)).witnesses == witnesses, (name, f)
+        reached.update(witnesses)
+    assert all(reached[c] >= MIN_REACHED[c] for c in Condition), reached
 
 
 class TestWitnessSets:

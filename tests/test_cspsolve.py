@@ -12,12 +12,7 @@ from sixvertex.cspsolve import (
 from sixvertex.membership import is_affine, is_product
 from sixvertex.oracle import OracleCapExceeded
 from sixvertex.scalar import I, MU8, ONE, ZERO, Scalar, rational
-from sixvertex.signature import (
-    BinarySignature,
-    GeneralSignature4,
-    SixVertexSignature,
-    UnarySignature,
-)
+from sixvertex.signature import Table
 from test_membership import affine_value
 
 CSP_CAP = 20  # variables
@@ -27,26 +22,23 @@ def csp_brute(n_vars, constraints):
     """Sum over {0,1}^n of constraint products, the ground truth the
     solvers are checked against.
 
-    Constraints are (signature, variable tuple) with signatures of arity
-    1, 2 or 4; variables may repeat.
+    Constraints are (Table, variable tuple), each read at the index its
+    variables' values spell; variables may repeat.
     """
     if n_vars > CSP_CAP:
         raise OracleCapExceeded(f"{n_vars} variables exceeds the #CSP cap {CSP_CAP}")
     for sig, _ in constraints:
-        if not isinstance(
-            sig, (UnarySignature, BinarySignature, SixVertexSignature, GeneralSignature4)
-        ):
+        if not isinstance(sig, Table):
             raise TypeError(f"unsupported constraint {sig!r}")
     total = ZERO
     for mask in range(2 ** n_vars):
         assign = [(mask >> (n_vars - 1 - t)) & 1 for t in range(n_vars)]
         term = ONE
         for sig, var_tuple in constraints:
-            args = [assign[v] for v in var_tuple]
-            if isinstance(sig, GeneralSignature4):
-                val = sig.entries[args[0] << 3 | args[1] << 2 | args[2] << 1 | args[3]]
-            else:
-                val = sig.value(*args)
+            idx = 0
+            for v in var_tuple:
+                idx = idx << 1 | assign[v]
+            val = sig.entries[idx]
             if val.is_zero():
                 term = ZERO
                 break
@@ -56,11 +48,11 @@ def csp_brute(n_vars, constraints):
 
 
 def unary(a, b):
-    return UnarySignature(Scalar.from_rational(a), Scalar.from_rational(b))
+    return Table((Scalar.from_rational(a), Scalar.from_rational(b)))
 
 
 def binary(a, b, c, d):
-    return BinarySignature(*(Scalar.from_rational(v) for v in (a, b, c, d)))
+    return Table(tuple(Scalar.from_rational(v) for v in (a, b, c, d)))
 
 
 EQ = binary(1, 0, 0, 1)
@@ -76,11 +68,11 @@ def random_affine_constraint(rng, n_vars):
         v = rng.randrange(n_vars)
         style = rng.randrange(3)
         if style == 0:
-            sig = UnarySignature(lam, lam * I ** rng.randrange(4))
+            sig = Table((lam, lam * I ** rng.randrange(4)))
         elif style == 1:
-            sig = UnarySignature(lam, ZERO)
+            sig = Table((lam, ZERO))
         else:
-            sig = UnarySignature(ZERO, lam)
+            sig = Table((ZERO, lam))
         return (sig, (v,))
     u, v = rng.sample(range(n_vars), 2)
     style = rng.randrange(4)
@@ -89,18 +81,18 @@ def random_affine_constraint(rng, n_vars):
         a = rng.randrange(4)
         b = rng.randrange(4)
         cross = 2 * rng.randrange(2)
-        sig = BinarySignature(
+        sig = Table((
             lam,
             lam * I ** b,
             lam * I ** a,
             lam * I ** ((a + b + cross) % 4),
-        )
+        ))
     elif style == 1:
-        sig = BinarySignature(lam, ZERO, ZERO, lam * I ** rng.randrange(4))
+        sig = Table((lam, ZERO, ZERO, lam * I ** rng.randrange(4)))
     elif style == 2:
-        sig = BinarySignature(ZERO, lam, lam * I ** rng.randrange(4), ZERO)
+        sig = Table((ZERO, lam, lam * I ** rng.randrange(4), ZERO))
     else:
-        sig = BinarySignature(lam, ZERO, ZERO, ZERO)
+        sig = Table((lam, ZERO, ZERO, ZERO))
     return (sig, (u, v))
 
 
@@ -114,15 +106,15 @@ def random_product_constraint(rng, n_vars):
     style = rng.randrange(3)
     if style == 0:
         # weighted equality
-        sig = BinarySignature(rational(rng.randint(-2, 2)), ZERO, ZERO, rational(rng.randint(-2, 2)))
+        sig = Table((rational(rng.randint(-2, 2)), ZERO, ZERO, rational(rng.randint(-2, 2))))
     elif style == 1:
-        sig = BinarySignature(ZERO, rational(rng.randint(-2, 2)), rational(rng.randint(-2, 2)), ZERO)
+        sig = Table((ZERO, rational(rng.randint(-2, 2)), rational(rng.randint(-2, 2)), ZERO))
     else:
         # degenerate rank-1
         a, b, c, d = (rng.randint(-2, 2) for _ in range(4))
-        sig = BinarySignature(
+        sig = Table((
             rational(a * c), rational(a * d), rational(b * c), rational(b * d)
-        )
+        ))
     return (sig, (u, v))
 
 
@@ -141,19 +133,19 @@ def nonzero_affine_instance(seed, n_vars, n_cross, n_rows, weighted=False):
     terms every constraint is product-type as well, and each tree of rows
     sums to 1 + w for one phase w, which is 0 only when w = -1."""
     rng = random.Random(seed)
-    constraints = [(UnarySignature(ONE, I), (v,)) for v in range(n_vars)]
+    constraints = [(Table((ONE, I)), (v,)) for v in range(n_vars)]
     if weighted:
         for v in range(n_vars):
             lam = rng.choice((*MU8, rational(2)))
             ramp = I ** rng.choice((0, 2, 3))
-            constraints.append((UnarySignature(lam, lam * ramp), (v,)))
+            constraints.append((Table((lam, lam * ramp)), (v,)))
     for _ in range(n_cross):
         constraints.append((binary(1, 1, 1, -1), tuple(rng.sample(range(n_vars), 2))))
     for t in range(n_rows):
         lam, ramp = MU8[rng.randrange(8)], I ** rng.randrange(4)
         sig = rng.choice([
-            BinarySignature(lam, ZERO, ZERO, lam * ramp),
-            BinarySignature(ZERO, lam, lam * ramp, ZERO),
+            Table((lam, ZERO, ZERO, lam * ramp)),
+            Table((ZERO, lam, lam * ramp, ZERO)),
         ])
         constraints.append((sig, (rng.randrange(t + 1), t + 1)))
     return constraints
@@ -165,17 +157,17 @@ class TestAffineBasics:
 
     def test_single_linear_term(self):
         # Q = x1: 1 + i
-        sig = UnarySignature(ONE, I)
+        sig = Table((ONE, I))
         assert affine_eval([(sig, (0,))], 1) == ONE + I
 
     def test_cross_term(self):
         # Q = 2 x1 x2: 1 + 1 + 1 + i^2 = 2
-        sig = BinarySignature(ONE, ONE, ONE, -ONE)
+        sig = Table((ONE, ONE, ONE, -ONE))
         assert affine_eval([(sig, (0, 1))], 2) == rational(2)
 
     def test_inconsistent_system_gives_zero(self):
-        pin0 = UnarySignature(ONE, ZERO)
-        pin1 = UnarySignature(ZERO, ONE)
+        pin0 = Table((ONE, ZERO))
+        pin1 = Table((ZERO, ONE))
         assert affine_eval([(pin0, (0,)), (pin1, (0,))], 1) == ZERO
 
     def test_variable_freed_by_substitution_is_summed(self):
@@ -231,8 +223,8 @@ class TestAffinePastTheCap:
         # Summing the leaves gives (1 + i)^200 at x0 = 0 and i (1 - i)^200
         # at x0 = 1, and (1 +- i)^200 = (+-2i)^100 = 2^100.
         leaves = 200
-        ramp = UnarySignature(ONE, I)
-        cross = BinarySignature(ONE, ONE, ONE, -ONE)
+        ramp = Table((ONE, I))
+        cross = Table((ONE, ONE, ONE, -ONE))
         constraints = [(ramp, (0,))]
         for j in range(1, leaves + 1):
             constraints += [(cross, (0, j)), (ramp, (j,))]
@@ -242,7 +234,7 @@ class TestAffinePastTheCap:
         # sum over x of prod (-1)^{x_v x_{v+1}} is 1^T M^{n-1} 1 with
         # M = [[1, 1], [1, -1]]
         n = 10_000
-        g = BinarySignature(ONE, ONE, ONE, -ONE)
+        g = Table((ONE, ONE, ONE, -ONE))
         row = [1, 1]
         for _ in range(n - 1):
             row = [row[0] + row[1], row[0] - row[1]]
@@ -320,12 +312,12 @@ class TestProductAgainstBrute:
 
 class TestNormalForm:
     def test_binary_with_cross(self):
-        g = BinarySignature(ONE, I, I, ONE)
+        g = Table((ONE, I, I, ONE))
         w = is_affine(g)
         # d + a - b - c = -2, so one cross bit; reconstruct entrywise
         for x1 in range(2):
             for x2 in range(2):
-                assert affine_value(w, (x1, x2)) == g.value(x1, x2)
+                assert affine_value(w, (x1, x2)) == g.entries[2 * x1 + x2]
 
     def test_diseq(self):
         w = is_affine(NEQ)
@@ -333,7 +325,7 @@ class TestNormalForm:
         assert all(bit == 0 for (_, _, bit) in w.quad_cross)
 
     def test_unary_power(self):
-        w = is_affine(UnarySignature(ONE, I ** 3))
+        w = is_affine(Table((ONE, I ** 3)))
         assert w.quad_lin[0] == 3
 
 
@@ -373,7 +365,7 @@ class TestOneMembershipRunPerTable:
 
     def test_affine_chain_of_one_table(self, monkeypatch):
         n = 1000
-        g = BinarySignature(ONE, ONE, ONE, -ONE)
+        g = Table((ONE, ONE, ONE, -ONE))
         constraints = [(g, (v, v + 1)) for v in range(n - 1)]
         seen = self.counted(monkeypatch, "is_affine")
         assert affine_eval(constraints, n) == rational(2**500)
@@ -396,12 +388,12 @@ class TestOneMembershipRunPerTable:
         different objects still share one membership run."""
         hashed = []
 
-        class Counted(BinarySignature):
+        class Counted(Table):
             def __hash__(self):
                 hashed.append(self)
                 return super().__hash__()
 
-        g, h = Counted(ONE, ONE, ONE, -ONE), Counted(ONE, ONE, ONE, -ONE)
+        g, h = Counted((ONE, ONE, ONE, -ONE)), Counted((ONE, ONE, ONE, -ONE))
         seen = self.counted(monkeypatch, "is_affine")
         counts = []
         for n in (10, 1000):
@@ -418,7 +410,7 @@ class TestOneMembershipRunPerTable:
         (a miss and a hit on an equal value alike), and never again."""
         hashed = []
 
-        class Counted(BinarySignature):
+        class Counted(Table):
             def __hash__(self):
                 hashed.append(id(self))
                 return super().__hash__()
@@ -429,7 +421,7 @@ class TestOneMembershipRunPerTable:
             runs.append(table)
             return is_affine(table)
 
-        g, h, k = Counted(ONE, ONE, ONE, -ONE), Counted(ONE, ONE, ONE, -ONE), Counted(ONE, I, I, ONE)
+        g, h, k = Counted((ONE, ONE, ONE, -ONE)), Counted((ONE, ONE, ONE, -ONE)), Counted((ONE, I, I, ONE))
         witness_of = cspsolve.once_per_table(membership)
         witnesses = [witness_of(t) for t in (g, h, k, g, h, k, g)]
         assert sorted(hashed) == sorted([id(g), id(h), id(k)])
@@ -450,7 +442,7 @@ class TestOneMembershipRunPerTable:
         with pytest.raises(RuntimeError):
             witness_of(EQ)
         assert witness_of(EQ) is not None
-        assert witness_of(EQ) is witness_of(BinarySignature(*EQ.values()))
+        assert witness_of(EQ) is witness_of(Table(EQ.entries))
         assert len(calls) == 2
 
 
@@ -479,9 +471,12 @@ def random_table4(rng, random_constraint):
         x = [(idx >> (3 - t)) & 1 for t in range(4)]
         term = ONE
         for sig, slots in parts:
-            term = term * sig.value(*(x[s] for s in slots))
+            idx = 0
+            for s in slots:
+                idx = idx << 1 | x[s]
+            term = term * sig.entries[idx]
         entries.append(term)
-    return GeneralSignature4(entries)
+    return Table(tuple(entries))
 
 
 def repeated_variable_instance(rng, random_constraint, n):
@@ -492,11 +487,11 @@ def repeated_variable_instance(rng, random_constraint, n):
     for t in range(rng.randint(1, 3)):
         if rng.random() < 0.5:
             sig = random_constraint(rng, 2)[0]
-            if not isinstance(sig, BinarySignature):
+            if sig.arity != 2:
                 sig = random_table4(rng, random_constraint)
         else:
             sig = random_table4(rng, random_constraint)
-        arity = 2 if isinstance(sig, BinarySignature) else 4
+        arity = sig.arity
         vars_ = [rng.randrange(n) for _ in range(arity)]
         if t == 0:
             vars_[rng.randrange(1, arity)] = vars_[0]
@@ -523,9 +518,9 @@ class TestRepeatedVariables:
             ([(NEQ, (0, 0))], 1, ZERO),
             ([(NEQ, (0, 0)), (EQ, (1, 2))], 3, ZERO),
             ([(EQ, (0, 0))], 1, rational(2)),
-            ([(BinarySignature(ONE, ZERO, ZERO, I), (0, 0))], 1, ONE + I),
-            ([(BinarySignature(ONE, ONE, I, I), (1, 1)), (EQ, (0, 1))], 2, ONE + I),
-            ([(BinarySignature(ONE, I, I, -ONE), (1, 1)), (NEQ, (0, 1))], 2, ZERO),
+            ([(Table((ONE, ZERO, ZERO, I)), (0, 0))], 1, ONE + I),
+            ([(Table((ONE, ONE, I, I)), (1, 1)), (EQ, (0, 1))], 2, ONE + I),
+            ([(Table((ONE, I, I, -ONE)), (1, 1)), (NEQ, (0, 1))], 2, ZERO),
         ]
         for constraints, n, expected in cases:
             witnessed = [(membership(sig), vars_) for sig, vars_ in constraints]
@@ -548,21 +543,35 @@ class TestRepeatedVariables:
         assert nonzero >= 30
 
 
+@pytest.mark.parametrize(
+    "solve, membership",
+    [(product_eval, is_product), (affine_eval, is_affine)],
+    ids=["product", "affine"],
+)
+@pytest.mark.parametrize("var_tuple", [(0, 1, 2), (0,)], ids=["too many", "too few"])
+def test_arity_mismatch_is_refused(solve, membership, var_tuple):
+    """A binary constraint named with three variables or one is refused,
+    not summed as if its missing or extra slot were free."""
+    for sig in (EQ, membership(EQ)):
+        with pytest.raises(ValueError, match="arity mismatch"):
+            solve([(sig, var_tuple)], 3)
+
+
 class TestCspBrute:
     def test_unary(self):
-        assert csp_brute(1, [(UnarySignature(ONE, ONE), (0,))]) == rational(2)
+        assert csp_brute(1, [(Table((ONE, ONE)), (0,))]) == rational(2)
 
     def test_diseq(self):
-        g = BinarySignature(ZERO, ONE, ONE, ZERO)
+        g = Table((ZERO, ONE, ONE, ZERO))
         assert csp_brute(2, [(g, (0, 1))]) == rational(2)
 
     def test_g1f_table(self):
         a, b, y, x = rational(2), rational(3), rational(5), rational(7)
-        g = BinarySignature(a * a, b * y, b * y, x * x)
+        g = Table((a * a, b * y, b * y, x * x))
         assert csp_brute(2, [(g, (0, 1))]) == a * a + b * y + b * y + x * x
 
     def test_rejects_unsupported_constraint(self):
         # a membership witness is not a signature table
-        witness = is_product(UnarySignature(ONE, ONE))
+        witness = is_product(Table((ONE, ONE)))
         with pytest.raises(TypeError):
-            csp_brute(1, [(UnarySignature(ONE, ONE), (0,)), (witness, (0,))])
+            csp_brute(1, [(Table((ONE, ONE)), (0,)), (witness, (0,))])

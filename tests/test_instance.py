@@ -20,7 +20,7 @@ from sixvertex.instance import (
     serialize_instance,
     uniform_instance,
 )
-from sixvertex.signature import BinarySignature, SixVertexSignature
+from sixvertex.signature import SixVertexSignature, Table
 from sixvertex.scalar import ONE, ZERO
 
 
@@ -306,9 +306,9 @@ class TestInstances:
         # every label is a six-vertex signature on a degree-4 vertex
         m = cycle_medial(3)
         with pytest.raises(MapError):
-            PlanarInstance(m, tuple(BinarySignature(ONE, ZERO, ZERO, ONE) for _ in range(3)))
+            PlanarInstance(m, tuple(Table((ONE, ZERO, ZERO, ONE)) for _ in range(3)))
         with pytest.raises(MapError):
-            uniform_instance(m, ICE.to_general())
+            uniform_instance(m, ICE.to_table())
         with pytest.raises(MapError):
             uniform_instance(cycle_graph(3), ICE)
         text = serialize_instance(uniform_instance(m, ICE))

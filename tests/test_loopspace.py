@@ -25,7 +25,7 @@ from sixvertex.loopspace import (
 )
 from sixvertex.oracle import HOLANT_CAP, holant_brute
 from sixvertex.scalar import MU8, ONE, W, ZERO, Scalar, rational
-from sixvertex.signature import BinarySignature, SixVertexSignature, UnarySignature
+from sixvertex.signature import SixVertexSignature, Table
 from test_matchgate import torus_grid
 
 
@@ -112,7 +112,7 @@ class TestDecompose:
         f = sv(1, 1, 0, 1, 1, 0)
         m = RotationMap([[0, 1, 2, 3], [4, 5]], {0: 1, 1: 0, 2: 4, 4: 2, 3: 5, 5: 3})
         with pytest.raises(MapError):
-            PlanarInstance(m, (f, BinarySignature(ONE, ONE, ONE, ONE)))
+            PlanarInstance(m, (f, Table((ONE, ONE, ONE, ONE))))
 
     def test_random_instances_balanced(self):
         rng = random.Random(60)
@@ -132,7 +132,7 @@ class TestTables:
         assert not csp.binary
         (table,) = csp.unary.values()
         # Table 3: a on e=0, x on e=1, for some rotation form
-        assert set(table.values()) in (
+        assert set(table.entries) in (
             {f.a, f.x},
             {f.b, f.y},
         )
@@ -156,7 +156,7 @@ class TestTables:
         if csp.binary:
             vals = set()
             for table in csp.binary.values():
-                vals.update(table.values())
+                vals.update(table.entries)
             products = {
                 f.a * f.a, f.x * f.x, f.b * f.y, f.a * f.x, f.b * f.b, f.y * f.y
             }
@@ -238,7 +238,7 @@ class TestWitnessReuse:
 
         def counted(name, real):
             def wrapper(sig):
-                seen[name].append(sig.values())
+                seen[name].append(sig.entries)
                 return real(sig)
 
             return wrapper
@@ -265,7 +265,7 @@ class TestWitnessReuse:
                 seen[key].clear()
             evaluate(inst, profile_base=f)
             csp = induced_csp(decompose(inst), inst, profile_base=f)
-            distinct = {table.values() for table, _ in csp.constraints()}
+            distinct = {table.entries for table, _ in csp.constraints()}
             for key in ("product", "affine"):
                 assert len(seen[key]) == len(set(seen[key]))
                 assert set(seen[key]) <= distinct
@@ -278,7 +278,7 @@ class TestWitnessReuse:
         evaluate(inst, profile_base=f)
         csp = induced_csp(decompose(inst), inst, profile_base=f)
         n_tables = len(csp.constraints())
-        n_distinct = len({table.values() for table, _ in csp.constraints()})
+        n_distinct = len({table.entries for table, _ in csp.constraints()})
         assert n_distinct < n_tables  # the grid repeats its tables
         assert len(seen["product"]) == n_distinct
         assert seen["affine"] == []
@@ -415,10 +415,10 @@ def assert_tables_equal_plain_factor_products(inst, f):
         expected = tuple(
             plain(vertices, {i: b, j: bp}) for b in (0, 1) for bp in (0, 1)
         )
-        assert csp.binary[(i, j)].values() == expected
+        assert csp.binary[(i, j)].entries == expected
     for i, vertices in by_self.items():
         expected = tuple(plain(vertices, {i: b}) for b in (0, 1))
-        assert csp.unary[i].values() == expected
+        assert csp.unary[i].entries == expected
 
 
 def reference_vertex_fields(inst, dec):
@@ -622,7 +622,7 @@ class TestInducedTables:
         dec = decompose(inst)
         assert induced_csp(dec, inst, profile_base=f).binary
         monkeypatch.setattr(
-            loopspace, "_profile_binary", lambda *args: BinarySignature(ONE, ONE, ONE, ZERO)
+            loopspace, "_profile_binary", lambda *args: Table((ONE, ONE, ONE, ZERO))
         )
         with pytest.raises(LoopSpaceError):
             induced_csp(dec, inst, profile_base=f)
@@ -652,7 +652,7 @@ class TestPackedVectors:
 
         def fresh(*args):
             table = real(*args)
-            copy = type(table)(*table.values())
+            copy = Table(table.entries)
             copies.append(copy)
             return copy
 
@@ -673,7 +673,7 @@ class TestPackedVectors:
         dec = decompose(inst)
         assert induced_csp(dec, inst, profile_base=f).unary
         monkeypatch.setattr(
-            loopspace, "_profile_unary", lambda *args: UnarySignature(ONE, ZERO)
+            loopspace, "_profile_unary", lambda *args: Table((ONE, ZERO))
         )
         with pytest.raises(LoopSpaceError, match="h_0"):
             induced_csp(dec, inst, profile_base=f)

@@ -557,7 +557,7 @@ def assert_synthesized(f):
     """The gadget of f has matching signature scale * f, scale != 0."""
     gadget, scale = synthesize(f)
     assert not scale.is_zero()
-    assert gadget.signature() == [scale * v for v in f.to_general().entries]
+    assert gadget.signature() == [scale * v for v in f.to_table().entries]
     return gadget, scale
 
 
@@ -626,9 +626,9 @@ class TestSynthesize:
             f = random_matchgate(rng)
             if f.is_zero():
                 continue
-            target = f.to_general().entries
+            target = f.to_table().entries
             symmetry = {
-                t for t in range(4) if nonzero_multiple(f.rotate(t).to_general().entries, target)
+                t for t in range(4) if nonzero_multiple(f.rotate(t).to_table().entries, target)
             }
             for turn in range(4):
                 turned = f.rotate(turn)

@@ -14,14 +14,7 @@ from sixvertex.membership import (
     is_matchgate_hat,
     is_product,
 )
-from sixvertex.signature import (
-    BinarySignature,
-    GeneralSignature4,
-    SixVertexSignature,
-    UnarySignature,
-    compose_n,
-    hadamard_image,
-)
+from sixvertex.signature import SixVertexSignature, Table, compose_n, hadamard_image
 
 
 def sv(*vals):
@@ -228,7 +221,7 @@ class TestAffine:
         entries[0b0110] = ONE
         entries[0b1001] = ONE
         entries[0b1100] = rational(2)
-        assert is_affine(GeneralSignature4(entries)) is None
+        assert is_affine(Table(tuple(entries))) is None
 
     def test_ice_not_affine(self):
         assert is_affine(sv(1, 1, 1, 1, 1, 1)) is None  # support size 6
@@ -262,24 +255,24 @@ class TestAffine:
                     cb * xs[s] * xs[t] for (s, t), cb in cross.items()
                 )
                 entries.append(lam * I ** (q % 4))
-            sig = GeneralSignature4(entries)
+            sig = Table(tuple(entries))
             w = is_affine(sig)
             assert w is not None
             for idx in range(16):
                 assert affine_value(w, bits(idx)) == entries[idx]
 
     def test_unary_and_binary(self):
-        assert is_affine(UnarySignature(ONE, I ** 3)) is not None
-        assert is_affine(BinarySignature(ZERO, ONE, ONE, ZERO)) is not None
-        assert is_affine(BinarySignature(ONE, ONE, ONE, rational(2))) is None
+        assert is_affine(Table((ONE, I ** 3))) is not None
+        assert is_affine(Table((ZERO, ONE, ONE, ZERO))) is not None
+        assert is_affine(Table((ONE, ONE, ONE, rational(2)))) is None
 
     def test_unary_and_binary_tables_agree_with_search(self):
         palette = [ZERO, ONE, -ONE, I, -I, rational(2), W]
         verdicts = []
         for pair in product(palette, repeat=2):
-            verdicts.append(assert_agrees_with_search(UnarySignature(*pair)))
+            verdicts.append(assert_agrees_with_search(Table(pair)))
         for quad in product(palette, repeat=4):
-            verdicts.append(assert_agrees_with_search(BinarySignature(*quad)))
+            verdicts.append(assert_agrees_with_search(Table(quad)))
         assert 0 < sum(verdicts) < len(verdicts)
 
     def test_random_arity4_tables_agree_with_search(self):
@@ -288,15 +281,15 @@ class TestAffine:
         affine, perturbed, product_type = [], [], []
         for _ in range(150):
             entries = random_affine_entries(rng)
-            affine.append(assert_agrees_with_search(GeneralSignature4(entries)))
+            affine.append(assert_agrees_with_search(Table(tuple(entries))))
             idx = rng.randrange(16)
             if entries[idx].is_zero() or rng.random() < 0.3:
                 entries[idx] = rng.choice(palette) if entries[idx].is_zero() else ZERO
             else:
                 entries[idx] = entries[idx] * rng.choice(palette[1:])
-            perturbed.append(assert_agrees_with_search(GeneralSignature4(entries)))
+            perturbed.append(assert_agrees_with_search(Table(tuple(entries))))
             entries = random_product_entries(rng, [ZERO] + palette)
-            product_type.append(assert_agrees_with_search(GeneralSignature4(entries)))
+            product_type.append(assert_agrees_with_search(Table(tuple(entries))))
         assert all(affine)
         assert 0 < sum(perturbed) < len(perturbed)
         assert 0 < sum(product_type) < len(product_type)
@@ -354,7 +347,7 @@ class TestProduct:
                         break
                     total = total * weights[lbl][rep]
                 entries.append(total)
-            sig = GeneralSignature4(entries)
+            sig = Table(tuple(entries))
             w = is_product(sig)
             assert w is not None
             for idx in range(16):
@@ -375,12 +368,12 @@ class TestSmallArityProduct:
 
     def test_unary_witnesses_are_the_enumerated_ones(self):
         for values in product(SMALL_ARITY_PALETTE, repeat=2):
-            assert is_product(UnarySignature(*values)) == _enumerated_product(values, 1)
+            assert is_product(Table(values)) == _enumerated_product(values, 1)
 
     def test_binary_witnesses_are_the_enumerated_ones(self):
         kinds = {"zero": 0, "one block": 0, "two blocks": 0, "none": 0}
         for values in product(SMALL_ARITY_PALETTE, repeat=4):
-            witness = is_product(BinarySignature(*values))
+            witness = is_product(Table(values))
             assert witness == _enumerated_product(values, 2), values
             if witness is None:
                 kinds["none"] += 1
@@ -411,9 +404,9 @@ class TestAffineCheckByIndex:
 
     def test_unary_and_binary_palette(self):
         kept = 0
-        for arity, kind in ((1, UnarySignature), (2, BinarySignature)):
+        for arity in (1, 2):
             for values in product(SMALL_ARITY_PALETTE, repeat=2**arity):
-                sig = kind(*values)
+                sig = Table(values)
                 witness = is_affine(sig)
                 assert witness == reconstructed_is_affine(sig), values
                 kept += witness is not None
@@ -437,7 +430,7 @@ class TestAffineCheckByIndex:
                 entries = random_product_entries(rng, [ZERO] + palette)
             else:
                 entries = [rng.choice([ZERO, ZERO] + palette) for _ in range(16)]
-            sig = GeneralSignature4(entries)
+            sig = Table(tuple(entries))
             witness = is_affine(sig)
             assert witness == reconstructed_is_affine(sig), entries
             kept += witness is not None
@@ -480,14 +473,14 @@ class TestProductCheckByIndex:
         assert len(verdicts) == 6, verdicts
 
 
-def flip_variable(g: GeneralSignature4, var: int) -> GeneralSignature4:
+def flip_variable(g: Table, var: int) -> Table:
     """g composed with Disequality on variable `var` (1 to 4): that input
     negated."""
     shift = 8 >> (var - 1)
-    return GeneralSignature4([g.entries[idx ^ shift] for idx in range(16)])
+    return Table(tuple(g.entries[idx ^ shift] for idx in range(16)))
 
 
-def is_matchgate_general(g: GeneralSignature4) -> bool:
+def is_matchgate_general(g: Table) -> bool:
     """Reference arity-4 matchgate test: support of one parity, an odd one
     moved to even by flipping variable 1 (composing it with Disequality,
     itself a matchgate), then det M_Out = det M_In."""
@@ -593,6 +586,6 @@ class TestMatchgate:
             f = sv(*(rng.randint(-2, 2) for _ in range(6)))
             img = hadamard_image(f)
             assert is_matchgate_general(hadamard_image(img)) == is_matchgate_general(
-                f.to_general()
+                f.to_table()
             )
 

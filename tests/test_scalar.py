@@ -1,5 +1,6 @@
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -253,9 +254,39 @@ class TestLiterals:
             assert parse_scalar(format_scalar(s)) == s
 
     def test_bad_literals(self):
-        for text in ["", "w^", "1//2", "q", "1 +", "3*z^2"]:
+        # the grammar's rationals are ASCII digits, optionally over a
+        # nonzero run of digits: no point, exponent, underscore or other
+        # script's digits; 1e10000000 must be refused before it is built
+        for text in [
+            "", "w^", "1//2", "q", "1 +", "3*z^2",
+            "1.5", "1e3", "1_0", "2.5e-1", "1e10000000", "1/0", "\u0663", "1/", "/2",
+            "1.5*w^1",
+        ]:
             with pytest.raises(ValueError):
                 parse_scalar(text)
+
+    def test_literal_past_the_digit_limit_is_refused(self):
+        with pytest.raises(ValueError):
+            parse_scalar("9" * 5000)
+
+    def test_format_past_the_digit_limit(self):
+        """format_scalar writes numbers past the int-to-str limit without
+        changing it; decimal.Decimal, which the limit does not bind, gives
+        the expected digits."""
+        limit = sys.get_int_max_str_digits()
+        big = 2**20000
+        assert format_scalar(rational(2) ** 20000) == str(Decimal(big))
+        value = rational(-big, 3**9000) + rational(big + 1) * W ** 3
+        expected = f"{Decimal(-big)}/{Decimal(3**9000)} + {Decimal(big + 1)}*w^3"
+        assert format_scalar(value) == expected
+        assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize(
+        "n", [10**599, 10**600 - 1, 10**600, 10**1200, 10**1200 + 10**600 - 1, 3**9000]
+    )
+    def test_format_either_side_of_the_split(self, n):
+        assert format_scalar(rational(n)) == str(Decimal(n))
+        assert format_scalar(rational(-n)) == str(Decimal(-n))
 
 
 def test_hash_consistency():

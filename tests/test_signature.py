@@ -7,6 +7,7 @@ import pytest
 from sixvertex.scalar import I, ONE, W, ZERO, format_scalar, rational
 from sixvertex.signature import (
     SixVertexSignature,
+    Table,
     compose_n,
     format_signature,
     hadamard_image,
@@ -139,7 +140,7 @@ class TestHadamard:
     def test_involution(self):
         rng = random.Random(12)
         for _ in range(10):
-            f = rand_six(rng).to_general()
+            f = rand_six(rng).to_table()
             twice = hadamard_image(hadamard_image(f))
             assert twice.entries == tuple(rational(16) * e for e in f.entries)
 
@@ -170,7 +171,7 @@ class TestLiterals:
 
     def test_sixteen(self):
         # the 16 entries of a six-vertex label, written out, are refused
-        f = rand_six(random.Random(13)).to_general()
+        f = rand_six(random.Random(13)).to_table()
         with pytest.raises(ValueError):
             parse_signature(",".join(format_scalar(v) for v in f.entries))
 
@@ -203,3 +204,35 @@ class TestSlots:
         f = sv(1, 0, 2, 0, 3, 0).scale(W)
         assert f == SixVertexSignature(W, ZERO, rational(2) * W, ZERO, rational(3) * W, ZERO)
         assert f.b is ZERO and f.x is ZERO and f.z is ZERO
+
+
+class TestTable:
+    def test_arity_from_entry_count(self):
+        for n in (1, 2, 4):
+            table = Table((ONE,) * 2**n)
+            assert table.arity == n
+
+    @pytest.mark.parametrize("count", [0, 1, 3, 8, 15, 17, 32])
+    def test_other_lengths_refused(self, count):
+        with pytest.raises(ValueError):
+            Table((ONE,) * count)
+
+    def test_entries_are_a_tuple(self):
+        with pytest.raises(TypeError):
+            Table([ONE, ZERO])
+
+    def test_frozen_hashable_and_equal_by_entries(self):
+        t, u = Table((ONE, I, I, ONE)), Table((ONE, I, I, ONE))
+        assert t == u and t is not u and hash(t) == hash(u)
+        assert t != Table((ONE, I, I, -ONE))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.entries = (ONE, ONE)
+        assert not hasattr(t, "__dict__")
+
+    def test_six_vertex_table_reads_each_pattern(self):
+        f = sv(1, 2, 3, 4, 5, 6)
+        entries = f.to_table().entries
+        for idx in range(16):
+            bits = tuple(idx >> (3 - t) & 1 for t in range(4))
+            assert entries[idx] == f.value(*bits)
+        assert [idx for idx in range(16) if entries[idx]] == [3, 5, 6, 9, 10, 12]
