@@ -22,10 +22,15 @@ half-edge with its circuit and whether it enters or leaves its vertex, then
 reads every vertex off the tags of its half-edges as two integers: the key
 i * k + j of its circuit pair (i == j at a self-intersection) and its local
 code, slot of x1 * 4 + entry * 2 + self.  No per-vertex object is made.
-`induced_csp` counts the vertices per (pair key, local code, label object).
-Circuits run straight through a degree-4 vertex, so a class, a local code
-with a label, fixes the vertex's factor under every assignment of its
-circuits and its rotated form of the base; both are computed once per class.
+A vertex's class, its (pair key, local code), depends on the map alone, so
+the decomposition also keeps each class with its vertex count.  When every
+vertex carries one label object, as in Holant(!= | f) with one f,
+`induced_csp` reads those classes as they are; an instance with more than
+one label object is counted per (pair key, local code, label id) on each
+call.  Circuits run straight through a degree-4 vertex, so a local code
+with a label fixes the vertex's factor under every assignment of its
+circuits and its rotated form of the base; both are computed once per
+local code and label.
 
 Every induced table entry is a monomial in the base's outer values a, y,
 x, b, held as one packed exponent vector: an int whose field j, wide
@@ -42,19 +47,22 @@ per-call (value, exponent) cache, and a zero value with a positive
 exponent gives ZERO.
 
 The circuits depend on the map alone, and the labels only weigh them, so
-`decompose` walks a map once and keeps its CircuitDecomposition on the map
-(`RotationMap.circuit_decomposition`); every signature evaluated on one map
-reuses it.  Tables, witnesses and powers are not kept between calls, and
-the inner-pair check, the entry/exit audit and the profile check run on
-every call.
+`decompose` walks a map once and keeps its CircuitDecomposition, vertex
+classes included, on the map (`RotationMap.circuit_decomposition`); every
+signature evaluated on one map reuses it, and an instance with one label
+object does no per-vertex work but an identity test of its labels.
+Tables, witnesses and powers are not kept between calls, and the
+inner-pair check, the entry/exit audit and the profile check run on every
+call.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from operator import mul
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, field
+from itertools import repeat
+from operator import is_, mul
+from typing import Callable, Iterable, Optional, Sequence
 
 from .cspsolve import NotAffine, NotProduct, affine_eval, once_per_table, product_eval
 from .instance import PlanarInstance, RotationMap
@@ -101,6 +109,14 @@ class CircuitDecomposition:
     tags: tuple[int, ...]  # per half-edge: 2 * circuit, + 1 if it leaves its vertex
     pairs: tuple[int, ...]  # per vertex: i * k + j for its circuits i <= j
     codes: tuple[int, ...]  # per vertex: its local code
+    # each distinct (pair key, local code) with its vertex count, derived
+    # from pairs and codes, so that dataclasses.replace keeps it consistent
+    classes: tuple[tuple[int, int, int], ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        counts = Counter(zip(self.pairs, self.codes))
+        classes = tuple((pair, code, n) for (pair, code), n in counts.items())
+        object.__setattr__(self, "classes", classes)
 
 
 def decompose(inst: PlanarInstance) -> CircuitDecomposition:
@@ -108,9 +124,10 @@ def decompose(inst: PlanarInstance) -> CircuitDecomposition:
 
     The decomposition depends on the map alone, and decompose reads no
     label: induced_csp checks them.  The first call on a map walks it (see
-    `_walk`) and keeps the result on the map, and later calls on the same
-    map, under any labels, return that same object.  A walk that raises
-    keeps nothing.
+    `_walk`), counts its vertex classes (`CircuitDecomposition.classes`,
+    each (pair key, local code) with its vertex count) and keeps the result
+    on the map; later calls on the same map, under any labels, return that
+    same object.  A walk that raises keeps nothing.
     """
     m = inst.map
     dec = m.circuit_decomposition
@@ -232,12 +249,15 @@ def induced_csp(
     So does a base whose inner pair is not zero, and since a quarter turn
     keeps the inner pair, that one check covers every label.
 
-    The vertices are counted per (pair key, local code, label object) in
-    one pass, and per class, a local code with a label object, the vertex
-    factors and the form index are computed once.  Each table entry is a
-    packed exponent vector over the base's outer values (see the module
-    docstring).  A class packs its entries, and a profile count of one in
-    the field of its form, into one int, so that a pair's or a circuit's
+    When every vertex carries one label object, which an identity test of
+    the labels decides without an __eq__, the vertex classes are the ones
+    kept on `dec`, and no vertex is visited.  Otherwise the vertices are
+    counted per (pair key, local code, label id) in one pass
+    (`_count_per_label`).  Per local code and label the vertex factors and
+    the form index are computed once.  Each table entry is a packed exponent
+    vector over the base's outer values (see the module docstring).  A
+    local code with a label packs its entries, and a profile count of one
+    in the field of its form, into one int, so that a pair's or a circuit's
     direct entries and its (k, l) or m profile are the sum of count times
     that int over its classes.  The profile table is built once per
     distinct profile.  Each distinct tuple of packed entries is one table
@@ -245,16 +265,21 @@ def induced_csp(
     the same object, and only when they are not are their values compared.
     Every pair and every circuit is checked.  Each value is formed once per
     distinct vector, each power of a value outside mu_8 once per exponent,
-    and no power of a value in mu_8 at all.  `dec` may be kept on the map
-    (see decompose), but the tables, the powers and the profile check are
-    made anew on every call.
+    and no power of a value in mu_8 at all.  `dec` and its classes may be
+    kept on the map (see decompose), but the inner-pair check, the tables,
+    the powers and the profile check are made anew on every call.
     """
     if not (profile_base.c.is_zero() and profile_base.z.is_zero()):
         raise LoopSpaceError("loop space needs labels with zero inner pair")
     labels = inst.labels
-    # labels are told apart by id, which is unique while `inst` keeps every
-    # label alive, and cheaper than hashing their six scalars
-    label_of = dict(zip(map(id, labels), labels))
+    first = labels[0] if labels else None
+    if all(map(is_, labels, repeat(first))):
+        # one label object, as in Holant(!= | f): the map's classes are the
+        # instance's, and this identity test is the only per-vertex work
+        label_of = {0: first}
+        counted = (((pair, code, 0), n) for pair, code, n in dec.classes)
+    else:
+        label_of, counted = _count_per_label(dec, labels)
     n_circuits = dec.k
     # an exponent or a profile count never exceeds the vertex count, so
     # fields this wide never carry into each other
@@ -315,11 +340,11 @@ def induced_csp(
         return table
 
     base_forms = [profile_base.rotate(r) for r in range(4)]
-    classes: dict[tuple[int, int], int] = {}
+    packed_of: dict[tuple[int, int], int] = {}
     pair_rows: dict[int, int] = {}
     self_rows: dict[int, int] = {}
-    for (pair, code, key), n in Counter(zip(dec.pairs, dec.codes, map(id, labels))).items():
-        packed = classes.get((code, key))
+    for (pair, code, key), n in counted:
+        packed = packed_of.get((code, key))
         if packed is None:
             label = label_of[key]
             form = _form_indexer(base_forms, label, code // SLOT)
@@ -329,7 +354,7 @@ def induced_csp(
             packed = 1 << profile_shift + width * field
             for e, value in enumerate(_class_factors(label, code)):
                 packed += 1 << e * entry + width * field_of[value]
-            classes[code, key] = packed
+            packed_of[code, key] = packed
         rows = self_rows if code & SELF else pair_rows
         rows[pair] = rows.get(pair, 0) + n * packed
 
@@ -366,6 +391,18 @@ def induced_csp(
             raise LoopSpaceError(f"direct and profile tables disagree on h_{i}")
         unary[i] = table
     return InducedCSP(n_circuits, binary, unary)
+
+
+def _count_per_label(
+    dec: CircuitDecomposition, labels: Sequence[SixVertexSignature]
+) -> tuple[dict[int, SixVertexSignature], Iterable[tuple[tuple[int, int, int], int]]]:
+    """The label of each label id, and the vertices of an instance with more
+    than one label object counted per (pair key, local code, label id) in
+    one pass.  Labels are told apart by id, which is unique while the
+    instance keeps every label alive, and costs no __eq__ or hash of their
+    six scalars."""
+    label_of = dict(zip(map(id, labels), labels))
+    return label_of, Counter(zip(dec.pairs, dec.codes, map(id, labels))).items()
 
 
 def _form_indexer(
@@ -416,11 +453,15 @@ def _profile_unary(
 
 def entry_exit_audit(dec: CircuitDecomposition) -> bool:
     """Whether every pair of circuits has as many entries as exits; a
-    plane circuit leaves another as often as it enters it."""
+    plane circuit leaves another as often as it enters it.
+
+    The audit reads the map alone: it sums plus or minus each class's vertex
+    count over `dec.classes`, so it visits no vertex, and it runs on every
+    evaluate call whatever the labels."""
     balance: dict[int, int] = {}
-    for pair, code in zip(dec.pairs, dec.codes):
+    for pair, code, n in dec.classes:
         if not code & SELF:
-            balance[pair] = balance.get(pair, 0) + (1 if code & ENTRY else -1)
+            balance[pair] = balance.get(pair, 0) + (n if code & ENTRY else -n)
     return not any(balance.values())
 
 
@@ -444,13 +485,17 @@ def evaluate(
 
     An unknown method raises ValueError before any work is done.
 
-    `induced_csp` does per-vertex bookkeeping only and builds each distinct
-    table once (see its docstring).  Many induced tables repeat, so each
-    distinct table is tested for membership once per call, and the solvers
-    receive the constraints as (witness, variables) pairs instead of
-    re-testing every table.  The map's circuit decomposition is kept on the
-    map (see decompose); tables, witnesses and powers are not kept between
-    calls, and the entry/exit audit runs on every call.
+    The map's circuit decomposition and its vertex classes are kept on the
+    map (see decompose).  On an instance with one label object,
+    `induced_csp` works per class and does no per-vertex work beyond an
+    identity test of the labels; an instance with more than one label
+    object is counted per vertex on each call.  Each distinct table is
+    built once (see induced_csp), and, since many induced tables repeat,
+    tested for membership once per call; the solvers receive the
+    constraints as (witness, variables) pairs instead of re-testing every
+    table.  Tables, witnesses and powers are not kept between calls, and
+    the inner-pair check, the entry/exit audit and the profile check run on
+    every call.
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")

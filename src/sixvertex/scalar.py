@@ -313,14 +313,18 @@ _MU8_ORDER = {root: 8 // gcd(k, 8) for k, root in enumerate(MU8)}  # gcd(0, 8) =
 
 # -- scalar literal grammar ------------------------------------------------
 #
-#   term     := rational | rational "*" "w" "^" int | "i" | "-" term
+#   term     := rational | rational "*" "w" "^" exponent | "i" | "-" term
 #   expr     := term ("+" term)*
 #   rational := int | int "/" posint
+#   exponent := int | "-" int
 #
 # "a - b" is accepted as shorthand for "a + -b", and a bare "w" or "w^k"
-# for "1*w^k".  Rationals are ASCII digits, with no point or exponent.
+# for "1*w^k".  An int is ASCII digits, with no point, "e", underscore or
+# other script's digits, so the exponent of w is ASCII digits after an
+# optional "-" (w^-1 is w^7).
 
 _RATIONAL = re.compile(r"[0-9]+(/[0-9]+)?")
+_EXPONENT = re.compile(r"-?[0-9]+")
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -385,8 +389,11 @@ def _parse_rational(text: str) -> Fraction:
 
 
 def _parse_int(text: str) -> int:
+    text = text.strip()
     try:
-        return int(text.strip())
+        if not _EXPONENT.fullmatch(text):
+            raise ValueError(text)
+        return int(text)
     except ValueError as exc:
         raise ValueError(f"bad integer {text!r} in scalar literal") from exc
 

@@ -455,6 +455,149 @@ REFERENCE_MAPS = [
 ]
 
 
+def reference_audit(dec):
+    """The entry/exit audit one vertex at a time: +1 per entry vertex and -1
+    per exit vertex of each circuit pair."""
+    balance = Counter()
+    for pair, code in zip(dec.pairs, dec.codes):
+        if not code & SELF:
+            balance[pair] += 1 if code & ENTRY else -1
+    return not any(balance.values())
+
+
+def value_equal_labelings(m, f):
+    """Three labelings of `m` by labels equal to f: one shared object, a
+    value-equal copy at every vertex, and at every vertex a distinct object
+    turned back to f through quarter turns."""
+    n = m.vertex_count
+    return {
+        "shared": uniform_instance(m, f),
+        "copies": PlanarInstance(m, tuple(SixVertexSignature(*f.tuple()) for _ in range(n))),
+        "turned": PlanarInstance(m, tuple(f.rotate(1 + v % 3).rotate(3 - v % 3) for v in range(n))),
+    }
+
+
+class TestVertexClasses:
+    """The decomposition keeps each (pair key, local code) with its vertex
+    count; the audit and an instance with one label object read those, and
+    only an instance with more than one label object counts its vertices."""
+
+    MAPS = [*REFERENCE_MAPS, *small_medials(80, 6), two_loop_map(), cycle_medial(2), cycle_medial(5)]
+
+    def test_class_counts_equal_a_per_vertex_count(self):
+        """On every map, and on a copy made by dataclasses.replace with
+        every entry and exit swapped, which must derive its own classes."""
+        loops = selfs = 0
+        for m in self.MAPS:
+            dec = decompose(uniform_instance(m, sv(1, 2, 0, 2, 1, 0)))
+            swapped = tuple(code if code & SELF else code ^ ENTRY for code in dec.codes)
+            for d in (dec, dataclasses.replace(dec, codes=swapped)):
+                counts = Counter({(pair, code): n for pair, code, n in d.classes})
+                assert len(counts) == len(d.classes)
+                assert counts == Counter(zip(d.pairs, d.codes))
+            loops += sum(m.vertex_of[h] == m.vertex_of[k] for h, k in enumerate(m.involution))
+            selfs += sum(1 for code in dec.codes if code & SELF)
+        assert loops and selfs
+
+    def test_audit_over_classes_equals_the_per_vertex_audit(self):
+        verdicts = set()
+        maps = self.MAPS + [torus_grid(3), torus_grid(4)]
+        for m in maps:
+            dec = decompose(uniform_instance(m, sv(1, 2, 0, 2, 1, 0)))
+            forged = []
+            for v in range(0, len(dec.codes), 7):
+                codes = list(dec.codes)
+                codes[v] ^= ENTRY  # toggles an entry/exit, or a self-intersection's slot
+                forged.append(dataclasses.replace(dec, codes=tuple(codes)))
+            for d in [dec, *forged]:
+                verdict = entry_exit_audit(d)
+                assert verdict == reference_audit(d)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_torus_raises_under_every_labeling_on_every_call(self):
+        m = torus_grid(3)
+        f = sv(1, 2, 0, 2, 1, 0)
+        for inst in value_equal_labelings(m, f).values():
+            for _ in range(2):
+                with pytest.raises(LoopSpaceError, match=r"\(planarity bug\)"):
+                    evaluate(inst, profile_base=f)
+
+    def test_value_equal_labelings_give_one_csp_and_value(self):
+        rng = random.Random(81)
+        maps = [two_loop_map(), cycle_medial(3), grid_patch(2, 2), *small_medials(82, 6)]
+        maps += REFERENCE_MAPS[4:7]  # 300 to 2400 edges, past the brute-force cap
+        checked = 0
+        for trial, m in enumerate(maps):
+            f = random_c4i(rng) if trial % 2 else random_c4ii(rng)
+            csps, values = [], []
+            for inst in value_equal_labelings(m, f).values():
+                csp = induced_csp(decompose(inst), inst, profile_base=f)
+                csps.append((
+                    csp.n_vars,
+                    {ij: t.entries for ij, t in csp.binary.items()},
+                    {i: t.entries for i, t in csp.unary.items()},
+                ))
+                values.append(evaluate(inst, profile_base=f))
+            assert csps[0] == csps[1] == csps[2], trial
+            assert values[0] == values[1] == values[2], trial
+            if m.edge_count <= HOLANT_CAP:
+                assert values[0] == holant_brute(uniform_instance(m, f)), trial
+                checked += 1
+        assert checked == 9
+
+    def test_only_an_instance_with_several_label_objects_counts_its_vertices(self, monkeypatch):
+        from sixvertex import loopspace
+
+        calls = []
+        real = loopspace._count_per_label
+
+        def counted(dec, labels):
+            calls.append(len(labels))
+            return real(dec, labels)
+
+        monkeypatch.setattr(loopspace, "_count_per_label", counted)
+        f = sv(1, 2, 0, 2, 1, 0)
+        for m in [grid_patch(4, 4), *small_medials(83, 3)]:
+            labelings = value_equal_labelings(m, f)
+            calls.clear()
+            for _ in range(2):
+                evaluate(labelings["shared"], profile_base=f)
+                induced_csp(decompose(labelings["shared"]), labelings["shared"], profile_base=f)
+            assert calls == []
+            for name in ("copies", "turned"):
+                evaluate(labelings[name], profile_base=f)
+            assert calls == [m.vertex_count] * 2
+
+    def test_the_label_test_costs_no_eq(self, monkeypatch):
+        """Telling one label object from several takes no __eq__ of
+        labels: every vertex holds an equal copy, and nothing compares them
+        before they are counted by id."""
+        from sixvertex import loopspace
+
+        class Counted(Exception):
+            pass
+
+        def stop(dec, labels):
+            raise Counted
+
+        eq_calls = []
+        real_eq = SixVertexSignature.__eq__
+
+        def eq(self, other):
+            eq_calls.append(1)
+            return real_eq(self, other)
+
+        f = sv(1, 2, 0, 2, 1, 0)
+        inst = value_equal_labelings(grid_patch(4, 4), f)["copies"]
+        dec = decompose(inst)
+        monkeypatch.setattr(loopspace, "_count_per_label", stop)
+        monkeypatch.setattr(SixVertexSignature, "__eq__", eq)
+        with pytest.raises(Counted):
+            induced_csp(dec, inst, profile_base=f)
+        assert eq_calls == []
+
+
 class TestInducedTables:
     def test_tables_equal_plain_factor_products(self):
         rng = random.Random(69)

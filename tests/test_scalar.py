@@ -256,14 +256,20 @@ class TestLiterals:
     def test_bad_literals(self):
         # the grammar's rationals are ASCII digits, optionally over a
         # nonzero run of digits: no point, exponent, underscore or other
-        # script's digits; 1e10000000 must be refused before it is built
+        # script's digits, and none of them in the exponent of w; 1e10000000
+        # must be refused before it is built
         for text in [
             "", "w^", "1//2", "q", "1 +", "3*z^2",
             "1.5", "1e3", "1_0", "2.5e-1", "1e10000000", "1/0", "\u0663", "1/", "/2",
-            "1.5*w^1",
+            "1.5*w^1", "w^1_0", "2*w^\u0663",
         ]:
             with pytest.raises(ValueError):
                 parse_scalar(text)
+
+    def test_negative_exponent_of_w(self):
+        # the exponent of w is ASCII digits after an optional "-"
+        assert parse_scalar("w^-1") == W ** 7
+        assert parse_scalar("2*w^-3") == rational(2) * W ** 5
 
     def test_literal_past_the_digit_limit_is_refused(self):
         with pytest.raises(ValueError):
