@@ -46,22 +46,36 @@ class Condition(Enum):
     C4II = "C4ii"
 
 
-# every set of conditions, keyed by itself: a verdict takes its witness set
-# from here, so verdicts with equal witnesses share one frozenset
-_WITNESS_SETS = {
-    w: w
-    for w in (
-        frozenset(c for bit, c in enumerate(Condition) if mask >> bit & 1)
-        for mask in range(1 << len(Condition))
-    )
-}
-
-
 @dataclass(frozen=True)
 class Verdict:
     planar_class: PlanarClass
     general_class: GeneralClass
     witnesses: frozenset[Condition]
+
+
+_GENERAL = frozenset({Condition.C1_P, Condition.C1_A, Condition.C2_ZERO_PAIRS})
+
+
+def _verdict_of(witnesses: frozenset[Condition]) -> Verdict:
+    """C1 or C2 give polynomial time on all graphs, any other condition on
+    planar graphs only."""
+    if witnesses & _GENERAL:
+        return Verdict(PlanarClass.PTIME_ALL, GeneralClass.PTIME, witnesses)
+    if witnesses:
+        return Verdict(PlanarClass.PTIME_PLANAR_ONLY, GeneralClass.SHARP_P_HARD, witnesses)
+    return Verdict(PlanarClass.SHARP_P_HARD_PLANAR, GeneralClass.SHARP_P_HARD, witnesses)
+
+
+# one Verdict for every set of conditions, keyed by that set: the classes
+# are functions of the witnesses, so signatures with equal witness sets
+# share one Verdict (and one frozenset), and a kept verdict costs a slot
+_VERDICTS = {
+    w: _verdict_of(w)
+    for w in (
+        frozenset(c for bit, c in enumerate(Condition) if mask >> bit & 1)
+        for mask in range(1 << len(Condition))
+    )
+}
 
 
 def _zero_in_each_pair(f: SixVertexSignature) -> bool:
@@ -96,6 +110,16 @@ def _condition4(f: SixVertexSignature) -> tuple[bool, bool]:
 
 
 def classify(f: SixVertexSignature) -> Verdict:
+    """The verdict of the trichotomy on f: its planar class, its general
+    class and the set of every condition f satisfies.
+
+    Every condition is tested, not only up to the first that holds, since
+    the router picks its evaluator from the witness set.  The verdict is
+    kept on f (its `verdict` slot), so a later call on the same object
+    returns it and runs no membership test; a call that raises, such as
+    a WitnessError from a membership check, keeps nothing."""
+    if f.verdict is not None:
+        return f.verdict
     witnesses = set()
     if is_product(f) is not None:
         witnesses.add(Condition.C1_P)
@@ -112,18 +136,6 @@ def classify(f: SixVertexSignature) -> Verdict:
         witnesses.add(Condition.C4I)
     if c4ii:
         witnesses.add(Condition.C4II)
-
-    general_ok = bool(
-        witnesses & {Condition.C1_P, Condition.C1_A, Condition.C2_ZERO_PAIRS}
-    )
-    if general_ok:
-        planar = PlanarClass.PTIME_ALL
-    elif witnesses:
-        planar = PlanarClass.PTIME_PLANAR_ONLY
-    else:
-        planar = PlanarClass.SHARP_P_HARD_PLANAR
-    return Verdict(
-        planar_class=planar,
-        general_class=GeneralClass.PTIME if general_ok else GeneralClass.SHARP_P_HARD,
-        witnesses=_WITNESS_SETS[frozenset(witnesses)],
-    )
+    verdict = _VERDICTS[frozenset(witnesses)]
+    object.__setattr__(f, "verdict", verdict)
+    return verdict

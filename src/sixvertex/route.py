@@ -1,12 +1,14 @@
 """The front door: evaluate a six-vertex instance by the route its
 labels' witnesses allow.
 
-Each distinct label is classified once, and the route must serve every
-vertex, so it is chosen from the intersection of the witness sets, in
-order of measured cost (on grid_patch(24,24), where all three apply to
-(1,1,0,1,-1,0) and (1,i,0,1,i,0), on a shared 2-core host: loop space
-3-4 ms, the C1 affine route 20-25 ms, FKT 0.37 s for the first, whose
-Pfaffian runs on ints, and 0.6 s for the second, whose runs on Scalars):
+Each distinct label is classified, and classify keeps its verdict on the
+label object, so a label reused across calls is classified once.  The
+route must serve every vertex, so it is chosen from the intersection of
+the witness sets, in order of measured cost (on grid_patch(24,24), where
+all three apply to (1,1,0,1,-1,0) and (1,i,0,1,i,0), on a shared 2-core
+host: loop space 3-4 ms, the C1 affine route 20-25 ms, FKT 0.37 s for
+the first, whose Pfaffian runs on ints, and 0.6 s for the second, whose
+runs on Scalars):
 
   C4       loop space, when every label is a quarter turn of one base
            signature (the profile check needs one base),

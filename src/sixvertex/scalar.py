@@ -65,6 +65,11 @@ class Scalar:
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__: the default restores the
+        # slots by setattr, which an immutable Scalar refuses
+        return Scalar, (self.n0, self.n1, self.n2, self.n3, self.den)
+
     # -- constructors -------------------------------------------------
 
     @classmethod

@@ -18,7 +18,7 @@ four inputs one quarter turn counterclockwise maps (a,b,c,x,y,z) to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .scalar import ZERO, Scalar, format_scalar, parse_scalar
 
@@ -44,12 +44,28 @@ class Table:
 
 @dataclass(frozen=True, slots=True)
 class SixVertexSignature:
+    """The six-vertex signature (a,b,c,x,y,z).
+
+    A signature is never mutated after construction, so what depends on
+    its six entries alone may be kept on it: the slot `verdict` holds the
+    Verdict of classify once classify has computed it, and is None until
+    then.  Nothing else sets it.  Equality, hashing, repr and
+    format_signature ignore it; the constructor, rotate, scale,
+    compose_n, dataclasses.replace, copy and pickle make objects with no
+    verdict kept (rotate by a multiple of four turns returns f itself)."""
+
     a: Scalar
     b: Scalar
     c: Scalar
     x: Scalar
     y: Scalar
     z: Scalar
+    verdict: object = field(default=None, init=False, repr=False, compare=False)
+
+    def __reduce__(self):
+        # copy and pickle rebuild the object from its six entries, so the
+        # kept Verdict is not carried over as a copy of a shared one
+        return SixVertexSignature, self.tuple()
 
     @classmethod
     def from_values(cls, a, b, c, x, y, z) -> "SixVertexSignature":

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import sys
 from decimal import Decimal
@@ -147,6 +149,13 @@ class TestBasics:
             ZERO.inv()
         with pytest.raises(ZeroDivisionError):
             ONE / ZERO
+
+    def test_copy_and_pickle_round_trip(self):
+        rng = random.Random(17)
+        for s in [ZERO, ONE, W, rational(-7, 3)] + [rand_scalar(rng) for _ in range(20)]:
+            for t in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+                assert t == s and hash(t) == hash(s)
+                assert (t.n0, t.n1, t.n2, t.n3, t.den) == (s.n0, s.n1, s.n2, s.n3, s.den)
 
 
 def conjugate(s):
